@@ -9,6 +9,8 @@ It satisfies the flow balance
 and every layer cost is the linear functional sum theta * c.  Minimizing the
 objective layer over this polytope subject to the budget rows is the
 constrained best response; the optimal policy is recovered by disintegration.
+One LP builder, `_occupation_lp`, sets up and checks this program for the
+best response, the feasibility test and the Slater margin.
 """
 
 import math
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .evaluation import evaluate_policy, induced_mdp
+from .evaluation import _discounted_solve, evaluate_policy, induced_mdp
 
 __all__ = [
     "OccupationMeasure",
@@ -91,11 +93,11 @@ class SlaterScan:
 
 
 def occupation_measure(mdp, policy):
-    """Occupation measure of a stationary policy, by direct linear solve."""
+    """Occupation measure of a stationary policy, by the transposed
+    discounted solve."""
     policy = np.asarray(policy, dtype=float)
     kernel = np.einsum("sa,sat->st", policy, mdp.kernel)
-    a_mat = np.eye(mdp.n_states) - mdp.discount * kernel.T
-    masses = np.linalg.solve(a_mat, (1.0 - mdp.discount) * mdp.initial)
+    masses = _discounted_solve(kernel.T, mdp.discount, (1.0 - mdp.discount) * mdp.initial)
     return OccupationMeasure(masses[:, None] * policy)
 
 
@@ -111,54 +113,59 @@ def recover_strategy(occupation, mass_tol=1e-12):
     return policy
 
 
-def _flow_matrix(mdp):
-    s, a = mdp.n_states, mdp.n_actions
-    eye = np.repeat(np.eye(s)[:, :, None], a, axis=2)
-    mat = eye - mdp.discount * np.moveaxis(mdp.kernel, 2, 0)
-    return mat.reshape(s, s * a)
+def _occupation_lp(mdp, bounds, objective, epigraph=False):
+    """Minimize objective @ x over the normalized occupation measures x of
+    `mdp` that meet the budget rows costs[1:] @ x <= kappa.
 
-
-def _lp_residuals(mdp, x, a_eq, b_eq):
-    flow = float(np.max(np.abs(a_eq @ x - b_eq)))
-    return {
-        "flow_balance": flow,
-        "mass": abs(float(x.sum()) - 1.0),
-        "negativity": max(0.0, -float(x.min())) if x.size else 0.0,
-    }
-
-
-def _solve_lp(c, a_ub, b_ub, a_eq, b_eq, bounds):
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs", options=LP_OPTIONS)
-    if res.status not in (0, 2):
-        raise RuntimeError(f"LP solver failure (status {res.status}): {res.message}")
-    return res
-
-
-def constrained_best_response(mdp, bounds=None):
-    """Minimize the objective layer over occupation measures meeting the
-    budget rows.  Returns status 'infeasible' when no strategy meets them."""
+    With `epigraph`, x gains a free last column z that is added to every
+    budget row.  Returns None when no occupation measure meets the budgets,
+    else (x, theta, residuals): theta is the occupation part of x clipped at
+    zero, and residuals its flow-balance, mass and sign errors.  Raises
+    RuntimeError on solver failure or a flow residual above FLOW_TOL.
+    """
     kappa = mdp.constraint_bounds if bounds is None else np.asarray(bounds, dtype=float)
     n_layers = kappa.shape[0]
     if mdp.costs.shape[0] != n_layers + 1:
         raise ValueError(f"{mdp.costs.shape[0] - 1} cost layers but {n_layers} budgets")
     s, a = mdp.n_states, mdp.n_actions
-    a_eq = _flow_matrix(mdp)
+    eye = np.repeat(np.eye(s)[:, :, None], a, axis=2)
+    flow = (eye - mdp.discount * np.moveaxis(mdp.kernel, 2, 0)).reshape(s, s * a)
     b_eq = (1.0 - mdp.discount) * mdp.initial
     a_ub = mdp.costs[1:].reshape(n_layers, s * a) if n_layers else None
     b_ub = kappa if n_layers else None
-    res = _solve_lp(mdp.costs[0].reshape(s * a), a_ub, b_ub, a_eq, b_eq, (0, None))
+    a_eq, box = flow, (0, None)
+    if epigraph:
+        a_eq = np.hstack([flow, np.zeros((s, 1))])
+        a_ub = np.hstack([a_ub, np.ones((n_layers, 1))])
+        box = [(0, None)] * (s * a) + [(None, None)]
+    res = linprog(objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=box, method="highs", options=LP_OPTIONS)
+    if res.status not in (0, 2):
+        raise RuntimeError(f"LP solver failure (status {res.status}): {res.message}")
     if res.status == 2:
-        empty = OccupationMeasure(np.zeros((s, a)))
-        return BestResponseResult("infeasible", math.nan, np.full(n_layers + 1, math.nan),
-                                  empty, np.full((s, a), math.nan))
-    x = res.x
-    residuals = _lp_residuals(mdp, x, a_eq, b_eq)
-    if residuals["flow_balance"] > FLOW_TOL:
+        return None
+    occ = res.x[:s * a]
+    residuals = {
+        "flow_balance": float(np.max(np.abs(flow @ occ - b_eq))),
+        "mass": abs(float(occ.sum()) - 1.0),
+        "negativity": max(0.0, -float(occ.min())) if occ.size else 0.0,
+    }
+    if not residuals["flow_balance"] <= FLOW_TOL:
         raise RuntimeError(f"LP flow-balance residual {residuals['flow_balance']:.3e} "
                            f"exceeds {FLOW_TOL:.1e}")
-    theta = np.maximum(x.reshape(s, a), 0.0)
-    layer_values = mdp.costs.reshape(n_layers + 1, s * a) @ x
+    return res.x, np.maximum(occ.reshape(s, a), 0.0), residuals
+
+
+def constrained_best_response(mdp, bounds=None):
+    """Minimize the objective layer over occupation measures meeting the
+    budget rows.  Returns status 'infeasible' when no strategy meets them."""
+    s, a, layers = mdp.n_states, mdp.n_actions, mdp.costs.shape[0]
+    lp = _occupation_lp(mdp, bounds, mdp.costs[0].reshape(s * a))
+    if lp is None:
+        return BestResponseResult("infeasible", math.nan, np.full(layers, math.nan),
+                                  OccupationMeasure(np.zeros((s, a))), np.full((s, a), math.nan))
+    x, theta, residuals = lp
+    layer_values = mdp.costs.reshape(layers, s * a) @ x
     return BestResponseResult(
         status="optimal",
         value=float(layer_values[0]),
@@ -171,17 +178,10 @@ def constrained_best_response(mdp, bounds=None):
 
 def feasibility(mdp, bounds=None):
     """Is any strategy within the budgets?  Returns (bool, witness policy or None)."""
-    kappa = mdp.constraint_bounds if bounds is None else np.asarray(bounds, dtype=float)
-    n_layers = kappa.shape[0]
-    s, a = mdp.n_states, mdp.n_actions
-    a_eq = _flow_matrix(mdp)
-    b_eq = (1.0 - mdp.discount) * mdp.initial
-    a_ub = mdp.costs[1:].reshape(n_layers, s * a) if n_layers else None
-    b_ub = kappa if n_layers else None
-    res = _solve_lp(np.zeros(s * a), a_ub, b_ub, a_eq, b_eq, (0, None))
-    if res.status == 2:
+    lp = _occupation_lp(mdp, bounds, np.zeros(mdp.n_states * mdp.n_actions))
+    if lp is None:
         return False, None
-    return True, recover_strategy(np.maximum(res.x.reshape(s, a), 0.0))
+    return True, recover_strategy(lp[1])
 
 
 def slater_margin(mdp, bounds=None):
@@ -189,24 +189,18 @@ def slater_margin(mdp, bounds=None):
 
     Maximizes z subject to flow balance and sum c_l theta + z <= kappa_l for
     every layer.  A strictly positive margin certifies a strict (Slater)
-    point; for a game without constraint layers the margin is +inf.
+    point; for an MDP without constraint layers the margin is +inf.
     """
-    kappa = mdp.constraint_bounds if bounds is None else np.asarray(bounds, dtype=float)
-    n_layers = kappa.shape[0]
     s, a = mdp.n_states, mdp.n_actions
-    if n_layers == 0:
+    if mdp.n_layers == 0:
         return SlaterResult(math.inf, np.full((s, a), 1.0 / a))
-    flow = _flow_matrix(mdp)
-    a_eq = np.hstack([flow, np.zeros((s, 1))])
-    b_eq = (1.0 - mdp.discount) * mdp.initial
-    a_ub = np.hstack([mdp.costs[1:].reshape(n_layers, s * a), np.ones((n_layers, 1))])
     obj = np.zeros(s * a + 1)
     obj[-1] = -1.0
-    res = _solve_lp(obj, a_ub, kappa, a_eq, b_eq, [(0, None)] * (s * a) + [(None, None)])
-    if res.status == 2:
+    lp = _occupation_lp(mdp, bounds, obj, epigraph=True)
+    if lp is None:
         raise RuntimeError("slack LP reported infeasible; flow polytope should never be empty")
-    theta = np.maximum(res.x[:-1].reshape(s, a), 0.0)
-    return SlaterResult(float(res.x[-1]), recover_strategy(theta))
+    x, theta, _ = lp
+    return SlaterResult(float(x[-1]), recover_strategy(theta))
 
 
 def slater_scan(game, player, opponent_samples):

@@ -6,10 +6,12 @@ target was not certified (outputs are still written), 2 input could not be
 parsed, 3 input parsed but failed validation or a precondition, 4 the solver
 failed numerically.
 
-Documents are JSON with explicit shapes; floats are serialized with Python's
-shortest round-trip representation, so write-read-write is byte-stable.  All
-randomness derives from --seed (default 0).  Reports are byte-identical for
-identical inputs and seed, except for the timing block.
+Documents are JSON with explicit shapes.  Their keys are the field names of
+the dataclass they hold, next to a schema tag and a few derived sizes, so one
+encoder writes them and one constructor reads them.  Floats are serialized
+with Python's shortest round-trip representation, so write-read-write is
+byte-stable.  All randomness derives from --seed (default 0).  Reports are
+byte-identical for identical inputs and seed, except for the timing block.
 """
 
 import argparse
@@ -17,13 +19,14 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .best_response import constrained_best_response
-from .discretization import build_partition, error_bound, resolution_for, surrogate_game
+from .discretization import build_partition, resolution_for, surrogate_game
 from .equilibrium import (
     SearchConfig,
     correlated_limit_sequence,
@@ -56,6 +59,11 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_SOLVER = 4
 
+# Strategy documents name their dataclass in "class"; game documents in "kind".
+_CLASSES = {"stationary": StationaryProfile, "correlated": CorrelatedStrategy,
+            "markov": MarkovStrategy}
+_CLASS_NAMES = {cls: name for name, cls in _CLASSES.items()}
+
 
 class ParseError(Exception):
     pass
@@ -65,8 +73,21 @@ class ValidationFailure(Exception):
     pass
 
 
+def _plain(value):
+    """JSON form of a numpy array or scalar, a tuple, or a dataclass (its
+    fields by name, read with getattr so no array is deep-copied); any other
+    value is returned as is.  Also the `default` hook of _dump."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
 def _dump(payload):
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, default=_plain) + "\n"
 
 
 def _write(path, payload):
@@ -94,27 +115,9 @@ def _field(doc, key, path):
     return doc[key]
 
 
-def _array(doc, key, path):
-    try:
-        return np.array(_field(doc, key, path), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: field {key!r} is not a numeric array: {exc}") from exc
-
-
 def game_to_payload(game, name=None, extra=None):
-    payload = {
-        "schema": GAME_SCHEMA,
-        "kind": "finite",
-        "n_actions": list(game.n_actions),
-        "n_states": game.n_states,
-        "n_constraint_layers": game.n_layers,
-        "discount": game.discount,
-        "cost_bound": game.cost_bound,
-        "costs": game.costs.tolist(),
-        "transitions": game.transitions.tolist(),
-        "initial": game.initial.tolist(),
-        "constraint_bounds": game.constraint_bounds.tolist(),
-    }
+    payload = {"schema": GAME_SCHEMA, "kind": "finite", "n_states": game.n_states,
+               "n_constraint_layers": game.n_layers, **_plain(game)}
     if name:
         payload["name"] = name
     if extra:
@@ -123,210 +126,112 @@ def game_to_payload(game, name=None, extra=None):
 
 
 def spec_to_payload(spec, name=None):
-    payload = {
-        "schema": GAME_SCHEMA,
-        "kind": "grid",
-        "n_actions": list(spec.n_actions),
-        "n_points": spec.n_points,
-        "n_constraint_layers": spec.n_layers,
-        "discount": spec.discount,
-        "cost_bound": spec.cost_bound,
-        "points": spec.points.tolist(),
-        "weights": spec.weights.tolist(),
-        "density": spec.density.tolist(),
-        "costs": spec.costs.tolist(),
-        "initial": spec.initial.tolist(),
-        "constraint_bounds": spec.constraint_bounds.tolist(),
-    }
+    payload = {"schema": GAME_SCHEMA, "kind": "grid", "n_points": spec.n_points,
+               "n_constraint_layers": spec.n_layers, **_plain(spec)}
     if name:
         payload["name"] = name
     return payload
 
 
-def _check_schema(doc, schema, path):
+def strategy_to_payload(strategy):
+    if type(strategy) not in _CLASS_NAMES:
+        raise TypeError(f"cannot serialize strategy of type {type(strategy)!r}")
+    return {"schema": STRATEGY_SCHEMA, "class": _CLASS_NAMES[type(strategy)],
+            **_plain(strategy)}
+
+
+def certificate_to_payload(cert):
+    # A StatewiseCertificate has no concept field; the other certificates'
+    # own concept field overrides the default.
+    return {"schema": CERTIFICATE_SCHEMA, "concept": "statewise", **_plain(cert)}
+
+
+def _load(path, schema, tag, classes):
+    """Parse a document of `schema` whose `tag` entry names one of `classes`,
+    and build that dataclass from the document fields of the same names."""
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     if doc.get("schema") != schema:
         raise ParseError(f"{path}: expected schema {schema!r}, found {doc.get('schema')!r}")
+    cls = classes.get(doc.get(tag))
+    if cls is None:
+        raise ParseError(f"{path}: expected {tag} {' or '.join(map(repr, classes))}, "
+                         f"found {doc.get(tag)!r}")
+    try:
+        return cls(**{f.name: _field(doc, f.name, path) for f in fields(cls)}), doc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _require_valid(report, path):
+    if not report.ok:
+        raise ValidationFailure(f"{path}:\n{report}")
 
 
 def load_game(path):
     """Parse and validate a finite game document; parse errors and validation
     errors are distinguished for the exit-code contract."""
-    doc = _load_json(path)
-    _check_schema(doc, GAME_SCHEMA, path)
-    if doc.get("kind") != "finite":
-        raise ParseError(f"{path}: expected kind 'finite', found {doc.get('kind')!r}")
-    try:
-        game = FiniteCSG(
-            n_actions=tuple(_field(doc, "n_actions", path)),
-            costs=_array(doc, "costs", path),
-            transitions=_array(doc, "transitions", path),
-            discount=float(_field(doc, "discount", path)),
-            initial=_array(doc, "initial", path),
-            constraint_bounds=_array(doc, "constraint_bounds", path),
-            cost_bound=float(_field(doc, "cost_bound", path)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    report = validate_game(game)
-    if not report.ok:
-        raise ValidationFailure(f"{path}:\n{report}")
+    game, doc = _load(path, GAME_SCHEMA, "kind", {"finite": FiniteCSG})
+    _require_valid(validate_game(game), path)
     return game, doc
 
 
 def load_spec(path):
-    doc = _load_json(path)
-    _check_schema(doc, GAME_SCHEMA, path)
-    if doc.get("kind") != "grid":
-        raise ParseError(f"{path}: expected kind 'grid', found {doc.get('kind')!r}")
-    try:
-        spec = ContinuousGameSpec(
-            n_actions=tuple(_field(doc, "n_actions", path)),
-            points=_array(doc, "points", path),
-            weights=_array(doc, "weights", path),
-            density=_array(doc, "density", path),
-            costs=_array(doc, "costs", path),
-            discount=float(_field(doc, "discount", path)),
-            initial=_array(doc, "initial", path),
-            constraint_bounds=_array(doc, "constraint_bounds", path),
-            cost_bound=float(_field(doc, "cost_bound", path)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    report = validate_spec(spec)
-    if not report.ok:
-        raise ValidationFailure(f"{path}:\n{report}")
+    spec, doc = _load(path, GAME_SCHEMA, "kind", {"grid": ContinuousGameSpec})
+    _require_valid(validate_spec(spec), path)
     return spec, doc
-
-
-def strategy_to_payload(strategy):
-    if isinstance(strategy, StationaryProfile):
-        return {
-            "schema": STRATEGY_SCHEMA,
-            "class": "stationary",
-            "rows": [r.tolist() for r in strategy.rows],
-        }
-    if isinstance(strategy, CorrelatedStrategy):
-        return {
-            "schema": STRATEGY_SCHEMA,
-            "class": "correlated",
-            "n_actions": list(strategy.n_actions),
-            "table": strategy.table.tolist(),
-        }
-    if isinstance(strategy, MarkovStrategy):
-        return {
-            "schema": STRATEGY_SCHEMA,
-            "class": "markov",
-            "player": strategy.player,
-            "head": [h.tolist() for h in strategy.head],
-            "tail": strategy.tail.tolist(),
-        }
-    raise TypeError(f"cannot serialize strategy of type {type(strategy)!r}")
 
 
 def load_strategy(path):
     """Parse a strategy document; returns the tagged object."""
-    doc = _load_json(path)
-    _check_schema(doc, STRATEGY_SCHEMA, path)
-    cls = doc.get("class")
-    try:
-        if cls == "stationary":
-            rows = tuple(np.array(r, dtype=float) for r in _field(doc, "rows", path))
-            return StationaryProfile(rows)
-        if cls == "correlated":
-            return CorrelatedStrategy(
-                tuple(_field(doc, "n_actions", path)),
-                _array(doc, "table", path),
-            )
-        if cls == "markov":
-            return MarkovStrategy(
-                player=int(_field(doc, "player", path)),
-                head=tuple(np.array(h, dtype=float) for h in _field(doc, "head", path)),
-                tail=_array(doc, "tail", path),
-            )
-    except ParseError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    raise ParseError(f"{path}: unknown strategy class {cls!r}")
+    return _load(path, STRATEGY_SCHEMA, "class", _CLASSES)[0]
 
 
 def _require_class(strategy, wanted, path):
-    names = {StationaryProfile: "stationary", CorrelatedStrategy: "correlated",
-             MarkovStrategy: "markov"}
-    actual = names.get(type(strategy), "unknown")
+    actual = _CLASS_NAMES.get(type(strategy), "unknown")
     if actual != wanted:
         raise ValidationFailure(
             f"{path}: this command needs a {wanted!r} strategy, found {actual!r}")
     return strategy
 
 
-def certificate_to_payload(cert):
-    players = []
-    for pc in cert.players:
-        players.append({
-            "objective": pc.objective,
-            "constraint_values": list(pc.constraint_values),
-            "feasibility_excess": pc.feasibility_excess,
-            "best_response_value": pc.best_response_value,
-            "best_response_gap": pc.best_response_gap,
-            "vacuous": pc.vacuous,
-        })
-    return {
-        "schema": CERTIFICATE_SCHEMA,
-        "concept": cert.concept,
-        "epsilon": cert.epsilon,
-        "threshold": cert.threshold,
-        "passed": cert.passed,
-        "players": players,
-    }
+def _run(args):
+    """Run one command and write its outputs to --out-dir.
 
-
-def statewise_to_payload(cert):
-    return {
-        "schema": CERTIFICATE_SCHEMA,
-        "concept": "statewise",
-        "epsilon": cert.epsilon,
-        "threshold": cert.threshold,
-        "passed": cert.passed,
-        "gaps": cert.gaps.tolist(),
-    }
-
-
-class _Report:
-    """Deterministic run report; the timing block is excluded from the
-    determinism contract."""
-
-    def __init__(self, command, inputs, seed=None):
-        self.started = time.perf_counter()
-        self.payload = {
-            "schema": REPORT_SCHEMA,
-            "version": __version__,
-            "command": command,
-            "inputs": {str(p): _digest(p) for p in inputs},
-        }
-        if seed is not None:
-            self.payload["seed"] = int(seed)
-
-    def finish(self, out_dir, results):
-        self.payload["results"] = results
-        self.payload["timing"] = {"seconds": time.perf_counter() - self.started}
-        path = Path(out_dir) / f"{self.payload['command']}.report.json"
-        _write(path, self.payload)
-        return path
-
-
-def _out_dir(args):
+    A command returns (results, documents, exit code).  Each document NAME is
+    written to <command>.NAME.json and listed in the results as NAME_file.
+    The report adds the digests of the positional inputs (game, spec,
+    strategy) and the --seed of commands that take one; its timing block is
+    excluded from the determinism contract.
+    """
+    started = time.perf_counter()
+    results, documents, code = args.func(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, payload in documents.items():
+        results[f"{name}_file"] = f"{args.command}.{name}.json"
+        _write(out / results[f"{name}_file"], payload)
+    inputs = [getattr(args, key) for key in ("game", "spec", "strategy") if hasattr(args, key)]
+    report = {
+        "schema": REPORT_SCHEMA,
+        "version": __version__,
+        "command": args.command,
+        "inputs": {str(p): _digest(p) for p in inputs},
+        "results": results,
+    }
+    if hasattr(args, "seed"):
+        report["seed"] = args.seed
+    report["timing"] = {"seconds": time.perf_counter() - started}
+    path = out / f"{args.command}.report.json"
+    _write(path, report)
+    print(f"report: {path}")
+    return code
 
 
 def cmd_evaluate(args):
     game, _ = load_game(args.game)
     strategy = load_strategy(args.strategy)
-    report = _Report("evaluate", [args.game, args.strategy])
     if isinstance(strategy, StationaryProfile):
         cv = evaluate_profile(game, strategy)
     elif isinstance(strategy, CorrelatedStrategy):
@@ -336,16 +241,10 @@ def cmd_evaluate(args):
             raise ValidationFailure(
                 "a markov strategy alone determines play only in a one-player game")
         cv = evaluate_markov(game, strategy.player, [], strategy)
-    out = _out_dir(args)
-    path = report.finish(out, {
-        "values": cv.J.tolist(),
-        "values_per_state": cv.Jx.tolist(),
-    })
     for i in range(game.n_players):
         print(f"player {i}: " + "  ".join(f"J{l}={cv.J[i, l]:.12g}"
                                           for l in range(game.n_layers + 1)))
-    print(f"report: {path}")
-    return EXIT_OK
+    return {"values": cv.J, "values_per_state": cv.Jx}, {}, EXIT_OK
 
 
 def cmd_simulate(args):
@@ -355,25 +254,21 @@ def cmd_simulate(args):
         psi = product_strategy(strategy)
     else:
         psi = _require_class(strategy, "correlated", args.strategy)
-    report = _Report("simulate", [args.game, args.strategy], seed=args.seed)
     sim = simulate(game, psi, n_trajectories=args.trajectories,
                    tol=args.tol, seed=args.seed)
-    out = _out_dir(args)
-    path = report.finish(out, {
-        "estimates": sim.estimates.tolist(),
-        "confidence_radii": sim.radii.tolist(),
-        "trajectories": sim.n_trajectories,
-        "horizon": sim.horizon,
-        "truncation_bias_bound": sim.bias_bound,
-    })
     for i in range(game.n_players):
         line = "  ".join(
             f"J{l}={sim.estimates[i, l]:.6g}+-{sim.radii[i, l]:.2g}"
             for l in range(game.n_layers + 1))
         print(f"player {i}: {line}")
     print(f"horizon {sim.horizon}, truncation bias <= {sim.bias_bound:.3g}")
-    print(f"report: {path}")
-    return EXIT_OK
+    return {
+        "estimates": sim.estimates,
+        "confidence_radii": sim.radii,
+        "trajectories": sim.n_trajectories,
+        "horizon": sim.horizon,
+        "truncation_bias_bound": sim.bias_bound,
+    }, {}, EXIT_OK
 
 
 def cmd_best_respond(args):
@@ -383,88 +278,66 @@ def cmd_best_respond(args):
         raise ValidationFailure(f"player {args.player} out of range")
     if profile.n_actions != game.n_actions or profile.n_states != game.n_states:
         raise ValidationFailure("strategy does not match the game dimensions")
-    report = _Report("best-respond", [args.game, args.strategy])
     others = [r for j, r in enumerate(profile.rows) if j != args.player]
     result = constrained_best_response(induced_mdp(game, args.player, others))
-    out = _out_dir(args)
-    results = {"status": result.status}
-    if result.feasible:
-        _write(out / "best-respond.strategy.json", {
-            "schema": STRATEGY_SCHEMA,
-            "class": "stationary",
-            "rows": [result.strategy.tolist()],
-        })
-        results.update({
-            "value": result.value,
-            "layer_values": result.layer_values.tolist(),
-            "residuals": result.residuals,
-            "strategy_file": "best-respond.strategy.json",
-        })
-        print(f"best response value {result.value:.12g} "
-              f"(layers {np.array2string(result.layer_values, precision=6)})")
-    else:
+    if not result.feasible:
         print("no strategy meets the budgets against this profile")
-    path = report.finish(out, results)
-    print(f"report: {path}")
-    return EXIT_OK if result.feasible else EXIT_CERTIFIED_FAIL
+        return {"status": result.status}, {}, EXIT_CERTIFIED_FAIL
+    print(f"best response value {result.value:.12g} "
+          f"(layers {np.array2string(result.layer_values, precision=6)})")
+    return {
+        "status": result.status,
+        "value": result.value,
+        "layer_values": result.layer_values,
+        "residuals": result.residuals,
+    }, {
+        "strategy": {"schema": STRATEGY_SCHEMA, "class": "stationary",
+                     "rows": [result.strategy]},
+    }, EXIT_OK
 
 
 def cmd_verify(args):
     game, _ = load_game(args.game)
     strategy = load_strategy(args.strategy)
-    report = _Report("verify", [args.game, args.strategy])
-    out = _out_dir(args)
     if args.concept == "weak-correlated":
         psi = _require_class(strategy, "correlated", args.strategy)
         cert = verify_weak_correlated(game, psi, tol=args.tol)
-        payload = certificate_to_payload(cert)
-    elif args.concept == "statewise":
-        profile = _require_class(strategy, "stationary", args.strategy)
-        cert = verify_statewise_equilibrium(game, profile, args.epsilon)
-        payload = statewise_to_payload(cert)
     else:
         profile = _require_class(strategy, "stationary", args.strategy)
-        cert = verify_approx_equilibrium(game, profile, args.epsilon)
-        payload = certificate_to_payload(cert)
-    _write(out / "verify.certificate.json", payload)
-    path = report.finish(out, {
+        verify = (verify_statewise_equilibrium if args.concept == "statewise"
+                  else verify_approx_equilibrium)
+        cert = verify(game, profile, args.epsilon)
+    payload = certificate_to_payload(cert)
+    verdict = "PASS" if cert.passed else "FAIL"
+    print(f"{verdict} {payload['concept']}: certified epsilon {cert.epsilon:.6g} "
+          f"(threshold {cert.threshold:.6g})")
+    return {
         "concept": payload["concept"],
         "epsilon": cert.epsilon,
         "threshold": cert.threshold,
         "passed": cert.passed,
-        "certificate_file": "verify.certificate.json",
-    })
-    verdict = "PASS" if cert.passed else "FAIL"
-    print(f"{verdict} {payload['concept']}: certified epsilon {cert.epsilon:.6g} "
-          f"(threshold {cert.threshold:.6g})")
-    print(f"report: {path}")
-    return EXIT_OK if cert.passed else EXIT_CERTIFIED_FAIL
+    }, {"certificate": payload}, EXIT_OK if cert.passed else EXIT_CERTIFIED_FAIL
 
 
 def cmd_solve(args):
     game, _ = load_game(args.game)
-    report = _Report("solve", [args.game], seed=args.seed)
     config = SearchConfig(restarts=args.restarts, target_epsilon=args.target_eps,
                           seed=args.seed)
     result = search_equilibrium(game, config)
-    out = _out_dir(args)
-    _write(out / "solve.strategy.json", strategy_to_payload(result.profile))
-    _write(out / "solve.certificate.json", certificate_to_payload(result.certificate))
-    path = report.finish(out, {
+    verdict = "reached" if result.converged else "missed"
+    print(f"certified epsilon {result.certificate.epsilon:.6g}; target "
+          f"{args.target_eps:.6g} {verdict} after {result.iterations} iterations")
+    return {
         "epsilon": result.certificate.epsilon,
         "target": args.target_eps,
         "achieved": result.converged,
         "iterations": result.iterations,
         "restarts_used": result.restarts_used,
         "skipped_updates": len(result.skipped),
-        "strategy_file": "solve.strategy.json",
-        "certificate_file": "solve.certificate.json",
-    })
-    verdict = "reached" if result.converged else "missed"
-    print(f"certified epsilon {result.certificate.epsilon:.6g}; target "
-          f"{args.target_eps:.6g} {verdict} after {result.iterations} iterations")
-    print(f"report: {path}")
-    return EXIT_OK if result.converged else EXIT_CERTIFIED_FAIL
+    }, {
+        "strategy": strategy_to_payload(result.profile),
+        "certificate": certificate_to_payload(result.certificate),
+    }, EXIT_OK if result.converged else EXIT_CERTIFIED_FAIL
 
 
 def cmd_discretize(args):
@@ -475,29 +348,18 @@ def cmd_discretize(args):
         resolution = resolution_for(args.epsilon, spec.discount, spec.cost_bound)
     if resolution <= 0.0:
         raise ValidationFailure("resolution must be positive")
-    report = _Report("discretize", [args.spec])
     disc = surrogate_game(spec, build_partition(spec, resolution))
-    out = _out_dir(args)
-    _write(out / "discretize.game.json", game_to_payload(
-        disc.game, extra={"certified_error": disc.certified_error}))
-    _write(out / "discretize.partition.json", {
-        "schema": "csgames-partition-v1",
-        "resolution": disc.partition.resolution,
-        "certified_error": disc.certified_error,
-        "cells": [c.tolist() for c in disc.partition.cells],
-        "representatives": disc.partition.representatives.tolist(),
-    })
-    path = report.finish(out, {
+    print(f"{disc.partition.n_cells} cells at resolution {resolution:.6g}; "
+          f"certified error {disc.certified_error:.6g}")
+    return {
         "resolution": disc.partition.resolution,
         "certified_error": disc.certified_error,
         "n_cells": disc.partition.n_cells,
-        "game_file": "discretize.game.json",
-        "partition_file": "discretize.partition.json",
-    })
-    print(f"{disc.partition.n_cells} cells at resolution {resolution:.6g}; "
-          f"certified error {disc.certified_error:.6g}")
-    print(f"report: {path}")
-    return EXIT_OK
+    }, {
+        "game": game_to_payload(disc.game, extra={"certified_error": disc.certified_error}),
+        "partition": {"schema": "csgames-partition-v1",
+                      "certified_error": disc.certified_error, **_plain(disc.partition)},
+    }, EXIT_OK
 
 
 def cmd_transform(args):
@@ -511,70 +373,53 @@ def cmd_transform(args):
         beta = float(block["beta"])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{args.game}: malformed transform block: {exc}") from exc
-    report = _Report("transform", [args.game])
     try:
         wg = wessels_transform(game, omega, beta)
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
-    out = _out_dir(args)
-    _write(out / "transform.game.json", game_to_payload(wg.game, extra={
-        "transform_of": str(args.game),
-        "eta_omega": wg.eta_omega,
-        "c0": wg.c0,
-        "value_scale": wg.value_scale,
-    }))
-    path = report.finish(out, {
+    print(f"bounded game with discount {wg.game.discount:.6g}, cost bound {wg.c0:.6g}, "
+          f"value scale {wg.value_scale:.6g}")
+    return {
         "eta_omega": wg.eta_omega,
         "c0": wg.c0,
         "beta": wg.beta,
         "discount": wg.game.discount,
         "value_scale": wg.value_scale,
-        "game_file": "transform.game.json",
-    })
-    print(f"bounded game with discount {wg.game.discount:.6g}, cost bound {wg.c0:.6g}, "
-          f"value scale {wg.value_scale:.6g}")
-    print(f"report: {path}")
-    return EXIT_OK
+    }, {
+        "game": game_to_payload(wg.game, extra={
+            "transform_of": str(args.game),
+            "eta_omega": wg.eta_omega,
+            "c0": wg.c0,
+            "value_scale": wg.value_scale,
+        }),
+    }, EXIT_OK
 
 
 def cmd_correlated_sequence(args):
     game, _ = load_game(args.game)
     if args.eps0 <= 0:
         raise ValidationFailure("--eps0 must be positive")
-    report = _Report("correlated-sequence", [args.game], seed=args.seed)
-    config = SearchConfig(seed=args.seed)
-    seq = correlated_limit_sequence(game, args.eps0, args.n, config)
-    out = _out_dir(args)
-    levels = []
-    for level in seq.levels:
-        levels.append({
-            "n": level.index,
-            "epsilon_target": level.epsilon_target,
-            "resolution": level.resolution,
-            "certified_epsilon": level.certificate.epsilon,
-            "passed": level.certificate.passed,
-        })
-    results = {"levels": levels, "completed": seq.completed}
-    if seq.levels:
-        _write(out / "correlated-sequence.strategy.json",
-               strategy_to_payload(seq.levels[-1].correlated))
-        _write(out / "correlated-sequence.certificate.json",
-               certificate_to_payload(seq.final_certificate))
-        results.update({
-            "final_epsilon": seq.final_certificate.epsilon,
-            "final_passed": seq.final_certificate.passed,
-            "strategy_file": "correlated-sequence.strategy.json",
-            "certificate_file": "correlated-sequence.certificate.json",
-        })
-    path = report.finish(out, results)
+    seq = correlated_limit_sequence(game, args.eps0, args.n, SearchConfig(seed=args.seed))
+    levels = [{
+        "n": level.index,
+        "epsilon_target": level.epsilon_target,
+        "resolution": level.resolution,
+        "certified_epsilon": level.certificate.epsilon,
+        "passed": level.certificate.passed,
+    } for level in seq.levels]
     for row in levels:
         print(f"n={row['n']}: target {row['epsilon_target']:.6g}, certified "
               f"{row['certified_epsilon']:.6g}, resolution {row['resolution']:.6g}")
-    ok = seq.completed and seq.final_certificate is not None and seq.final_certificate.passed
-    if seq.levels:
-        print(f"final weak-correlated epsilon {seq.final_certificate.epsilon:.6g}")
-    print(f"report: {path}")
-    return EXIT_OK if ok else EXIT_CERTIFIED_FAIL
+    results = {"levels": levels, "completed": seq.completed}
+    if not seq.levels:
+        return results, {}, EXIT_CERTIFIED_FAIL
+    final = seq.final_certificate
+    print(f"final weak-correlated epsilon {final.epsilon:.6g}")
+    results.update({"final_epsilon": final.epsilon, "final_passed": final.passed})
+    return results, {
+        "strategy": strategy_to_payload(seq.levels[-1].correlated),
+        "certificate": certificate_to_payload(final),
+    }, EXIT_OK if seq.completed and final.passed else EXIT_CERTIFIED_FAIL
 
 
 def build_parser():
@@ -663,7 +508,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

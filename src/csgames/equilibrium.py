@@ -17,7 +17,7 @@ certificate is a checked numerical statement, not a heuristic.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -126,28 +126,18 @@ class ConsistencyReport:
 
 
 def _player_certificate(game, cost_vector, player, br):
-    n_layers = game.n_layers
     layer_values = cost_vector.J[player]
     excess = None
-    if n_layers:
+    if game.n_layers:
         excess = float(np.max(layer_values[1:] - game.constraint_bounds[player]))
-    if br.feasible:
-        gap = float(layer_values[0] - br.value)
-        return PlayerCertificate(
-            objective=float(layer_values[0]),
-            constraint_values=layer_values[1:].copy(),
-            feasibility_excess=excess,
-            best_response_value=float(br.value),
-            best_response_gap=gap,
-            vacuous=False,
-        )
+    vacuous = not br.feasible
     return PlayerCertificate(
         objective=float(layer_values[0]),
         constraint_values=layer_values[1:].copy(),
         feasibility_excess=excess,
-        best_response_value=None,
-        best_response_gap=None,
-        vacuous=True,
+        best_response_value=None if vacuous else float(br.value),
+        best_response_gap=None if vacuous else float(layer_values[0] - br.value),
+        vacuous=vacuous,
     )
 
 
@@ -430,14 +420,7 @@ def correlated_limit_sequence(game, epsilon0, n_levels, config=SearchConfig()):
     for n in range(n_levels + 1):
         eps_n = epsilon0 / 2.0 ** n
         target = min(eps_n, config.target_epsilon)
-        level_config = SearchConfig(
-            restarts=config.restarts,
-            max_iterations=config.max_iterations,
-            damping=config.damping,
-            target_epsilon=target,
-            seed=config.seed,
-        )
-        found = search_equilibrium(game, level_config, initial=warm)
+        found = search_equilibrium(game, replace(config, target_epsilon=target), initial=warm)
         cert = verify_approx_equilibrium(game, found.profile, eps_n)
         if not cert.passed:
             completed = False

@@ -1,9 +1,10 @@
 """Exact and Monte Carlo evaluation of discounted cost functionals.
 
 All evaluators return normalized values J = (1 - alpha) E[sum alpha^(t-1) c].
-Exact evaluation solves (I - alpha * P) v = (1 - alpha) * c directly; the
-factorization is shared across players and cost layers since the kernel under
-a fixed joint strategy does not depend on them.
+Every exact evaluation, and the occupation measure of best_response, goes
+through one LU solve of (I - alpha * K) x = b in `_discounted_solve`, checked
+against RESIDUAL_TOL.  One factorization serves all players and cost layers,
+since the kernel under a fixed joint strategy does not depend on them.
 """
 
 import math
@@ -16,6 +17,7 @@ from .game import (
     CorrelatedStrategy,
     MarkovStrategy,
     StationaryProfile,
+    _row_product,
     product_strategy,
 )
 
@@ -118,24 +120,29 @@ def _joint_kernel_costs(game, table):
     return kernel, costs
 
 
-def evaluate_correlated(game, psi):
-    """Exact evaluation of a correlated stationary strategy.
+def _discounted_solve(kernel, discount, rhs):
+    """Solve (I - discount * kernel) x = rhs by one LU factorization.
 
-    Solves one linear system per state-kernel and reuses the factorization for
-    every (player, layer) pair.  Raises RuntimeError if the solve residual
-    exceeds RESIDUAL_TOL (a sign of a malformed kernel).
+    rhs may hold several right-hand sides as columns.  Raises RuntimeError if
+    the solve residual exceeds RESIDUAL_TOL or is NaN (a sign of a malformed
+    kernel).
     """
+    a_mat = np.eye(kernel.shape[0]) - discount * kernel
+    x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a_mat), rhs)
+    residual = np.max(np.abs(a_mat @ x - rhs)) if x.size else 0.0
+    if not residual <= RESIDUAL_TOL:
+        raise RuntimeError(f"policy evaluation residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
+    return x
+
+
+def evaluate_correlated(game, psi):
+    """Exact evaluation of a correlated stationary strategy; one solve covers
+    every (player, layer) pair."""
     _check_psi(game, psi)
     kernel, costs = _joint_kernel_costs(game, psi.table)
     n, layers, s = costs.shape
-    a_mat = np.eye(s) - game.discount * kernel
     rhs = (1.0 - game.discount) * costs.reshape(n * layers, s).T
-    lu, piv = scipy.linalg.lu_factor(a_mat)
-    v = scipy.linalg.lu_solve((lu, piv), rhs)
-    residual = np.max(np.abs(a_mat @ v - rhs)) if v.size else 0.0
-    if residual > RESIDUAL_TOL:
-        raise RuntimeError(f"policy evaluation residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
-    jx = v.T.reshape(n, layers, s)
+    jx = _discounted_solve(kernel, game.discount, rhs).T.reshape(n, layers, s)
     return CostVector(J=jx @ game.initial, Jx=jx)
 
 
@@ -213,11 +220,7 @@ def induced_mdp(game, player, others):
     others = [np.asarray(r, dtype=float) for r in others]
     if len(others) != game.n_players - 1:
         raise ValueError(f"expected {game.n_players - 1} other strategies, got {len(others)}")
-    s = game.n_states
-    marginal = np.ones((s, 1))
-    for rows in others:
-        marginal = (marginal[:, :, None] * rows[:, None, :]).reshape(s, -1)
-    return induced_mdp_from_marginal(game, player, marginal)
+    return induced_mdp_from_marginal(game, player, _row_product(others, game.n_states))
 
 
 def evaluate_policy(mdp, policy):
@@ -230,11 +233,7 @@ def evaluate_policy(mdp, policy):
         raise ValueError(f"policy must have shape {(mdp.n_states, mdp.n_actions)}")
     kernel = np.einsum("sa,sat->st", policy, mdp.kernel)
     costs = np.einsum("sa,lsa->ls", policy, mdp.costs)
-    a_mat = np.eye(mdp.n_states) - mdp.discount * kernel
-    jx = scipy.linalg.solve(a_mat, (1.0 - mdp.discount) * costs.T).T
-    residual = np.max(np.abs(a_mat @ jx.T - (1.0 - mdp.discount) * costs.T))
-    if residual > RESIDUAL_TOL:
-        raise RuntimeError(f"policy evaluation residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
+    jx = _discounted_solve(kernel, mdp.discount, (1.0 - mdp.discount) * costs.T).T
     return jx @ mdp.initial, jx
 
 

@@ -11,6 +11,7 @@ i.e. profile j corresponds to np.unravel_index(j, n_actions).  Every module
 in the package shares this convention.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -302,16 +303,17 @@ def validate_game(game, tol=STOCHASTIC_TOL):
     """Check stochasticity, bounds, and discount of a FiniteCSG.
 
     Returns a ValidationReport listing every violated invariant with the
-    offending location.  Inputs are never modified or renormalized here; see
+    offending location.  Every check is written so that a NaN or infinite
+    entry fails it.  Inputs are never modified or renormalized here; see
     renormalize() for the explicit repair.
     """
     issues = []
     if not (0.0 < game.discount < 1.0):
         issues.append(f"discount must lie in (0, 1); got {game.discount!r}")
-    if not (game.cost_bound > 0.0):
-        issues.append(f"cost bound must be positive; got {game.cost_bound!r}")
+    if not (0.0 < game.cost_bound < math.inf):
+        issues.append(f"cost bound must be positive and finite; got {game.cost_bound!r}")
     row_sums = game.transitions.sum(axis=2)
-    for s, j in zip(*np.nonzero(np.abs(row_sums - 1.0) > tol)):
+    for s, j in zip(*np.nonzero(~(np.abs(row_sums - 1.0) <= tol))):
         issues.append(
             f"transition row (state {s}, profile {game.profile_tuple(j)}) "
             f"sums to {row_sums[s, j]:.17g}"
@@ -322,55 +324,65 @@ def validate_game(game, tol=STOCHASTIC_TOL):
             f"transition row (state {s}, profile {game.profile_tuple(j)}) "
             f"has a negative entry {neg[s, j]:.17g}"
         )
-    if abs(game.initial.sum() - 1.0) > tol:
+    if not abs(game.initial.sum() - 1.0) <= tol:
         issues.append(f"initial distribution sums to {game.initial.sum():.17g}")
     if np.any(game.initial < -tol):
         issues.append("initial distribution has a negative entry")
-    over = np.abs(game.costs) > game.cost_bound + tol
-    if np.any(over):
-        i, l, s, j = (int(k[0]) for k in np.nonzero(over))
+    if not np.all(np.isfinite(game.constraint_bounds)):
+        issues.append("constraint bounds must be finite")
+    outside = ~(np.abs(game.costs) <= game.cost_bound + tol)
+    if np.any(outside):
+        i, l, s, j = (int(k[0]) for k in np.nonzero(outside))
         issues.append(
             f"cost (player {i}, layer {l}, state {s}, profile {game.profile_tuple(j)}) "
-            f"= {game.costs[i, l, s, j]:.17g} exceeds declared bound {game.cost_bound:.17g}"
+            f"= {game.costs[i, l, s, j]:.17g} is outside the declared bound {game.cost_bound:.17g}"
         )
     return ValidationReport(tuple(issues))
 
 
 def validate_spec(spec, tol=ROW_SUM_TOL):
-    """Check a ContinuousGameSpec: weights, density integrals, bounds, discount."""
+    """Check a ContinuousGameSpec: weights, density integrals, bounds, discount.
+    As in validate_game, a NaN or infinite entry fails every check."""
     issues = []
     if not (0.0 < spec.discount < 1.0):
         issues.append(f"discount must lie in (0, 1); got {spec.discount!r}")
-    if not (spec.cost_bound > 0.0):
-        issues.append(f"cost bound must be positive; got {spec.cost_bound!r}")
-    if np.any(spec.weights <= 0.0):
+    if not (0.0 < spec.cost_bound < math.inf):
+        issues.append(f"cost bound must be positive and finite; got {spec.cost_bound!r}")
+    if not np.all(spec.weights > 0.0):
         issues.append("quadrature weights must be strictly positive")
-    if abs(spec.weights.sum() - 1.0) > tol:
+    if not abs(spec.weights.sum() - 1.0) <= tol:
         issues.append(f"quadrature weights sum to {spec.weights.sum():.17g}")
     mass = spec.density @ spec.weights
-    for m, j in zip(*np.nonzero(np.abs(mass - 1.0) > tol)):
+    for m, j in zip(*np.nonzero(~(np.abs(mass - 1.0) <= tol))):
         issues.append(
             f"density row (point {m}, profile {_profile_label(spec.n_actions, j)}) "
             f"integrates to {mass[m, j]:.17g}"
         )
     if np.any(spec.density < -tol):
         issues.append("density has a negative entry")
-    if abs(spec.initial.sum() - 1.0) > tol:
+    if not abs(spec.initial.sum() - 1.0) <= tol:
         issues.append(f"initial distribution sums to {spec.initial.sum():.17g}")
     if np.any(spec.initial < -tol):
         issues.append("initial distribution has a negative entry")
-    if np.any(np.abs(spec.costs) > spec.cost_bound + tol):
-        issues.append("a cost entry exceeds the declared bound")
+    if not np.all(np.isfinite(spec.constraint_bounds)):
+        issues.append("constraint bounds must be finite")
+    if not np.all(np.abs(spec.costs) <= spec.cost_bound + tol):
+        issues.append("a cost entry is outside the declared bound")
     return ValidationReport(tuple(issues))
+
+
+def _row_product(rows, n_states):
+    """Per-state product of independent (S, A_k) rows, over the joint actions
+    in row-major order; a single column of ones when rows is empty."""
+    table = np.ones((n_states, 1))
+    for r in rows:
+        table = (table[:, :, None] * r[:, None, :]).reshape(n_states, -1)
+    return table
 
 
 def product_strategy(profile):
     """Joint per-state profile distribution of independent stationary strategies."""
-    s = profile.n_states
-    table = np.ones((s, 1))
-    for rows in profile.rows:
-        table = (table[:, :, None] * rows[:, None, :]).reshape(s, -1)
-    return CorrelatedStrategy(profile.n_actions, table)
+    return CorrelatedStrategy(profile.n_actions, _row_product(profile.rows, profile.n_states))
 
 
 def marginal_excluding(psi, player):

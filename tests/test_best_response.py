@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -247,3 +249,34 @@ def test_flow_residuals_reported(ctrap):
     result = constrained_best_response(induced_mdp(ctrap, 0, []))
     assert result.residuals["flow_balance"] <= 1e-9
     assert result.residuals["mass"] <= 1e-9
+
+
+def test_feasibility_best_response_and_slater_agree(rng):
+    # Budgets sit a random slack away from a random witness's costs, often
+    # below anything a strategy can reach; the feasibility test, the best
+    # response and the Slater margin must agree on whether they can be met.
+    seen = set()
+    for _ in range(30):
+        n_players = int(rng.integers(1, 3))
+        game = sample_games.random_constrained_game(
+            rng, n_players=n_players, n_states=int(rng.integers(2, 6)),
+            n_actions=tuple(int(a) for a in rng.integers(2, 4, size=n_players)),
+            n_layers=int(rng.integers(1, 3)), slack=float(rng.uniform(-0.4, 0.1)))
+        others = sample_games.random_profile(rng, game).rows[1:]
+        mdp = induced_mdp(game, 0, others)
+        feasible = feasibility(mdp)[0]
+        assert constrained_best_response(mdp).feasible == feasible
+        assert (slater_margin(mdp).margin >= -1e-9) == feasible
+        seen.add(feasible)
+    assert seen == {True, False}
+
+
+@pytest.mark.filterwarnings("ignore")
+def test_discounted_solve_rejects_singular_kernel(trap):
+    # Kernel rows summing to 1/alpha make I - alpha K singular: the occupation
+    # measure and the policy values must refuse it instead of returning NaN.
+    mdp = induced_mdp(trap, 0, [])
+    bad = replace(mdp, kernel=mdp.kernel / mdp.discount)
+    for solve in (occupation_measure, evaluate_policy):
+        with pytest.raises(RuntimeError):
+            solve(bad, np.full((2, 2), 0.5))

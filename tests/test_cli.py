@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from csgames.cli import (
     EXIT_PARSE,
     EXIT_VALIDATION,
     _dump,
+    certificate_to_payload,
     game_to_payload,
     main,
     spec_to_payload,
     strategy_to_payload,
 )
-from csgames.game import CorrelatedStrategy, StationaryProfile
+from csgames.equilibrium import verify_approx_equilibrium
+from csgames.game import CorrelatedStrategy, MarkovStrategy, StationaryProfile
 
 
 def write(path, payload):
@@ -108,12 +111,22 @@ def test_wrong_schema_exits_2(tmp_path):
 
 
 def test_invalid_rows_exit_3(tmp_path):
-    doc = game_to_payload(sample_games.trap_game())
-    doc["transitions"][0][0][0] = 0.7
-    game = write(tmp_path / "game.json", doc)
     strat = write_profile(tmp_path, sample_games.trap_profile(0.75))
-    assert main(["evaluate", game, strat,
-                 "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+    # Non-finite entries must fail validation too, although every comparison
+    # with NaN is false.
+    for field, index, value in (("transitions", (0, 0, 0), 0.7),
+                                ("transitions", (0, 0, 0), math.nan),
+                                ("transitions", (1, 1, 0), math.inf),
+                                ("costs", (0, 0, 0, 0), math.nan),
+                                ("initial", (1,), math.nan)):
+        doc = game_to_payload(sample_games.trap_game())
+        table = np.array(doc[field])
+        table[index] = value
+        doc[field] = table.tolist()
+        game = write(tmp_path / "game.json", doc)
+        for command in ("evaluate", "simulate"):
+            assert main([command, game, strat, "--out-dir", str(tmp_path)]) \
+                == EXIT_VALIDATION, (command, field, value)
 
 
 def test_verify_pair_equilibrium(tmp_path):
@@ -323,7 +336,22 @@ def test_reports_deterministic_modulo_timing(tmp_path):
 
 
 def test_document_round_trip_is_byte_stable(tmp_path):
-    game = write_game(tmp_path, sample_games.decoupled_pair())
-    raw = (tmp_path / "game.json").read_bytes()
-    again = _dump(json.loads(raw)).encode()
-    assert raw == again
+    rng = np.random.default_rng(5)
+    pair = sample_games.decoupled_pair()
+    one = sample_games.random_game(rng, n_players=1, n_states=3)
+    heads, tail = sample_games.random_markov_plan(rng, one, 2)
+    documents = {
+        "finite game": game_to_payload(pair),
+        "stationary": strategy_to_payload(pair_profile()),
+        "correlated": strategy_to_payload(sample_games.random_correlated(rng, pair)),
+        "markov": strategy_to_payload(
+            MarkovStrategy(0, tuple(h.rows[0] for h in heads), tail.rows[0])),
+        "grid spec": spec_to_payload(sample_games.random_continuous_spec(rng, n_points=7)),
+        "certificate": certificate_to_payload(
+            verify_approx_equilibrium(pair, pair_profile(), 0.0)),
+    }
+    for name, payload in documents.items():
+        path = tmp_path / "doc.json"
+        write(path, payload)
+        raw = path.read_bytes()
+        assert _dump(json.loads(raw)).encode() == raw, name

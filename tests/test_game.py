@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,16 @@ def _with_transitions(game, transitions):
     )
 
 
+def _with_entry(obj, field, index, value):
+    """Copy of a game or spec with one array entry, or with index None the
+    scalar field itself, set to value."""
+    if index is not None:
+        table = getattr(obj, field).copy()
+        table[index] = value
+        value = table
+    return replace(obj, **{field: value})
+
+
 def test_validate_clean_fixture(ctrap):
     report = validate_game(ctrap)
     assert report.ok
@@ -34,28 +46,40 @@ def test_validate_clean_fixture(ctrap):
 
 
 def test_validate_names_bad_transition_row(ctrap):
-    trans = ctrap.transitions.copy()
-    trans[0, 0, 0] = 0.9
-    report = validate_game(_with_transitions(ctrap, trans))
-    assert not report.ok
-    assert any("state 0" in issue and "(0,)" in issue for issue in report.issues)
+    for value in (0.9, np.nan, np.inf):
+        trans = ctrap.transitions.copy()
+        trans[0, 0, 0] = value
+        report = validate_game(_with_transitions(ctrap, trans))
+        assert not report.ok, value
+        assert any("state 0" in issue and "(0,)" in issue for issue in report.issues), value
 
 
 def test_validate_names_cost_bound_violation(ctrap):
-    costs = ctrap.costs.copy()
-    costs[0, 0, 1, 1] = 2.0 * ctrap.cost_bound
-    bad = FiniteCSG(
-        n_actions=ctrap.n_actions,
-        costs=costs,
-        transitions=ctrap.transitions,
-        discount=ctrap.discount,
-        initial=ctrap.initial,
-        constraint_bounds=ctrap.constraint_bounds,
-        cost_bound=ctrap.cost_bound,
-    )
-    report = validate_game(bad)
-    assert not report.ok
-    assert any("bound" in issue for issue in report.issues)
+    for value in (2.0 * ctrap.cost_bound, np.nan, -np.inf):
+        costs = ctrap.costs.copy()
+        costs[0, 0, 1, 1] = value
+        bad = FiniteCSG(
+            n_actions=ctrap.n_actions,
+            costs=costs,
+            transitions=ctrap.transitions,
+            discount=ctrap.discount,
+            initial=ctrap.initial,
+            constraint_bounds=ctrap.constraint_bounds,
+            cost_bound=ctrap.cost_bound,
+        )
+        report = validate_game(bad)
+        assert not report.ok, value
+        assert any("bound" in issue for issue in report.issues), value
+
+
+@pytest.mark.parametrize("field, index", [
+    ("initial", (0,)),
+    ("constraint_bounds", (0, 0)),
+    ("cost_bound", None),
+])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_validate_rejects_non_finite(ctrap, field, index, value):
+    assert not validate_game(_with_entry(ctrap, field, index, value)).ok
 
 
 def test_validate_random_games_clean(rng):
@@ -68,6 +92,21 @@ def test_validate_spec_clean(rng):
     spec = sample_games.random_continuous_spec(rng, n_points=9, n_players=2,
                                                n_actions=(2, 2))
     assert validate_spec(spec).ok
+
+
+@pytest.mark.parametrize("field, index", [
+    ("costs", (0, 0, 3, 1)),
+    ("density", (2, 0, 4)),
+    ("weights", (5,)),
+    ("initial", (1,)),
+    ("constraint_bounds", (1, 0)),
+    ("cost_bound", None),
+])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_validate_spec_rejects_non_finite(rng, field, index, value):
+    spec = sample_games.random_continuous_spec(rng, n_points=9, n_players=2,
+                                               n_actions=(2, 2), n_layers=1)
+    assert not validate_spec(_with_entry(spec, field, index, value)).ok
 
 
 def test_game_arrays_frozen(ctrap):
