@@ -15,9 +15,9 @@ from csgames import sample_games
 from csgames.cli import _dump, game_to_payload, spec_to_payload
 
 
-def run(args, cwd):
+def run(args):
     proc = subprocess.run([sys.executable, "-m", "csgames.cli", *args],
-                          cwd=cwd, capture_output=True, text=True)
+                          capture_output=True, text=True)
     print(f"$ csgames {' '.join(args)}")
     for line in (proc.stdout + proc.stderr).strip().splitlines():
         print(f"  {line}")
@@ -27,7 +27,11 @@ def run(args, cwd):
 
 
 def main():
-    workdir = Path(tempfile.mkdtemp(prefix="csgames-demo-"))
+    with tempfile.TemporaryDirectory(prefix="csgames-demo-") as tmp:
+        pipeline(Path(tmp))
+
+
+def pipeline(workdir):
     print(f"working in {workdir}")
     print()
 
@@ -38,13 +42,13 @@ def main():
     spec_path.write_text(_dump(spec_to_payload(
         sample_games.linear_cost_grid_spec(), name="linear cost grid")))
 
-    run(["solve", str(game_path), "--out-dir", str(workdir)], workdir)
+    run(["solve", str(game_path), "--out-dir", str(workdir)])
     run(["verify", str(game_path), str(workdir / "solve.strategy.json"),
-         "--epsilon", "1e-6", "--out-dir", str(workdir)], workdir)
+         "--epsilon", "1e-6", "--out-dir", str(workdir)])
     run(["evaluate", str(game_path), str(workdir / "solve.strategy.json"),
-         "--out-dir", str(workdir)], workdir)
+         "--out-dir", str(workdir)])
     run(["discretize", str(spec_path), "--epsilon", "0.2",
-         "--out-dir", str(workdir)], workdir)
+         "--out-dir", str(workdir)])
 
     broken = workdir / "broken.game.json"
     doc = json.loads(game_path.read_text())
@@ -52,7 +56,7 @@ def main():
     broken.write_text(_dump(doc))
     print("a transition row that no longer sums to 1 is a validation error:")
     run(["evaluate", str(broken), str(workdir / "solve.strategy.json"),
-         "--out-dir", str(workdir)], workdir)
+         "--out-dir", str(workdir)])
 
     report = json.loads((workdir / "verify.report.json").read_text())
     print("verify report, minus the timing block:")

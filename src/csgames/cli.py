@@ -127,7 +127,7 @@ def game_to_payload(game, name=None, extra=None):
 
 def spec_to_payload(spec, name=None):
     payload = {"schema": GAME_SCHEMA, "kind": "grid", "n_points": spec.n_points,
-               "n_constraint_layers": spec.n_layers, **_plain(spec)}
+               "n_constraint_layers": spec.game.n_layers, **_plain(spec)}
     if name:
         payload["name"] = name
     return payload
@@ -512,15 +512,13 @@ def main(argv=None):
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValidationFailure as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except RuntimeError as exc:
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
+        # Ahead of ValueError, which LinAlgError subclasses.
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except (ValidationFailure, ValueError) as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -1,11 +1,14 @@
 """State-space discretization with a certified uniform error bound.
 
-Grid points are grouped into cells whose members agree with a representative
-point to within a resolution gamma, simultaneously in per-player costs
-(summed over layers, max over profiles) and in transition densities
-(integrated against the quadrature weights, max over profiles).  Collapsing
-each cell to its representative yields a surrogate game whose discounted
-costs differ from the original by at most
+Everything here reads the grid game of a spec (spec.game, the FiniteCSG over
+grid points with kernel p(y | x, a) = delta(x, a, y) * mu(y)).  Grid points
+are grouped into cells whose members agree with a representative point to
+within a resolution gamma, simultaneously in per-player costs (summed over
+layers, max over profiles) and in transition densities (max over profiles).
+The density distance is the L1 distance between kernel rows, which equals
+the density difference integrated against the quadrature weights.
+Collapsing each cell to its representative yields a surrogate game whose
+discounted costs differ from the original by at most
 
     error_bound(gamma) = gamma * (1 - alpha + b * alpha) / (1 - alpha)
 
@@ -14,12 +17,12 @@ the one-step coupling: the cost mismatch contributes gamma in total and the
 kernel mismatch contributes at most b * gamma per step at discount alpha.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .evaluation import evaluate_markov_profile, evaluate_profile
-from .game import FiniteCSG, StationaryProfile
+from .game import ROW_SUM_TOL, FiniteCSG, StationaryProfile
 
 __all__ = [
     "Partition",
@@ -35,8 +38,6 @@ __all__ = [
     "lift_strategy",
     "verify_approximation_bound",
 ]
-
-STOCHASTIC_TOL = 1e-9
 
 
 def error_bound(resolution, discount, cost_bound):
@@ -109,18 +110,18 @@ class DiscretizedGame:
     certified_error: float
 
 
-def _cost_distances(spec, rep):
+def _cost_distances(game, rep):
     """Per-point, per-player cost distance to `rep`: sum over layers of the
     max-over-profiles absolute difference, maximized over players."""
-    diff = np.abs(spec.costs - spec.costs[:, :, rep:rep + 1, :])
+    diff = np.abs(game.costs - game.costs[:, :, rep:rep + 1, :])
     return diff.max(axis=3).sum(axis=1).max(axis=0)
 
 
-def _density_distances(spec, rep):
-    """Per-point density distance to `rep`: integrated absolute difference
-    against the weights, maximized over profiles."""
-    diff = np.abs(spec.density - spec.density[rep:rep + 1])
-    return (diff @ spec.weights).max(axis=1)
+def _density_distances(game, rep):
+    """Per-point density distance to `rep`: L1 distance between kernel rows,
+    maximized over profiles."""
+    diff = np.abs(game.transitions - game.transitions[rep:rep + 1])
+    return diff.sum(axis=2).max(axis=1)
 
 
 def build_partition(spec, resolution):
@@ -133,11 +134,12 @@ def build_partition(spec, resolution):
     """
     if resolution <= 0.0:
         raise ValueError("resolution must be positive")
+    game = spec.game
     reps = []
     members = []
     cost_rows = []
     density_rows = []
-    for m in range(spec.n_points):
+    for m in range(game.n_states):
         placed = False
         for k in range(len(reps)):
             if cost_rows[k][m] < resolution and density_rows[k][m] < resolution:
@@ -147,8 +149,8 @@ def build_partition(spec, resolution):
         if not placed:
             reps.append(m)
             members.append([m])
-            cost_rows.append(_cost_distances(spec, m))
-            density_rows.append(_density_distances(spec, m))
+            cost_rows.append(_cost_distances(game, m))
+            density_rows.append(_density_distances(game, m))
     partition = Partition(
         resolution=resolution,
         cells=tuple(np.array(c, dtype=int) for c in members),
@@ -161,96 +163,66 @@ def build_partition(spec, resolution):
 def check_partition(spec, partition):
     """Re-verify the partition invariants against a spec: disjoint cover of
     the grid and strict resolution conditions for every member.  Raises
-    ValueError on any violation."""
+    ValueError on any violation, a NaN distance included."""
     if partition.n_points != spec.n_points:
         raise ValueError(
             f"partition covers {partition.n_points} points, spec has {spec.n_points}"
         )
     for k, cell in enumerate(partition.cells):
         rep = int(partition.representatives[k])
-        cost_d = _cost_distances(spec, rep)[cell]
-        dens_d = _density_distances(spec, rep)[cell]
-        if np.any(cost_d >= partition.resolution):
-            worst = int(cell[np.argmax(cost_d)])
-            raise ValueError(
-                f"cell {k}: point {worst} has cost distance {cost_d.max():.6g} "
-                f">= resolution {partition.resolution:.6g}"
-            )
-        if np.any(dens_d >= partition.resolution):
-            worst = int(cell[np.argmax(dens_d)])
-            raise ValueError(
-                f"cell {k}: point {worst} has density distance {dens_d.max():.6g} "
-                f">= resolution {partition.resolution:.6g}"
-            )
+        for name, distances in (("cost", _cost_distances), ("density", _density_distances)):
+            d = distances(spec.game, rep)[cell]
+            if not np.all(d < partition.resolution):
+                worst = int(cell[np.argmax(d)])
+                raise ValueError(
+                    f"cell {k}: point {worst} has {name} distance {d.max():.6g} "
+                    f">= resolution {partition.resolution:.6g}"
+                )
 
 
 def surrogate_game(spec, partition):
     """Collapse each cell to its representative.
 
     Surrogate costs copy the representative rows; surrogate transitions put on
-    each target cell the representative's density mass over that cell's
+    each target cell the representative's kernel mass over that cell's
     members; the initial distribution aggregates over cells.  Raises
-    ValueError if the aggregated rows fail stochasticity beyond 1e-9, which
-    indicates a malformed spec.
+    ValueError if the aggregated rows fail stochasticity beyond ROW_SUM_TOL
+    (or are NaN), which indicates a malformed spec.
     """
     check_partition(spec, partition)
+    game = spec.game
     reps = partition.representatives
-    n_cells = partition.n_cells
-    membership = np.zeros((spec.n_points, n_cells))
-    membership[np.arange(spec.n_points), partition.cell_of] = 1.0
-    weighted = spec.density[reps] * spec.weights[None, None, :]
-    transitions = weighted @ membership
+    membership = np.zeros((game.n_states, partition.n_cells))
+    membership[np.arange(game.n_states), partition.cell_of] = 1.0
+    transitions = game.transitions[reps] @ membership
     row_sums = transitions.sum(axis=2)
-    if np.max(np.abs(row_sums - 1.0)) > STOCHASTIC_TOL:
+    if not np.max(np.abs(row_sums - 1.0)) <= ROW_SUM_TOL:
         bad = np.unravel_index(np.argmax(np.abs(row_sums - 1.0)), row_sums.shape)
         raise ValueError(
             f"surrogate transition row {bad} sums to {row_sums[bad]:.12g}; "
             "the spec's density does not integrate to 1"
         )
-    game = FiniteCSG(
-        n_actions=spec.n_actions,
-        costs=spec.costs[:, :, reps, :],
-        transitions=transitions,
-        discount=spec.discount,
-        initial=membership.T @ spec.initial,
-        constraint_bounds=spec.constraint_bounds,
-        cost_bound=spec.cost_bound,
-    )
     return DiscretizedGame(
-        game=game,
+        game=replace(game, costs=game.costs[:, :, reps, :], transitions=transitions,
+                     initial=membership.T @ game.initial),
         partition=partition,
-        certified_error=error_bound(partition.resolution, spec.discount, spec.cost_bound),
+        certified_error=error_bound(partition.resolution, game.discount, game.cost_bound),
     )
 
 
 def grid_game(spec):
     """The spec itself as a finite game over grid points: the kernel is the
     density times the quadrature weight of the target point."""
-    return FiniteCSG(
-        n_actions=spec.n_actions,
-        costs=spec.costs,
-        transitions=spec.density * spec.weights[None, None, :],
-        discount=spec.discount,
-        initial=spec.initial,
-        constraint_bounds=spec.constraint_bounds,
-        cost_bound=spec.cost_bound,
-    )
+    return spec.game
 
 
 def surrogate_grid_game(spec, partition):
     """Surrogate data spread back over the full grid: every point carries its
-    cell representative's costs and density.  Strategies need not respect the
-    partition here, which is what the uniform error bound quantifies over."""
+    cell representative's costs and kernel row.  Strategies need not respect
+    the partition here, which is what the uniform error bound quantifies over."""
     reps_of = partition.representatives[partition.cell_of]
-    return FiniteCSG(
-        n_actions=spec.n_actions,
-        costs=spec.costs[:, :, reps_of, :],
-        transitions=spec.density[reps_of] * spec.weights[None, None, :],
-        discount=spec.discount,
-        initial=spec.initial,
-        constraint_bounds=spec.constraint_bounds,
-        cost_bound=spec.cost_bound,
-    )
+    return replace(spec.game, costs=spec.game.costs[:, :, reps_of, :],
+                   transitions=spec.game.transitions[reps_of])
 
 
 def lift_strategy(partition, profile):
@@ -282,7 +254,7 @@ def verify_approximation_bound(spec, partition, strategies):
     deviation is maximized over players, layers, and initial states and must
     stay within the certified error bound.
     """
-    original = grid_game(spec)
+    original = spec.game
     surrogate = surrogate_grid_game(spec, partition)
     deviations = []
     for entry in strategies:
@@ -297,6 +269,6 @@ def verify_approximation_bound(spec, partition, strategies):
     per_strategy = np.asarray(deviations, dtype=float)
     return ApproximationReport(
         max_deviation=float(per_strategy.max()) if per_strategy.size else 0.0,
-        certified_error=error_bound(partition.resolution, spec.discount, spec.cost_bound),
+        certified_error=error_bound(partition.resolution, original.discount, original.cost_bound),
         per_strategy=per_strategy,
     )

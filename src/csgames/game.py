@@ -9,6 +9,11 @@ normalized: J = (1 - alpha) * E[sum_t alpha^(t-1) c(x_t, a_t)].
 Joint action profiles are always enumerated row-major over (a_1, ..., a_N),
 i.e. profile j corresponds to np.unravel_index(j, n_actions).  Every module
 in the package shares this convention.
+
+FiniteCSG is the one game type.  A ContinuousGameSpec is a grid game, a
+FiniteCSG over grid points, plus the points and the quadrature weights the
+transition density is taken against; validate_spec checks the weights and
+the density's sign and leaves the rest to validate_game.
 """
 
 import math
@@ -39,10 +44,6 @@ def _frozen_array(x, dtype=float):
     a = np.array(x, dtype=dtype)
     a.setflags(write=False)
     return a
-
-
-def _profile_label(n_actions, j):
-    return tuple(int(k) for k in np.unravel_index(j, n_actions))
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ class FiniteCSG:
         return int(np.ravel_multi_index(tuple(actions), self.n_actions))
 
     def profile_tuple(self, j):
-        return _profile_label(self.n_actions, j)
+        return tuple(int(k) for k in np.unravel_index(j, self.n_actions))
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,10 @@ class ContinuousGameSpec:
 
     The state space is a finite grid x_1..x_M carrying quadrature weights mu.
     Transitions are given as a density delta(x, a, y) with respect to mu, so
-    the induced kernel is p(y | x, a) = delta(x, a, y) * mu(y).  This is the
-    input to the discretization pipeline.
+    the induced kernel is p(y | x, a) = delta(x, a, y) * mu(y).  The spec is
+    an input format over that grid game: construction builds it once, as the
+    FiniteCSG `game`, which checks every shape but the density's.  This is
+    the input to the discretization pipeline.
 
     Fields
     ------
@@ -154,45 +157,25 @@ class ContinuousGameSpec:
         pts = _frozen_array(self.points)
         w = _frozen_array(self.weights)
         dens = _frozen_array(self.density)
-        costs = _frozen_array(self.costs)
-        init = _frozen_array(self.initial)
-        bounds = _frozen_array(self.constraint_bounds)
         m = w.shape[0]
-        p = int(np.prod(self.n_actions))
-        n = len(self.n_actions)
         if pts.shape[0] != m:
             raise ValueError("points and weights disagree on grid size")
+        # Checked before the product below, which would broadcast an (M, P, 1) density.
+        p = int(np.prod(self.n_actions))
         if dens.shape != (m, p, m):
             raise ValueError(f"density must have shape {(m, p, m)}; got {dens.shape}")
-        if costs.ndim != 4 or costs.shape[0] != n or costs.shape[2] != m or costs.shape[3] != p:
-            raise ValueError(f"costs must have shape (N, L+1, M, P); got {costs.shape}")
-        if init.shape != (m,):
-            raise ValueError(f"initial must have shape {(m,)}; got {init.shape}")
-        if bounds.shape != (n, costs.shape[1] - 1):
-            raise ValueError(
-                f"constraint_bounds must have shape {(n, costs.shape[1] - 1)}; got {bounds.shape}"
-            )
+        game = FiniteCSG(self.n_actions, self.costs, dens * w, self.discount,
+                         self.initial, self.constraint_bounds, self.cost_bound)
         for name, val in (("points", pts), ("weights", w), ("density", dens),
-                          ("costs", costs), ("initial", init), ("constraint_bounds", bounds)):
+                          ("costs", game.costs), ("discount", game.discount),
+                          ("initial", game.initial),
+                          ("constraint_bounds", game.constraint_bounds),
+                          ("cost_bound", game.cost_bound), ("game", game)):
             object.__setattr__(self, name, val)
-        object.__setattr__(self, "discount", float(self.discount))
-        object.__setattr__(self, "cost_bound", float(self.cost_bound))
-
-    @property
-    def n_players(self):
-        return len(self.n_actions)
 
     @property
     def n_points(self):
         return self.weights.shape[0]
-
-    @property
-    def n_layers(self):
-        return self.costs.shape[1] - 1
-
-    @property
-    def n_profiles(self):
-        return self.density.shape[1]
 
 
 @dataclass(frozen=True)
@@ -341,34 +324,20 @@ def validate_game(game, tol=STOCHASTIC_TOL):
 
 
 def validate_spec(spec, tol=ROW_SUM_TOL):
-    """Check a ContinuousGameSpec: weights, density integrals, bounds, discount.
-    As in validate_game, a NaN or infinite entry fails every check."""
+    """Check a ContinuousGameSpec: its quadrature weights, the sign of its
+    density, then validate_game on its grid game, whose row sums are the
+    density integrals.  Bad weights are reported alone, since every kernel
+    row is then off too.  As in validate_game, a NaN or infinite entry fails."""
     issues = []
-    if not (0.0 < spec.discount < 1.0):
-        issues.append(f"discount must lie in (0, 1); got {spec.discount!r}")
-    if not (0.0 < spec.cost_bound < math.inf):
-        issues.append(f"cost bound must be positive and finite; got {spec.cost_bound!r}")
     if not np.all(spec.weights > 0.0):
         issues.append("quadrature weights must be strictly positive")
     if not abs(spec.weights.sum() - 1.0) <= tol:
         issues.append(f"quadrature weights sum to {spec.weights.sum():.17g}")
-    mass = spec.density @ spec.weights
-    for m, j in zip(*np.nonzero(~(np.abs(mass - 1.0) <= tol))):
-        issues.append(
-            f"density row (point {m}, profile {_profile_label(spec.n_actions, j)}) "
-            f"integrates to {mass[m, j]:.17g}"
-        )
+    if issues:
+        return ValidationReport(tuple(issues))
     if np.any(spec.density < -tol):
         issues.append("density has a negative entry")
-    if not abs(spec.initial.sum() - 1.0) <= tol:
-        issues.append(f"initial distribution sums to {spec.initial.sum():.17g}")
-    if np.any(spec.initial < -tol):
-        issues.append("initial distribution has a negative entry")
-    if not np.all(np.isfinite(spec.constraint_bounds)):
-        issues.append("constraint bounds must be finite")
-    if not np.all(np.abs(spec.costs) <= spec.cost_bound + tol):
-        issues.append("a cost entry is outside the declared bound")
-    return ValidationReport(tuple(issues))
+    return ValidationReport(tuple(issues) + validate_game(spec.game, tol).issues)
 
 
 def _row_product(rows, n_states):

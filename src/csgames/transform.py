@@ -66,13 +66,13 @@ def caratheodory_reduce(values, weights):
     lowest-index blocking coordinate first, until the support is affinely
     independent; that leaves at most d+1 points, fewer when the values are
     degenerate.  Deterministic; raises RuntimeError if the reduced mean drifts
-    beyond CARATHEODORY_TOL.
+    beyond CARATHEODORY_TOL or the drift is NaN.
     """
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if values.ndim != 2 or weights.shape != (values.shape[0],):
         raise ValueError("values must be (K, d) with one weight per row")
-    if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 1e-9:
+    if not (np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-9):
         raise ValueError("weights must be a probability vector")
     d = values.shape[1]
     target = weights @ values
@@ -102,7 +102,7 @@ def caratheodory_reduce(values, weights):
     reduced = beta[support]
     reduced = reduced / reduced.sum()
     drift = float(np.max(np.abs(reduced @ values[support] - target))) if d else 0.0
-    if drift > CARATHEODORY_TOL:
+    if not drift <= CARATHEODORY_TOL:
         raise RuntimeError(f"pivoting drifted from the target by {drift:.3e}")
     return CaratheodoryCertificate(indices=support, weights=reduced, target=target)
 

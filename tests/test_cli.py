@@ -1,14 +1,16 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from csgames import FiniteCSG, sample_games, wessels_cost_relation
+from csgames import FiniteCSG, sample_games, validate_spec, wessels_cost_relation
 from csgames.cli import (
     EXIT_CERTIFIED_FAIL,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_SOLVER,
     EXIT_VALIDATION,
     _dump,
     certificate_to_payload,
@@ -127,6 +129,15 @@ def test_invalid_rows_exit_3(tmp_path):
         for command in ("evaluate", "simulate"):
             assert main([command, game, strat, "--out-dir", str(tmp_path)]) \
                 == EXIT_VALIDATION, (command, field, value)
+
+
+def test_linalg_error_exits_4(tmp_path, monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular matrix")
+    monkeypatch.setattr("csgames.cli.evaluate_profile", singular)
+    game = write_game(tmp_path, sample_games.constrained_trap_game())
+    strat = write_profile(tmp_path, sample_games.trap_profile(0.75))
+    assert main(["evaluate", game, strat, "--out-dir", str(tmp_path)]) == EXIT_SOLVER
 
 
 def test_verify_pair_equilibrium(tmp_path):
@@ -257,6 +268,19 @@ def test_discretize_epsilon_sets_resolution(tmp_path):
                  "--out-dir", str(tmp_path)]) == EXIT_OK
     report = read_json(tmp_path, "discretize.report.json")
     assert abs(report["results"]["resolution"] - 0.1) <= 1e-12
+
+
+def test_bad_weight_is_reported_once_not_per_row(tmp_path, capsys):
+    spec = sample_games.linear_cost_grid_spec(401)
+    weights = spec.weights.copy()
+    weights[5] = math.nan
+    bad = replace(spec, weights=weights)
+    assert 0 < len(validate_spec(bad).issues) <= 3
+    path = write(tmp_path / "spec.json", spec_to_payload(bad))
+    assert main(["discretize", path, "--gamma", "0.02",
+                 "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+    # One header line, then one line per issue.
+    assert len(capsys.readouterr().err.splitlines()) <= 4
 
 
 def test_discretize_gamma_epsilon_exclusive(tmp_path):

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from csgames import discretization
 from csgames import (
     ContinuousGameSpec,
     Partition,
@@ -107,6 +110,35 @@ def test_check_partition_rejects_mixed_cells():
                     representatives=np.array([0]))
     with pytest.raises(ValueError):
         check_partition(spec, bad)
+
+
+def nan_row_spec():
+    """Unvalidated 11-point linear spec whose density row at point 3 is NaN,
+    with the partition into single points."""
+    spec = sample_games.linear_cost_grid_spec(n_points=11)
+    density = spec.density.copy()
+    density[3] = np.nan
+    singles = Partition(resolution=0.05, cells=tuple(np.arange(11)[:, None]),
+                        representatives=np.arange(11))
+    return replace(spec, density=density), singles
+
+
+def test_check_partition_rejects_nan_distances():
+    spec, singles = nan_row_spec()
+    with pytest.raises(ValueError, match="density distance nan"):
+        check_partition(spec, singles)
+    with pytest.raises(ValueError):
+        build_partition(spec, 0.05)
+
+
+def test_surrogate_game_rejects_nan_rows(monkeypatch):
+    spec, singles = nan_row_spec()
+    with pytest.raises(ValueError):
+        surrogate_game(spec, singles)
+    # The row-sum check alone, past the partition check that catches it first.
+    monkeypatch.setattr(discretization, "check_partition", lambda spec, partition: None)
+    with pytest.raises(ValueError, match="sums to nan"):
+        surrogate_game(spec, singles)
 
 
 def test_partition_requires_disjoint_cover():

@@ -48,6 +48,13 @@ def test_caratheodory_point_mass():
     np.testing.assert_allclose(cert.weights, [1.0], atol=1e-15)
 
 
+def test_caratheodory_rejects_nan():
+    with pytest.raises(ValueError):
+        caratheodory_reduce(np.array([[0.3, 1.0], [0.7, -1.0]]), np.array([np.nan, 1.0]))
+    with pytest.raises(RuntimeError):
+        caratheodory_reduce(np.array([[np.nan, 1.0]]), np.array([1.0]))
+
+
 def test_caratheodory_constant_values():
     values = np.tile([0.4, 0.2], (6, 1))
     weights = np.full(6, 1.0 / 6.0)
