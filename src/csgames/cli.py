@@ -17,6 +17,7 @@ byte-identical for identical inputs and seed, except for the timing block.
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import fields, is_dataclass
@@ -196,6 +197,11 @@ def _require_class(strategy, wanted, path):
     return strategy
 
 
+def _require_finite(value, flag):
+    if not math.isfinite(value):
+        raise ValidationFailure(f"{flag} must be finite; got {value}")
+
+
 def _run(args):
     """Run one command and write its outputs to --out-dir.
 
@@ -297,6 +303,8 @@ def cmd_best_respond(args):
 
 
 def cmd_verify(args):
+    _require_finite(args.epsilon, "--epsilon")
+    _require_finite(args.tol, "--tol")
     game, _ = load_game(args.game)
     strategy = load_strategy(args.strategy)
     if args.concept == "weak-correlated":
@@ -320,6 +328,7 @@ def cmd_verify(args):
 
 
 def cmd_solve(args):
+    _require_finite(args.target_eps, "--target-eps")
     game, _ = load_game(args.game)
     config = SearchConfig(restarts=args.restarts, target_epsilon=args.target_eps,
                           seed=args.seed)
@@ -396,6 +405,7 @@ def cmd_transform(args):
 
 
 def cmd_correlated_sequence(args):
+    _require_finite(args.eps0, "--eps0")
     game, _ = load_game(args.game)
     if args.eps0 <= 0:
         raise ValidationFailure("--eps0 must be positive")

@@ -142,12 +142,12 @@ def _player_certificate(game, cost_vector, player, br):
 
 
 def _certificate(concept, players, threshold, feas_tol, gap_tol):
+    # Written as `not x <= bound`, so a NaN threshold fails the certificate.
     passed = True
     for cert in players:
-        if cert.feasibility_excess is not None and cert.feasibility_excess > threshold + feas_tol:
-            passed = False
-        if cert.best_response_gap is not None and cert.best_response_gap > threshold + gap_tol:
-            passed = False
+        for value, tol in ((cert.feasibility_excess, feas_tol), (cert.best_response_gap, gap_tol)):
+            if value is not None and not value <= threshold + tol:
+                passed = False
     epsilon = max(cert.epsilon for cert in players)
     return EquilibriumCertificate(
         concept=concept,
@@ -167,15 +167,27 @@ def verify_approx_equilibrium(game, profile, epsilon,
     epsilon is the max over players of max(feasibility excess, gap); it can
     only dip below zero by solver tolerance.
     """
+    return _approx_certificate(game, profile, epsilon, feas_tol, gap_tol)[0]
+
+
+def _approx_certificate(game, profile, epsilon, feas_tol=FEASIBILITY_TOL, gap_tol=GAP_TOL):
+    """The approximate-equilibrium certificate of a profile, and the
+    per-player BestResponseResults it was computed from."""
     if profile.n_actions != game.n_actions or profile.n_states != game.n_states:
         raise ValueError("profile does not match the game dimensions")
     cv = evaluate_profile(game, profile)
-    players = []
-    for i in range(game.n_players):
-        others = [r for j, r in enumerate(profile.rows) if j != i]
-        br = constrained_best_response(induced_mdp(game, i, others))
-        players.append(_player_certificate(game, cv, i, br))
-    return _certificate("approximate", players, epsilon, feas_tol, gap_tol)
+    responses = _best_responses(game, profile)
+    players = [_player_certificate(game, cv, i, br) for i, br in enumerate(responses)]
+    return _certificate("approximate", players, epsilon, feas_tol, gap_tol), responses
+
+
+def _best_responses(game, profile):
+    """Each player's constrained best response against the others' rows."""
+    return [
+        constrained_best_response(induced_mdp(
+            game, i, [r for j, r in enumerate(profile.rows) if j != i]))
+        for i in range(game.n_players)
+    ]
 
 
 def verify_statewise_equilibrium(game, profile, epsilon, gap_tol=GAP_TOL):
@@ -315,6 +327,12 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
     the best certificate seen is returned (the search never returns without
     one).  Iterations where a player's deviation set is empty skip that
     player's update and are logged in `skipped`.
+
+    Certifying a profile solves each player's best-response LP against it, so
+    the damped iterate's certificate already holds the next iteration's best
+    responses and they are reused: only the first iteration of each restart
+    solves its own N LPs, and every certified profile N more (2N per
+    iteration instead of 3N, with the same iterates and certificates).
     """
     best_profile = None
     best_cert = None
@@ -325,12 +343,12 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
 
     def consider(profile):
         nonlocal best_profile, best_cert, converged
-        cert = verify_approx_equilibrium(game, profile, config.target_epsilon)
+        cert, responses = _approx_certificate(game, profile, config.target_epsilon)
         if best_cert is None or cert.epsilon < best_cert.epsilon:
             best_profile, best_cert = profile, cert
         if best_cert.epsilon <= config.target_epsilon:
             converged = True
-        return cert
+        return responses
 
     for restart in range(max(1, config.restarts)):
         restarts_used = restart + 1
@@ -341,34 +359,35 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
         else:
             rng = np.random.default_rng([config.seed, restart])
             profile = _random_profile(game, rng)
+        responses = None
         for _ in range(config.max_iterations):
             iterations += 1
-            responses = []
-            for i in range(game.n_players):
-                others = [r for j, r in enumerate(profile.rows) if j != i]
-                br = constrained_best_response(induced_mdp(game, i, others))
+            if responses is None:
+                responses = _best_responses(game, profile)
+            moves = []
+            for i, br in enumerate(responses):
                 if br.feasible:
-                    responses.append(br.strategy)
+                    moves.append(br.strategy)
                 else:
-                    responses.append(None)
+                    moves.append(None)
                     skipped.append((restart, iterations, i))
             candidate_rows = tuple(
-                resp if resp is not None else row
-                for resp, row in zip(responses, profile.rows)
+                move if move is not None else row
+                for move, row in zip(moves, profile.rows)
             )
             consider(StationaryProfile(candidate_rows))
             if converged:
                 break
             damped_rows = tuple(
-                row if resp is None else (1.0 - config.damping) * row + config.damping * resp
-                for resp, row in zip(responses, profile.rows)
+                row if move is None else (1.0 - config.damping) * row + config.damping * move
+                for move, row in zip(moves, profile.rows)
             )
             step = max(
                 float(np.max(np.abs(new - old)))
                 for new, old in zip(damped_rows, profile.rows)
             )
             profile = StationaryProfile(damped_rows)
-            consider(profile)
+            responses = consider(profile)
             if converged or step < 1e-13:
                 break
         if converged:
@@ -407,13 +426,15 @@ def correlated_limit_sequence(game, epsilon0, n_levels, config=SearchConfig()):
 
     Level n targets epsilon0 / 2^n for n = 0..n_levels and also reports the
     state-space resolution that would certify that accuracy after
-    discretization.  Each level's profile is certified; the last product is
+    discretization.  Each level's profile is certified at its target: the
+    search's certificate of that profile is re-thresholded at epsilon0 / 2^n,
+    which solves no LP, since only the threshold differs.  The last product is
     re-verified as a weak correlated equilibrium and its residual reported.
     The sequence stops early (completed=False) if some level's target cannot
     be certified.
     """
-    if epsilon0 <= 0.0:
-        raise ValueError("epsilon0 must be positive")
+    if not epsilon0 > 0.0:
+        raise ValueError(f"epsilon0 must be positive; got {epsilon0}")
     levels = []
     warm = None
     completed = True
@@ -421,7 +442,8 @@ def correlated_limit_sequence(game, epsilon0, n_levels, config=SearchConfig()):
         eps_n = epsilon0 / 2.0 ** n
         target = min(eps_n, config.target_epsilon)
         found = search_equilibrium(game, replace(config, target_epsilon=target), initial=warm)
-        cert = verify_approx_equilibrium(game, found.profile, eps_n)
+        cert = _certificate("approximate", found.certificate.players, eps_n,
+                            FEASIBILITY_TOL, GAP_TOL)
         if not cert.passed:
             completed = False
             break

@@ -164,8 +164,14 @@ class ContinuousGameSpec:
         p = int(np.prod(self.n_actions))
         if dens.shape != (m, p, m):
             raise ValueError(f"density must have shape {(m, p, m)}; got {dens.shape}")
-        game = FiniteCSG(self.n_actions, self.costs, dens * w, self.discount,
-                         self.initial, self.constraint_bounds, self.cost_bound)
+        try:
+            game = FiniteCSG(self.n_actions, self.costs, dens * w, self.discount,
+                             self.initial, self.constraint_bounds, self.cost_bound)
+        except ValueError as exc:
+            raise ValueError(
+                f"grid spec: costs must have shape (N, L+1, {m}, {p}), initial ({m},) and "
+                f"constraint_bounds (N, L) on {m} points with {p} action profiles; as a game "
+                f"(transitions = density * weights): {exc}") from exc
         for name, val in (("points", pts), ("weights", w), ("density", dens),
                           ("costs", game.costs), ("discount", game.discount),
                           ("initial", game.initial),

@@ -20,7 +20,7 @@ from csgames.cli import (
     strategy_to_payload,
 )
 from csgames.equilibrium import verify_approx_equilibrium
-from csgames.game import CorrelatedStrategy, MarkovStrategy, StationaryProfile
+from csgames.game import CorrelatedStrategy, MarkovStrategy, StationaryProfile, product_strategy
 
 
 def write(path, payload):
@@ -323,6 +323,38 @@ def test_transform_missing_block_exits_3(tmp_path):
     game = write_game(tmp_path, sample_games.constrained_trap_game())
     assert main(["transform", game,
                  "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_thresholds_exit_3(tmp_path, capsys, value):
+    # A NaN threshold fails no `x > threshold` test, so before it was
+    # rejected `verify --epsilon nan` printed PASS and exited 0; so did
+    # `--tol inf` on a correlated strategy that breaks its budget.
+    game = write_game(tmp_path, sample_games.decoupled_pair())
+    strat = write_profile(tmp_path, pair_profile(0.9))
+    psi = write_profile(tmp_path, product_strategy(pair_profile(0.9)), "psi.json")
+    runs = {
+        "--epsilon": ["verify", game, strat, "--concept", "approx"],
+        "--tol": ["verify", game, psi, "--concept", "weak-correlated"],
+        "--target-eps": ["solve", game],
+        "--eps0": ["correlated-sequence", game, "--n", "1"],
+    }
+    for flag, argv in runs.items():
+        out = tmp_path / flag.strip("-")
+        assert main(argv + [f"{flag}={value}", "--out-dir", str(out)]) == EXIT_VALIDATION, flag
+        assert f"{flag} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_spec_shape_error_names_spec_fields(tmp_path, capsys):
+    doc = spec_to_payload(sample_games.linear_cost_grid_spec(11))
+    doc["costs"] = np.array(doc["costs"])[:, :, :10].tolist()
+    path = write(tmp_path / "spec.json", doc)
+    assert main(["discretize", path, "--gamma", "0.1",
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "grid spec: costs must have shape (N, L+1, 11, 2)" in err
+    assert "transitions must have shape (10, 2, 10); got (11, 2, 11)" in err
 
 
 def test_sequence_monotone_targets(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from csgames import (
     OneShotGame,
     SearchConfig,
     StationaryProfile,
+    constrained_best_response,
     correlated_limit_sequence,
     evaluate_profile,
     one_shot_consistency,
@@ -121,8 +124,6 @@ def test_statewise_zero_costs(rng):
 
 
 def test_weak_correlated_single_player_optimum(ctrap):
-    from csgames import constrained_best_response
-
     result = constrained_best_response(induced_mdp(ctrap, 0, []))
     psi = product_strategy(StationaryProfile((result.strategy,)))
     cert = verify_weak_correlated(ctrap, psi)
@@ -263,3 +264,137 @@ def test_certificate_epsilon_decomposition(ctrap):
     expected = max(pc.feasibility_excess, pc.best_response_gap)
     assert abs(pc.epsilon - expected) <= 1e-15
     assert abs(cert.epsilon - expected) <= 1e-15
+
+
+def assert_same_certificate(a, b):
+    """Field-for-field equality, arrays exactly."""
+    assert type(a) is type(b)
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "players":
+            assert len(x) == len(y)
+            for px, py in zip(x, y):
+                assert_same_certificate(px, py)
+        elif isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+def test_nan_threshold_fails_certificate(pair):
+    cert = verify_approx_equilibrium(pair, StationaryProfile((
+        sample_games.trap_profile(0.75, n_states=4).rows[0],
+        sample_games.trap_profile(0.75, n_states=4).rows[0],
+    )), np.nan)
+    assert cert.epsilon <= 1e-8
+    assert not cert.passed
+
+
+@pytest.mark.parametrize("epsilon0", [np.nan, 0.0, -0.1])
+def test_sequence_rejects_non_positive_epsilon0(pair, epsilon0):
+    with pytest.raises(ValueError, match="epsilon0 must be positive"):
+        correlated_limit_sequence(pair, epsilon0, 1)
+
+
+def reference_search(game, config, initial=None):
+    """The search as it was before certificates handed back their best
+    responses: 3N LPs per iteration, N of them solved again for the damped
+    iterate.  Returns the result fields and the number of certified profiles."""
+    best = {"profile": None, "cert": None, "converged": False, "certified": 0}
+    skipped, iterations, restarts_used = [], 0, 0
+
+    def consider(profile):
+        cert = verify_approx_equilibrium(game, profile, config.target_epsilon)
+        best["certified"] += 1
+        if best["cert"] is None or cert.epsilon < best["cert"].epsilon:
+            best["profile"], best["cert"] = profile, cert
+        if best["cert"].epsilon <= config.target_epsilon:
+            best["converged"] = True
+
+    for restart in range(max(1, config.restarts)):
+        restarts_used = restart + 1
+        if restart == 0 and initial is not None:
+            profile = initial
+        elif restart == 0:
+            profile = StationaryProfile(tuple(
+                np.full((game.n_states, a), 1.0 / a) for a in game.n_actions))
+        else:
+            rng = np.random.default_rng([config.seed, restart])
+            profile = StationaryProfile(tuple(
+                rng.dirichlet(np.ones(a), size=game.n_states) for a in game.n_actions))
+        for _ in range(config.max_iterations):
+            iterations += 1
+            responses = []
+            for i in range(game.n_players):
+                others = [r for j, r in enumerate(profile.rows) if j != i]
+                br = constrained_best_response(induced_mdp(game, i, others))
+                if br.feasible:
+                    responses.append(br.strategy)
+                else:
+                    responses.append(None)
+                    skipped.append((restart, iterations, i))
+            consider(StationaryProfile(tuple(
+                resp if resp is not None else row
+                for resp, row in zip(responses, profile.rows))))
+            if best["converged"]:
+                break
+            damped_rows = tuple(
+                row if resp is None else (1.0 - config.damping) * row + config.damping * resp
+                for resp, row in zip(responses, profile.rows))
+            step = max(float(np.max(np.abs(new - old)))
+                       for new, old in zip(damped_rows, profile.rows))
+            profile = StationaryProfile(damped_rows)
+            consider(profile)
+            if best["converged"] or step < 1e-13:
+                break
+        if best["converged"]:
+            break
+    return (best["profile"], best["cert"], iterations, restarts_used, best["converged"],
+            tuple(skipped)), best["certified"]
+
+
+def test_search_matches_reference_with_2n_lps(monkeypatch):
+    import csgames.equilibrium as equilibrium
+
+    calls = []
+
+    def counted(mdp):
+        calls.append(1)
+        return constrained_best_response(mdp)
+
+    monkeypatch.setattr(equilibrium, "constrained_best_response", counted)
+    any_skipped = any_converged = False
+    for k in range(10):
+        rng = np.random.default_rng([31, k])
+        n_players = 1 + k % 3
+        game = sample_games.random_constrained_game(
+            rng, n_players=n_players, n_states=2 + k % 3, n_actions=(2,) * n_players,
+            slack=-0.1 if k % 4 == 3 else 0.02)
+        config = SearchConfig(restarts=2, max_iterations=5, seed=k,
+                              target_epsilon=1e-2 if k % 2 else 1e-8)
+        expected, certified = reference_search(game, config)
+        calls.clear()
+        result = search_equilibrium(game, config)
+        profile, cert, iterations, restarts_used, converged, skipped = expected
+        assert len(result.profile.rows) == len(profile.rows)
+        for new, old in zip(result.profile.rows, profile.rows):
+            assert np.array_equal(new, old), k
+        assert_same_certificate(result.certificate, cert)
+        assert (result.iterations, result.restarts_used, result.converged, result.skipped) \
+            == (iterations, restarts_used, converged, skipped), k
+        assert len(calls) == n_players * (restarts_used + certified), k
+        any_skipped |= bool(skipped)
+        any_converged |= converged
+    assert any_skipped and any_converged
+
+
+@pytest.mark.parametrize("game", [sample_games.decoupled_pair(),
+                                  sample_games.shadowed_state_game()],
+                         ids=["pair", "shadowed"])
+def test_sequence_levels_are_fresh_certificates(game):
+    seq = correlated_limit_sequence(game, 0.2, 2)
+    assert seq.levels
+    for level in seq.levels:
+        assert_same_certificate(
+            level.certificate,
+            verify_approx_equilibrium(game, level.profile, level.epsilon_target))

@@ -1,0 +1,133 @@
+"""Golden corpus: CLI documents stay byte-identical outside `timing`.
+
+Each case below is one CLI run over the committed inputs in
+tests/data/golden/inputs/; its expected outputs are in
+tests/data/golden/<case>/, with the exit code and stdout in run.json.
+Reports are compared after dropping their timing block and reducing input
+paths to file names; every other document is compared byte for byte.
+
+Regenerate only when an output change is intended, and say so:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from csgames import sample_games
+from csgames.cli import _dump, game_to_payload, main, strategy_to_payload
+from csgames.game import StationaryProfile
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+INPUTS = GOLDEN / "inputs"
+
+CASES = {
+    "solve-pair": ["solve", "{in}/pair.game.json"],
+    "solve-ctrap": ["solve", "{in}/ctrap.game.json"],
+    "solve-rand2": ["solve", "{in}/rand2.game.json", "--restarts", "1", "--seed", "3"],
+    "solve-rand3": ["solve", "{in}/rand3.game.json", "--restarts", "1", "--seed", "5"],
+    "verify-pair-nash": ["verify", "{in}/pair.game.json", "{in}/pair.nash.json",
+                         "--concept", "approx", "--epsilon", "1e-8"],
+    "verify-pair-off": ["verify", "{in}/pair.game.json", "{in}/pair.off.json",
+                        "--concept", "approx", "--epsilon", "1e-6"],
+    "verify-ctrap-half": ["verify", "{in}/ctrap.game.json", "{in}/ctrap.half.json",
+                          "--concept", "approx", "--epsilon", "0.1"],
+    "verify-rand2": ["verify", "{in}/rand2.game.json", "{in}/rand2.profile.json",
+                     "--concept", "approx", "--epsilon", "0.05"],
+    "verify-rand3": ["verify", "{in}/rand3.game.json", "{in}/rand3.profile.json",
+                     "--concept", "approx"],
+    "verify-rand2-solved": ["verify", "{in}/rand2.game.json", "{in}/rand2.solved.json",
+                            "--concept", "approx", "--epsilon", "1e-3"],
+    "sequence-pair": ["correlated-sequence", "{in}/pair.game.json", "--eps0", "0.1",
+                      "--n", "3"],
+    "sequence-ctrap": ["correlated-sequence", "{in}/ctrap.game.json", "--eps0", "0.2",
+                       "--n", "2"],
+    "sequence-rdec": ["correlated-sequence", "{in}/rdec.game.json", "--eps0", "0.1",
+                      "--n", "2"],
+}
+
+
+def write_inputs(directory):
+    """The seeded input documents; rand2.solved.json is written later, from
+    the strategy of the solve-rand2 case."""
+    pair_nash = sample_games.trap_profile(0.75, n_states=4).rows[0]
+    pair_off = sample_games.trap_profile(0.9, n_states=4).rows[0]
+    rand2 = sample_games.random_constrained_game(
+        np.random.default_rng([7, 1]), n_players=2, n_states=12, n_actions=(3, 3),
+        slack=0.05)
+    rand3 = sample_games.random_constrained_game(
+        np.random.default_rng([7, 2]), n_players=3, n_states=6, n_actions=(2, 2, 2),
+        slack=-0.02)
+    # Coupled random games run the search to its iteration cap; a decoupled
+    # product of two random games converges, so it can carry a sequence.
+    rdec = sample_games.decoupled_product(*(
+        sample_games.random_constrained_game(np.random.default_rng([8, 2, k]), n_states=s,
+                                             slack=0.05, discount=0.6)
+        for k, s in ((1, 3), (2, 4))))
+    documents = {
+        "pair.game.json": game_to_payload(sample_games.decoupled_pair()),
+        "ctrap.game.json": game_to_payload(sample_games.constrained_trap_game()),
+        "rand2.game.json": game_to_payload(rand2),
+        "rand3.game.json": game_to_payload(rand3),
+        "rdec.game.json": game_to_payload(rdec),
+        "pair.nash.json": strategy_to_payload(StationaryProfile((pair_nash, pair_nash))),
+        "pair.off.json": strategy_to_payload(StationaryProfile((pair_off, pair_nash))),
+        "ctrap.half.json": strategy_to_payload(sample_games.trap_profile(0.5)),
+        "rand2.profile.json": strategy_to_payload(
+            sample_games.random_profile(np.random.default_rng([7, 3]), rand2)),
+        "rand3.profile.json": strategy_to_payload(
+            sample_games.random_profile(np.random.default_rng([7, 4]), rand3)),
+    }
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, payload in documents.items():
+        (directory / name).write_text(_dump(payload))
+
+
+def run_case(name, out_dir):
+    """Run one case into out_dir; returns {file name: normalized text} for
+    every output, run.json included."""
+    argv = [arg.format(**{"in": INPUTS}) for arg in CASES[name]]
+    with contextlib.redirect_stdout(io.StringIO()) as captured:
+        code = main(argv + ["--out-dir", str(out_dir)])
+    stdout = captured.getvalue().replace(str(out_dir), "<out>")
+    outputs = {"run.json": _dump({"argv": CASES[name], "exit_code": code, "stdout": stdout})}
+    for path in sorted(out_dir.iterdir()):
+        text = path.read_text()
+        if path.name.endswith(".report.json"):
+            report = json.loads(text)
+            del report["timing"]
+            report["inputs"] = {Path(k).name: v for k, v in report["inputs"].items()}
+            text = _dump(report)
+        outputs[path.name] = text
+    return outputs
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_outputs_match_golden(name, tmp_path):
+    expected = {path.name: path.read_text() for path in (GOLDEN / name).iterdir()}
+    assert run_case(name, tmp_path) == expected
+
+
+def regenerate():
+    write_inputs(INPUTS)
+    for name in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            outputs = run_case(name, Path(tmp))
+            if name == "solve-rand2":
+                shutil.copy(Path(tmp) / "solve.strategy.json", INPUTS / "rand2.solved.json")
+        target = GOLDEN / name
+        shutil.rmtree(target, ignore_errors=True)
+        target.mkdir()
+        for file_name, text in outputs.items():
+            (target / file_name).write_text(text)
+
+
+if __name__ == "__main__":
+    regenerate()
