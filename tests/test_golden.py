@@ -45,20 +45,38 @@ CASES = {
                      "--concept", "approx"],
     "verify-rand2-solved": ["verify", "{in}/rand2.game.json", "{in}/rand2.solved.json",
                             "--concept", "approx", "--epsilon", "1e-3"],
+    "verify-rand2-statewise": ["verify", "{in}/rand2.game.json", "{in}/rand2.profile.json",
+                               "--concept", "statewise", "--epsilon", "0.05"],
+    "verify-pair-statewise": ["verify", "{in}/pair.game.json", "{in}/pair.safe.json",
+                              "--concept", "statewise"],
+    "verify-rand3-statewise": ["verify", "{in}/rand3.game.json", "{in}/rand3.profile.json",
+                               "--concept", "statewise"],
+    "verify-rand2-weak": ["verify", "{in}/rand2.game.json", "{in}/rand2.correlated.json",
+                          "--concept", "weak-correlated"],
+    "verify-rand3-weak": ["verify", "{in}/rand3.game.json", "{in}/rand3.correlated.json",
+                          "--concept", "weak-correlated", "--tol", "1e-6"],
+    "best-respond-rand2": ["best-respond", "{in}/rand2.game.json", "{in}/rand2.profile.json",
+                           "--player", "1"],
+    "best-respond-rand3-infeasible": ["best-respond", "{in}/rand3.game.json",
+                                      "{in}/rand3.profile.json", "--player", "0"],
     "sequence-pair": ["correlated-sequence", "{in}/pair.game.json", "--eps0", "0.1",
                       "--n", "3"],
     "sequence-ctrap": ["correlated-sequence", "{in}/ctrap.game.json", "--eps0", "0.2",
                        "--n", "2"],
     "sequence-rdec": ["correlated-sequence", "{in}/rdec.game.json", "--eps0", "0.1",
                       "--n", "2"],
+    "verify-rdec-weak": ["verify", "{in}/rdec.game.json", "{in}/rdec.correlated.json",
+                         "--concept", "weak-correlated"],
 }
 
 
 def write_inputs(directory):
-    """The seeded input documents; rand2.solved.json is written later, from
-    the strategy of the solve-rand2 case."""
+    """The seeded input documents; rand2.solved.json and rdec.correlated.json
+    are written later, from the strategies of the solve-rand2 and
+    sequence-rdec cases."""
     pair_nash = sample_games.trap_profile(0.75, n_states=4).rows[0]
     pair_off = sample_games.trap_profile(0.9, n_states=4).rows[0]
+    pair_safe = sample_games.trap_profile(1.0, n_states=4).rows[0]
     rand2 = sample_games.random_constrained_game(
         np.random.default_rng([7, 1]), n_players=2, n_states=12, n_actions=(3, 3),
         slack=0.05)
@@ -79,11 +97,16 @@ def write_inputs(directory):
         "rdec.game.json": game_to_payload(rdec),
         "pair.nash.json": strategy_to_payload(StationaryProfile((pair_nash, pair_nash))),
         "pair.off.json": strategy_to_payload(StationaryProfile((pair_off, pair_nash))),
+        "pair.safe.json": strategy_to_payload(StationaryProfile((pair_safe, pair_safe))),
         "ctrap.half.json": strategy_to_payload(sample_games.trap_profile(0.5)),
         "rand2.profile.json": strategy_to_payload(
             sample_games.random_profile(np.random.default_rng([7, 3]), rand2)),
         "rand3.profile.json": strategy_to_payload(
             sample_games.random_profile(np.random.default_rng([7, 4]), rand3)),
+        "rand2.correlated.json": strategy_to_payload(
+            sample_games.random_correlated(np.random.default_rng([7, 5]), rand2)),
+        "rand3.correlated.json": strategy_to_payload(
+            sample_games.random_correlated(np.random.default_rng([7, 6]), rand3)),
     }
     directory.mkdir(parents=True, exist_ok=True)
     for name, payload in documents.items():
@@ -122,6 +145,9 @@ def regenerate():
             outputs = run_case(name, Path(tmp))
             if name == "solve-rand2":
                 shutil.copy(Path(tmp) / "solve.strategy.json", INPUTS / "rand2.solved.json")
+            if name == "sequence-rdec":
+                shutil.copy(Path(tmp) / "correlated-sequence.strategy.json",
+                            INPUTS / "rdec.correlated.json")
         target = GOLDEN / name
         shutil.rmtree(target, ignore_errors=True)
         target.mkdir()
