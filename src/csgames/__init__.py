@@ -25,7 +25,6 @@ from .game import (
 )
 from .evaluation import (
     CostVector,
-    InducedMDP,
     SimulationResult,
     evaluate_correlated,
     evaluate_markov,

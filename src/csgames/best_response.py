@@ -11,6 +11,10 @@ objective layer over this polytope subject to the budget rows is the
 constrained best response; the optimal policy is recovered by disintegration.
 One LP builder, `_occupation_lp`, sets up and checks this program for the
 best response, the feasibility test and the Slater margin.
+
+Every function here takes the MDP as a one-player FiniteCSG, such as
+`induced_mdp` returns; to solve under other budgets, pass
+dataclasses.replace(mdp, constraint_bounds=[[...]]).
 """
 
 import math
@@ -92,11 +96,21 @@ class SlaterScan:
     worst_index: int
 
 
+def _dims(mdp):
+    """(S, A) of a one-player game; a game with more players is refused, since
+    its joint profiles are not one player's actions."""
+    if mdp.n_players != 1:
+        raise ValueError(f"expected a one-player game such as induced_mdp returns; "
+                         f"got {mdp.n_players} players")
+    return mdp.n_states, mdp.n_profiles
+
+
 def occupation_measure(mdp, policy):
     """Occupation measure of a stationary policy, by the transposed
     discounted solve."""
+    _dims(mdp)
     policy = np.asarray(policy, dtype=float)
-    kernel = np.einsum("sa,sat->st", policy, mdp.kernel)
+    kernel = np.einsum("sa,sat->st", policy, mdp.transitions)
     masses = _discounted_solve(kernel.T, mdp.discount, (1.0 - mdp.discount) * mdp.initial)
     return OccupationMeasure(masses[:, None] * policy)
 
@@ -113,9 +127,9 @@ def recover_strategy(occupation, mass_tol=1e-12):
     return policy
 
 
-def _occupation_lp(mdp, bounds, objective, epigraph=False):
+def _occupation_lp(mdp, objective, epigraph=False):
     """Minimize objective @ x over the normalized occupation measures x of
-    `mdp` that meet the budget rows costs[1:] @ x <= kappa.
+    `mdp` that meet the budget rows costs[0, 1:] @ x <= constraint_bounds[0].
 
     With `epigraph`, x gains a free last column z that is added to every
     budget row.  Returns None when no occupation measure meets the budgets,
@@ -123,16 +137,12 @@ def _occupation_lp(mdp, bounds, objective, epigraph=False):
     zero, and residuals its flow-balance, mass and sign errors.  Raises
     RuntimeError on solver failure or a flow residual above FLOW_TOL.
     """
-    kappa = mdp.constraint_bounds if bounds is None else np.asarray(bounds, dtype=float)
-    n_layers = kappa.shape[0]
-    if mdp.costs.shape[0] != n_layers + 1:
-        raise ValueError(f"{mdp.costs.shape[0] - 1} cost layers but {n_layers} budgets")
-    s, a = mdp.n_states, mdp.n_actions
+    (s, a), n_layers = _dims(mdp), mdp.n_layers
     eye = np.repeat(np.eye(s)[:, :, None], a, axis=2)
-    flow = (eye - mdp.discount * np.moveaxis(mdp.kernel, 2, 0)).reshape(s, s * a)
+    flow = (eye - mdp.discount * np.moveaxis(mdp.transitions, 2, 0)).reshape(s, s * a)
     b_eq = (1.0 - mdp.discount) * mdp.initial
-    a_ub = mdp.costs[1:].reshape(n_layers, s * a) if n_layers else None
-    b_ub = kappa if n_layers else None
+    a_ub = mdp.costs[0, 1:].reshape(n_layers, s * a) if n_layers else None
+    b_ub = mdp.constraint_bounds[0] if n_layers else None
     a_eq, box = flow, (0, None)
     if epigraph:
         a_eq = np.hstack([flow, np.zeros((s, 1))])
@@ -156,16 +166,17 @@ def _occupation_lp(mdp, bounds, objective, epigraph=False):
     return res.x, np.maximum(occ.reshape(s, a), 0.0), residuals
 
 
-def constrained_best_response(mdp, bounds=None):
+def constrained_best_response(mdp):
     """Minimize the objective layer over occupation measures meeting the
     budget rows.  Returns status 'infeasible' when no strategy meets them."""
-    s, a, layers = mdp.n_states, mdp.n_actions, mdp.costs.shape[0]
-    lp = _occupation_lp(mdp, bounds, mdp.costs[0].reshape(s * a))
+    (s, a), layers = _dims(mdp), mdp.n_layers + 1
+    costs = mdp.costs[0].reshape(layers, s * a)
+    lp = _occupation_lp(mdp, costs[0])
     if lp is None:
         return BestResponseResult("infeasible", math.nan, np.full(layers, math.nan),
                                   OccupationMeasure(np.zeros((s, a))), np.full((s, a), math.nan))
     x, theta, residuals = lp
-    layer_values = mdp.costs.reshape(layers, s * a) @ x
+    layer_values = costs @ x
     return BestResponseResult(
         status="optimal",
         value=float(layer_values[0]),
@@ -176,27 +187,28 @@ def constrained_best_response(mdp, bounds=None):
     )
 
 
-def feasibility(mdp, bounds=None):
+def feasibility(mdp):
     """Is any strategy within the budgets?  Returns (bool, witness policy or None)."""
-    lp = _occupation_lp(mdp, bounds, np.zeros(mdp.n_states * mdp.n_actions))
+    s, a = _dims(mdp)
+    lp = _occupation_lp(mdp, np.zeros(s * a))
     if lp is None:
         return False, None
     return True, recover_strategy(lp[1])
 
 
-def slater_margin(mdp, bounds=None):
+def slater_margin(mdp):
     """Epigraph LP for the best uniform constraint slack.
 
     Maximizes z subject to flow balance and sum c_l theta + z <= kappa_l for
     every layer.  A strictly positive margin certifies a strict (Slater)
     point; for an MDP without constraint layers the margin is +inf.
     """
-    s, a = mdp.n_states, mdp.n_actions
+    s, a = _dims(mdp)
     if mdp.n_layers == 0:
         return SlaterResult(math.inf, np.full((s, a), 1.0 / a))
     obj = np.zeros(s * a + 1)
     obj[-1] = -1.0
-    lp = _occupation_lp(mdp, bounds, obj, epigraph=True)
+    lp = _occupation_lp(mdp, obj, epigraph=True)
     if lp is None:
         raise RuntimeError("slack LP reported infeasible; flow polytope should never be empty")
     x, theta, _ = lp
@@ -222,15 +234,15 @@ def optimal_policy_values(mdp, layer=0):
     Howard iteration with lowest-index greedy tie-breaking terminates finitely
     and gives values exact up to the linear-solve residual.
     """
-    s, a = mdp.n_states, mdp.n_actions
-    costs = mdp.costs[layer]
+    s, a = _dims(mdp)
+    costs = mdp.costs[0, layer]
     policy_idx = np.argmin(costs, axis=1)
     for _ in range(max(1000, 20 * s * a)):
         policy = np.zeros((s, a))
         policy[np.arange(s), policy_idx] = 1.0
         _, jx = evaluate_policy(mdp, policy)
         v = jx[layer]
-        q = (1.0 - mdp.discount) * costs + mdp.discount * mdp.kernel @ v
+        q = (1.0 - mdp.discount) * costs + mdp.discount * mdp.transitions @ v
         greedy = np.argmin(q, axis=1)
         improved = q[np.arange(s), greedy] < q[np.arange(s), policy_idx] - 1e-13
         if not np.any(improved):

@@ -254,6 +254,9 @@ def cmd_evaluate(args):
 
 
 def cmd_simulate(args):
+    _require_finite(args.tol, "--tol")
+    if args.tol <= 0:
+        raise ValidationFailure("--tol must be positive")
     game, _ = load_game(args.game)
     strategy = load_strategy(args.strategy)
     if isinstance(strategy, StationaryProfile):
@@ -296,10 +299,7 @@ def cmd_best_respond(args):
         "value": result.value,
         "layer_values": result.layer_values,
         "residuals": result.residuals,
-    }, {
-        "strategy": {"schema": STRATEGY_SCHEMA, "class": "stationary",
-                     "rows": [result.strategy]},
-    }, EXIT_OK
+    }, {"strategy": strategy_to_payload(StationaryProfile((result.strategy,)))}, EXIT_OK
 
 
 def cmd_verify(args):

@@ -435,6 +435,8 @@ def correlated_limit_sequence(game, epsilon0, n_levels, config=SearchConfig()):
     """
     if not epsilon0 > 0.0:
         raise ValueError(f"epsilon0 must be positive; got {epsilon0}")
+    if n_levels < 0:
+        raise ValueError(f"n_levels must be nonnegative; got {n_levels}")
     levels = []
     warm = None
     completed = True

@@ -5,6 +5,10 @@ Every exact evaluation, and the occupation measure of best_response, goes
 through one LU solve of (I - alpha * K) x = b in `_discounted_solve`, checked
 against RESIDUAL_TOL.  One factorization serves all players and cost layers,
 since the kernel under a fixed joint strategy does not depend on them.
+
+The constrained MDP one player faces against fixed opponents (`induced_mdp`)
+is a one-player FiniteCSG, so every game function applies to it; its budgets
+are overridden with dataclasses.replace(mdp, constraint_bounds=[[...]]).
 """
 
 import math
@@ -15,6 +19,7 @@ import scipy.linalg
 
 from .game import (
     CorrelatedStrategy,
+    FiniteCSG,
     MarkovStrategy,
     StationaryProfile,
     _row_product,
@@ -23,7 +28,6 @@ from .game import (
 
 __all__ = [
     "CostVector",
-    "InducedMDP",
     "SimulationResult",
     "evaluate_correlated",
     "evaluate_profile",
@@ -54,44 +58,6 @@ class CostVector:
         Jx.setflags(write=False)
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "Jx", Jx)
-
-
-@dataclass(frozen=True)
-class InducedMDP:
-    """Single-player constrained MDP seen by one player when the others have
-    fixed their (possibly correlated) behavior.
-
-    costs has shape (L+1, S, A_i); kernel has shape (S, A_i, S).
-    """
-
-    player: int
-    costs: np.ndarray
-    kernel: np.ndarray
-    discount: float
-    initial: np.ndarray
-    constraint_bounds: np.ndarray
-    cost_bound: float
-
-    def __post_init__(self):
-        for name in ("costs", "kernel", "initial", "constraint_bounds"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        object.__setattr__(self, "player", int(self.player))
-        object.__setattr__(self, "discount", float(self.discount))
-        object.__setattr__(self, "cost_bound", float(self.cost_bound))
-
-    @property
-    def n_states(self):
-        return self.kernel.shape[0]
-
-    @property
-    def n_actions(self):
-        return self.kernel.shape[1]
-
-    @property
-    def n_layers(self):
-        return self.costs.shape[0] - 1
 
 
 @dataclass(frozen=True)
@@ -189,7 +155,7 @@ def evaluate_markov(game, player, others, strategy):
 def induced_mdp_from_marginal(game, player, marginal):
     """Constrained MDP faced by `player` when the others' joint behavior is the
     per-state distribution `marginal` over their profiles (row-major with the
-    player's axis removed)."""
+    player's axis removed), as a one-player FiniteCSG with n_actions (A_i,)."""
     marginal = np.asarray(marginal, dtype=float)
     s = game.n_states
     a_i = game.n_actions[player]
@@ -203,15 +169,8 @@ def induced_mdp_from_marginal(game, player, marginal):
     trans_t = np.moveaxis(trans_t, 1 + player, -2).reshape(s, p_minus, a_i, s)
     costs = np.einsum("sm,lsma->lsa", marginal, cost_t)
     kernel = np.einsum("sm,smat->sat", marginal, trans_t)
-    return InducedMDP(
-        player=player,
-        costs=costs,
-        kernel=kernel,
-        discount=game.discount,
-        initial=game.initial,
-        constraint_bounds=game.constraint_bounds[player],
-        cost_bound=game.cost_bound,
-    )
+    return FiniteCSG((a_i,), costs[None], kernel, game.discount, game.initial,
+                     game.constraint_bounds[player:player + 1], game.cost_bound)
 
 
 def induced_mdp(game, player, others):
@@ -224,17 +183,13 @@ def induced_mdp(game, player, others):
 
 
 def evaluate_policy(mdp, policy):
-    """Exact per-layer values of a stationary policy in an induced MDP.
+    """Exact per-layer values of a stationary policy in a one-player game,
+    such as an induced MDP.
 
     Returns (J, Jx) with shapes (L+1,) and (L+1, S).
     """
-    policy = np.asarray(policy, dtype=float)
-    if policy.shape != (mdp.n_states, mdp.n_actions):
-        raise ValueError(f"policy must have shape {(mdp.n_states, mdp.n_actions)}")
-    kernel = np.einsum("sa,sat->st", policy, mdp.kernel)
-    costs = np.einsum("sa,lsa->ls", policy, mdp.costs)
-    jx = _discounted_solve(kernel, mdp.discount, (1.0 - mdp.discount) * costs.T).T
-    return jx @ mdp.initial, jx
+    cv = evaluate_correlated(mdp, CorrelatedStrategy(mdp.n_actions, policy))
+    return cv.J[0], cv.Jx[0]
 
 
 def simulation_horizon(tol, discount, cost_bound):
@@ -243,6 +198,8 @@ def simulation_horizon(tol, discount, cost_bound):
     Uses the tail bound (1 - alpha) * sum_{t > T} alpha^(t-1) b = alpha^T b,
     with an extra (1 - alpha) safety factor folded into the target.
     """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive; got {tol}")
     if cost_bound <= 0.0:
         return 1
     target = tol * (1.0 - discount) / cost_bound

@@ -17,7 +17,7 @@ the density's sign and leaves the rest to validate_game.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -391,12 +391,4 @@ def renormalize(game):
     init = np.clip(game.initial, 0.0, None)
     if init.sum() <= 0.0:
         raise ValueError("cannot renormalize an initial distribution with no mass")
-    return FiniteCSG(
-        n_actions=game.n_actions,
-        costs=game.costs,
-        transitions=trans / sums,
-        discount=game.discount,
-        initial=init / init.sum(),
-        constraint_bounds=game.constraint_bounds,
-        cost_bound=game.cost_bound,
-    )
+    return replace(game, transitions=trans / sums, initial=init / init.sum())

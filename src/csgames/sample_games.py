@@ -7,6 +7,8 @@ into an absorbing state that costs forever.  Its constrained optimum is a
 genuine randomized strategy, computable in closed form.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from .discretization import Partition
@@ -63,15 +65,7 @@ def constrained_trap_game(discount=0.5, budget=0.6):
     """
     base = trap_game(discount)
     costs = np.concatenate([base.costs, [[[[1.0, 0.0], [0.0, 0.0]]]]], axis=1)
-    return FiniteCSG(
-        n_actions=base.n_actions,
-        costs=costs,
-        transitions=base.transitions,
-        discount=discount,
-        initial=base.initial,
-        constraint_bounds=np.array([[budget]]),
-        cost_bound=base.cost_bound,
-    )
+    return replace(base, costs=costs, constraint_bounds=[[budget]])
 
 
 def trap_profile(q, n_states=2):
@@ -185,16 +179,7 @@ def random_constrained_game(rng, n_players=1, n_states=2, n_actions=(2,),
     game = random_game(rng, n_players, n_states, n_actions, n_layers, discount)
     witness = random_profile(rng, game)
     values = evaluate_profile(game, witness).J
-    bounds = values[:, 1:] + slack
-    return FiniteCSG(
-        n_actions=game.n_actions,
-        costs=game.costs,
-        transitions=game.transitions,
-        discount=game.discount,
-        initial=game.initial,
-        constraint_bounds=bounds,
-        cost_bound=game.cost_bound,
-    )
+    return replace(game, constraint_bounds=values[:, 1:] + slack)
 
 
 def random_profile(rng, game):

@@ -17,8 +17,8 @@ import numpy as np
 import scipy.linalg
 
 from .best_response import OccupationMeasure
-from .evaluation import evaluate_policy, induced_mdp
-from .game import FiniteCSG
+from .evaluation import evaluate_policy, evaluate_profile, induced_mdp
+from .game import FiniteCSG, StationaryProfile
 
 __all__ = [
     "CaratheodoryCertificate",
@@ -177,19 +177,19 @@ def markov_replacement(game, partition, player, others, strategy, horizon):
     others = [np.asarray(r, dtype=float) for r in others]
     mdp = induced_mdp(game, player, others)
     _require_cellwise_constant(
-        np.moveaxis(mdp.costs, 1, 0), partition.cells, "induced cost table")
-    _require_cellwise_constant(mdp.kernel, partition.cells, "induced kernel")
+        np.moveaxis(mdp.costs[0], 1, 0), partition.cells, "induced cost table")
+    _require_cellwise_constant(mdp.transitions, partition.cells, "induced kernel")
     strategy = np.asarray(strategy, dtype=float)
     _, continuation = evaluate_policy(mdp, strategy)
     # One-step payoff of playing a now and the stationary strategy after.
-    payoffs = ((1.0 - mdp.discount) * mdp.costs
-               + mdp.discount * np.einsum("sat,lt->lsa", mdp.kernel, continuation))
+    payoffs = ((1.0 - mdp.discount) * mdp.costs[0]
+               + mdp.discount * np.einsum("sat,lt->lsa", mdp.transitions, continuation))
     head = []
     occupancy = mdp.initial.copy()
     for _ in range(horizon):
         step = cellwise_match(partition, payoffs, occupancy, strategy)
         head.append(step)
-        step_kernel = np.einsum("sa,sat->st", step, mdp.kernel)
+        step_kernel = np.einsum("sa,sat->st", step, mdp.transitions)
         occupancy = occupancy @ step_kernel
     return MarkovReplacement(
         head=tuple(head),
@@ -338,9 +338,6 @@ def wessels_cost_relation(game, omega, beta, profile, tol=1e-8):
     The profile is extended to the absorbing state with uniform rows (its
     costs vanish there, so the choice is immaterial).
     """
-    from .evaluation import evaluate_profile
-    from .game import StationaryProfile
-
     wg = wessels_transform(game, omega, beta)
     extended = StationaryProfile(tuple(
         np.vstack([rows, np.full((1, rows.shape[1]), 1.0 / rows.shape[1])])

@@ -25,7 +25,7 @@ def value_iteration(mdp, layer=0, sweeps=20000, tol=1e-13):
     LP and policy-iteration paths."""
     v = np.zeros(mdp.n_states)
     for _ in range(sweeps):
-        q = (1.0 - mdp.discount) * mdp.costs[layer] + mdp.discount * mdp.kernel @ v
+        q = (1.0 - mdp.discount) * mdp.costs[0, layer] + mdp.discount * mdp.transitions @ v
         nxt = q.min(axis=1)
         if np.max(np.abs(nxt - v)) < tol:
             return nxt
@@ -75,7 +75,7 @@ def test_occupation_mass_and_costs(rng):
         mdp = induced_mdp(game, 0, [])
         theta = occupation_measure(mdp, profile.rows[0])
         assert abs(theta.mass - 1.0) <= 1e-10
-        values = mdp.costs.reshape(2, -1) @ theta.table.reshape(-1)
+        values = mdp.costs[0].reshape(2, -1) @ theta.table.reshape(-1)
         np.testing.assert_allclose(values, evaluate_profile(game, profile).J[0],
                                    atol=1e-10)
 
@@ -125,7 +125,7 @@ def test_trap_constrained_optimum(ctrap):
 
 def test_impossible_budget_is_infeasible(ctrap):
     mdp = induced_mdp(ctrap, 0, [])
-    result = constrained_best_response(mdp, bounds=np.array([-1.0]))
+    result = constrained_best_response(replace(mdp, constraint_bounds=[[-1.0]]))
     assert result.status == "infeasible"
     assert not result.feasible
     assert np.isnan(result.value)
@@ -157,9 +157,9 @@ def test_feasibility_cases(ctrap):
     assert ok
     j = evaluate_profile(ctrap, StationaryProfile((witness,))).J[0]
     assert j[1] <= ctrap.constraint_bounds[0, 0] + 1e-9
-    always, _ = feasibility(mdp, bounds=np.array([1.0]))
+    always, _ = feasibility(replace(mdp, constraint_bounds=[[1.0]]))
     assert always
-    impossible, none = feasibility(mdp, bounds=np.array([-0.1]))
+    impossible, none = feasibility(replace(mdp, constraint_bounds=[[-0.1]]))
     assert not impossible
     assert none is None
 
@@ -190,7 +190,7 @@ def test_slater_margin_boundary(ctrap):
 
 def test_slater_margin_infeasible_is_negative(ctrap):
     mdp = induced_mdp(ctrap, 0, [])
-    result = slater_margin(mdp, bounds=np.array([-0.25]))
+    result = slater_margin(replace(mdp, constraint_bounds=[[-0.25]]))
     assert result.margin < 0.0
     assert abs(result.margin - (-0.25)) <= 1e-8
 
@@ -276,7 +276,18 @@ def test_discounted_solve_rejects_singular_kernel(trap):
     # Kernel rows summing to 1/alpha make I - alpha K singular: the occupation
     # measure and the policy values must refuse it instead of returning NaN.
     mdp = induced_mdp(trap, 0, [])
-    bad = replace(mdp, kernel=mdp.kernel / mdp.discount)
+    bad = replace(mdp, transitions=mdp.transitions / mdp.discount)
     for solve in (occupation_measure, evaluate_policy):
         with pytest.raises(RuntimeError):
             solve(bad, np.full((2, 2), 0.5))
+
+
+def test_multi_player_game_is_refused(pair):
+    # A two-player game's joint profiles are not one player's actions; the
+    # oracles take induced MDPs, one-player games, only.
+    policy = np.full((pair.n_states, pair.n_profiles), 1.0 / pair.n_profiles)
+    calls = [constrained_best_response, feasibility, slater_margin, optimal_policy_values,
+             lambda game: occupation_measure(game, policy)]
+    for call in calls:
+        with pytest.raises(ValueError, match="expected a one-player game"):
+            call(pair)

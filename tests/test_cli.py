@@ -346,6 +346,28 @@ def test_non_finite_thresholds_exit_3(tmp_path, capsys, value):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+def test_simulate_rejects_non_positive_tol(tmp_path, capsys, value):
+    # Unchecked, NaN failed inside the horizon computation with "cannot
+    # convert float NaN to integer" and 0 or -1 with "math domain error".
+    game = write_game(tmp_path, sample_games.constrained_trap_game())
+    strat = write_profile(tmp_path, sample_games.trap_profile(0.75))
+    out = tmp_path / "out"
+    assert main(["simulate", game, strat, f"--tol={value}",
+                 "--out-dir", str(out)]) == EXIT_VALIDATION
+    assert "--tol must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sequence_negative_level_count_exits_3(tmp_path, capsys):
+    game = write_game(tmp_path, sample_games.decoupled_pair())
+    out = tmp_path / "out"
+    assert main(["correlated-sequence", game, "--eps0", "0.2", "--n=-1",
+                 "--out-dir", str(out)]) == EXIT_VALIDATION
+    assert "n_levels must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spec_shape_error_names_spec_fields(tmp_path, capsys):
     doc = spec_to_payload(sample_games.linear_cost_grid_spec(11))
     doc["costs"] = np.array(doc["costs"])[:, :, :10].tolist()

@@ -296,6 +296,13 @@ def test_sequence_rejects_non_positive_epsilon0(pair, epsilon0):
         correlated_limit_sequence(pair, epsilon0, 1)
 
 
+def test_sequence_rejects_negative_level_count(pair):
+    # With n_levels = -1 the sequence searched nothing and reported
+    # completed=True with no levels.
+    with pytest.raises(ValueError, match="n_levels must be nonnegative"):
+        correlated_limit_sequence(pair, 0.2, -1)
+
+
 def reference_search(game, config, initial=None):
     """The search as it was before certificates handed back their best
     responses: 3N LPs per iteration, N of them solved again for the damped

@@ -1,5 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csgames import (
     FiniteCSG,
@@ -12,6 +16,7 @@ from csgames import (
     product_strategy,
     simulate,
     simulation_horizon,
+    validate_game,
 )
 from csgames import sample_games
 
@@ -199,10 +204,16 @@ def test_simulation_horizon_bounds_tail():
     assert alpha ** (horizon - 1) * b > 1e-6 * (1.0 - alpha)
 
 
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
+def test_simulation_horizon_rejects_non_positive_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        simulation_horizon(tol, 0.5, 1.0)
+
+
 def test_induced_mdp_single_player_identity(ctrap):
     mdp = induced_mdp(ctrap, 0, [])
-    np.testing.assert_array_equal(mdp.costs, ctrap.costs[0])
-    np.testing.assert_array_equal(mdp.kernel, ctrap.transitions)
+    np.testing.assert_array_equal(mdp.costs[0], ctrap.costs[0])
+    np.testing.assert_array_equal(mdp.transitions, ctrap.transitions)
 
 
 def test_induced_mdp_deterministic_opponent(rng):
@@ -212,9 +223,9 @@ def test_induced_mdp_deterministic_opponent(rng):
     mdp = induced_mdp(game, 0, [fixed])
     # opponent pinned on action 1: profiles (a, 1) in row-major order
     trans = game.transitions.reshape(2, 2, 2, 2)
-    np.testing.assert_allclose(mdp.kernel, trans[:, :, 1, :], atol=1e-15)
+    np.testing.assert_allclose(mdp.transitions, trans[:, :, 1, :], atol=1e-15)
     costs = game.costs[0].reshape(-1, 2, 2, 2)
-    np.testing.assert_allclose(mdp.costs, costs[:, :, :, 1], atol=1e-15)
+    np.testing.assert_allclose(mdp.costs[0], costs[:, :, :, 1], atol=1e-15)
 
 
 def test_induced_mdp_uniform_opponent_averages(rng):
@@ -223,7 +234,7 @@ def test_induced_mdp_uniform_opponent_averages(rng):
     uniform = np.full((2, 2), 0.5)
     mdp = induced_mdp(game, 0, [uniform])
     trans = game.transitions.reshape(2, 2, 2, 2)
-    np.testing.assert_allclose(mdp.kernel, trans.mean(axis=2), atol=1e-15)
+    np.testing.assert_allclose(mdp.transitions, trans.mean(axis=2), atol=1e-15)
 
 
 def test_evaluate_policy_matches_profile(rng):
@@ -241,3 +252,28 @@ def test_evaluate_policy_matches_profile(rng):
 def test_mismatched_strategy_rejected(ctrap):
     with pytest.raises(ValueError):
         evaluate_profile(ctrap, StationaryProfile((np.full((3, 2), 0.5),)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n_players=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_induced_mdp_is_a_one_player_game(n_players, seed):
+    # Each player's induced MDP is a valid one-player game whose policy
+    # values are that player's row of the profile's values.
+    rng = np.random.default_rng(seed)
+    game = sample_games.random_game(rng, n_players=n_players,
+                                    n_states=int(rng.integers(1, 5)),
+                                    n_layers=int(rng.integers(0, 3)))
+    profile = sample_games.random_profile(rng, game)
+    cv = evaluate_profile(game, profile)
+    for i in range(n_players):
+        others = [r for j, r in enumerate(profile.rows) if j != i]
+        mdp = induced_mdp(game, i, others)
+        assert mdp.n_actions == (game.n_actions[i],)
+        assert validate_game(mdp).ok
+        j, jx = evaluate_policy(mdp, profile.rows[i])
+        np.testing.assert_allclose(j, cv.J[i], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(jx, cv.Jx[i], rtol=0, atol=1e-12)
+    if n_players == 1:
+        mdp = induced_mdp(game, 0, [])
+        for f in fields(FiniteCSG):
+            np.testing.assert_array_equal(getattr(mdp, f.name), getattr(game, f.name))
