@@ -4,7 +4,8 @@ Each case below is one CLI run over the committed inputs in
 tests/data/golden/inputs/; its expected outputs are in
 tests/data/golden/<case>/, with the exit code and stdout in run.json.
 Reports are compared after dropping their timing block and reducing input
-paths to file names; every other document is compared byte for byte.
+paths to file names; every other document is compared byte for byte, with
+the inputs directory written as <in> where a document names an input.
 
 Regenerate only when an output change is intended, and say so:
 
@@ -22,8 +23,8 @@ import numpy as np
 import pytest
 
 from csgames import sample_games
-from csgames.cli import _dump, game_to_payload, main, strategy_to_payload
-from csgames.game import StationaryProfile
+from csgames.cli import _dump, game_to_payload, main, spec_to_payload, strategy_to_payload
+from csgames.game import MarkovStrategy, StationaryProfile
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -67,6 +68,20 @@ CASES = {
                       "--n", "2"],
     "verify-rdec-weak": ["verify", "{in}/rdec.game.json", "{in}/rdec.correlated.json",
                          "--concept", "weak-correlated"],
+    "discretize-linear-gamma": ["discretize", "{in}/linear.spec.json", "--gamma", "0.3"],
+    "discretize-linear-epsilon": ["discretize", "{in}/linear.spec.json", "--epsilon", "0.2"],
+    "discretize-smooth-fine": ["discretize", "{in}/smooth.spec.json", "--gamma", "0.05"],
+    "discretize-smooth-coarse": ["discretize", "{in}/smooth.spec.json", "--gamma", "0.3"],
+    "simulate-ctrap": ["simulate", "{in}/ctrap.game.json", "{in}/ctrap.half.json",
+                       "--trajectories", "2000", "--seed", "4"],
+    "simulate-rand2-correlated": ["simulate", "{in}/rand2.game.json",
+                                  "{in}/rand2.correlated.json", "--trajectories", "2000",
+                                  "--seed", "6"],
+    "evaluate-rand2": ["evaluate", "{in}/rand2.game.json", "{in}/rand2.profile.json"],
+    "evaluate-rand3-correlated": ["evaluate", "{in}/rand3.game.json",
+                                  "{in}/rand3.correlated.json"],
+    "evaluate-one-markov": ["evaluate", "{in}/one.game.json", "{in}/one.markov.json"],
+    "transform-ctrap": ["transform", "{in}/ctrap.transform.json"],
 }
 
 
@@ -89,12 +104,23 @@ def write_inputs(directory):
         sample_games.random_constrained_game(np.random.default_rng([8, 2, k]), n_states=s,
                                              slack=0.05, discount=0.6)
         for k, s in ((1, 3), (2, 4))))
+    one = sample_games.random_constrained_game(
+        np.random.default_rng([7, 8]), n_states=5, n_actions=(3,), slack=0.05)
+    heads, tail = sample_games.random_markov_plan(np.random.default_rng([7, 9]), one, 2)
+    smooth = sample_games.random_continuous_spec(
+        np.random.default_rng([7, 7, 0]), n_points=61, n_players=2, n_actions=(2, 1))
     documents = {
         "pair.game.json": game_to_payload(sample_games.decoupled_pair()),
         "ctrap.game.json": game_to_payload(sample_games.constrained_trap_game()),
         "rand2.game.json": game_to_payload(rand2),
         "rand3.game.json": game_to_payload(rand3),
         "rdec.game.json": game_to_payload(rdec),
+        "one.game.json": game_to_payload(one),
+        "ctrap.transform.json": game_to_payload(
+            sample_games.constrained_trap_game(),
+            extra={"transform": {"omega": [3.0, 1.0], "beta": 1.5}}),
+        "linear.spec.json": spec_to_payload(sample_games.linear_cost_grid_spec(101)),
+        "smooth.spec.json": spec_to_payload(smooth),
         "pair.nash.json": strategy_to_payload(StationaryProfile((pair_nash, pair_nash))),
         "pair.off.json": strategy_to_payload(StationaryProfile((pair_off, pair_nash))),
         "pair.safe.json": strategy_to_payload(StationaryProfile((pair_safe, pair_safe))),
@@ -107,6 +133,8 @@ def write_inputs(directory):
             sample_games.random_correlated(np.random.default_rng([7, 5]), rand2)),
         "rand3.correlated.json": strategy_to_payload(
             sample_games.random_correlated(np.random.default_rng([7, 6]), rand3)),
+        "one.markov.json": strategy_to_payload(
+            MarkovStrategy(0, tuple(h.rows[0] for h in heads), tail.rows[0])),
     }
     directory.mkdir(parents=True, exist_ok=True)
     for name, payload in documents.items():
@@ -122,7 +150,7 @@ def run_case(name, out_dir):
     stdout = captured.getvalue().replace(str(out_dir), "<out>")
     outputs = {"run.json": _dump({"argv": CASES[name], "exit_code": code, "stdout": stdout})}
     for path in sorted(out_dir.iterdir()):
-        text = path.read_text()
+        text = path.read_text().replace(str(INPUTS), "<in>")
         if path.name.endswith(".report.json"):
             report = json.loads(text)
             del report["timing"]
