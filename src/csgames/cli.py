@@ -350,13 +350,12 @@ def cmd_solve(args):
 
 
 def cmd_discretize(args):
+    by_gamma = args.gamma is not None
+    _require_finite(args.gamma if by_gamma else args.epsilon,
+                    "--gamma" if by_gamma else "--epsilon")
     spec, _ = load_spec(args.spec)
-    if args.gamma is not None:
-        resolution = args.gamma
-    else:
-        resolution = resolution_for(args.epsilon, spec.discount, spec.cost_bound)
-    if resolution <= 0.0:
-        raise ValidationFailure("resolution must be positive")
+    resolution = (args.gamma if by_gamma
+                  else resolution_for(args.epsilon, spec.discount, spec.cost_bound))
     disc = surrogate_game(spec, build_partition(spec, resolution))
     print(f"{disc.partition.n_cells} cells at resolution {resolution:.6g}; "
           f"certified error {disc.certified_error:.6g}")
@@ -409,6 +408,8 @@ def cmd_correlated_sequence(args):
     game, _ = load_game(args.game)
     if args.eps0 <= 0:
         raise ValidationFailure("--eps0 must be positive")
+    if args.n < 0:
+        raise ValidationFailure("--n must be nonnegative")
     seq = correlated_limit_sequence(game, args.eps0, args.n, SearchConfig(seed=args.seed))
     levels = [{
         "n": level.index,

@@ -7,8 +7,10 @@ within a resolution gamma, simultaneously in per-player costs (summed over
 layers, max over profiles) and in transition densities (max over profiles).
 The density distance is the L1 distance between kernel rows, which equals
 the density difference integrated against the quadrature weights.
-Collapsing each cell to its representative yields a surrogate game whose
-discounted costs differ from the original by at most
+A member must be strictly within gamma of its representative; the greedy
+build_partition meets that by construction and surrogate_game checks it once
+(check_partition) before collapsing each cell to its representative.  The
+surrogate game's discounted costs differ from the original by at most
 
     error_bound(gamma) = gamma * (1 - alpha + b * alpha) / (1 - alpha)
 
@@ -42,7 +44,7 @@ __all__ = [
 
 def error_bound(resolution, discount, cost_bound):
     """Uniform discounted-cost error certified by a partition at `resolution`."""
-    if resolution < 0.0:
+    if not resolution >= 0.0:
         raise ValueError("resolution must be nonnegative")
     if not 0.0 < discount < 1.0:
         raise ValueError("discount must lie in (0, 1)")
@@ -52,7 +54,7 @@ def error_bound(resolution, discount, cost_bound):
 def resolution_for(error, discount, cost_bound):
     """Partition resolution whose certified error equals `error` (inverse of
     error_bound)."""
-    if error < 0.0:
+    if not error >= 0.0:
         raise ValueError("error must be nonnegative")
     if not 0.0 < discount < 1.0:
         raise ValueError("discount must lie in (0, 1)")
@@ -110,18 +112,25 @@ class DiscretizedGame:
     certified_error: float
 
 
-def _cost_distances(game, rep):
-    """Per-point, per-player cost distance to `rep`: sum over layers of the
-    max-over-profiles absolute difference, maximized over players."""
-    diff = np.abs(game.costs - game.costs[:, :, rep:rep + 1, :])
-    return diff.max(axis=3).sum(axis=1).max(axis=0)
+def _distances(game, rep, points=slice(None)):
+    """Cost and density distances of grid `points` to `rep`.  The cost
+    distance sums over layers the max-over-profiles absolute difference and
+    maximizes over players; the density distance is the L1 distance between
+    kernel rows, maximized over profiles."""
+    costs = np.abs(game.costs[:, :, points, :] - game.costs[:, :, rep:rep + 1, :])
+    rows = np.abs(game.transitions[points] - game.transitions[rep:rep + 1])
+    return costs.max(axis=3).sum(axis=1).max(axis=0), rows.sum(axis=2).max(axis=1)
 
 
-def _density_distances(game, rep):
-    """Per-point density distance to `rep`: L1 distance between kernel rows,
-    maximized over profiles."""
-    diff = np.abs(game.transitions - game.transitions[rep:rep + 1])
-    return diff.sum(axis=2).max(axis=1)
+def _require_within(k, cell, distances, resolution):
+    """Raise ValueError unless every member of cell k is strictly within
+    `resolution` of its representative in both distances (NaN fails)."""
+    for name, d in zip(("cost", "density"), distances):
+        if not np.all(d < resolution):
+            raise ValueError(
+                f"cell {k}: point {int(cell[np.argmax(d)])} has {name} distance "
+                f"{d.max():.6g} >= resolution {resolution:.6g}"
+            )
 
 
 def build_partition(spec, resolution):
@@ -129,55 +138,41 @@ def build_partition(spec, resolution):
 
     Each point joins the first existing cell whose representative is strictly
     within `resolution` in both the cost and the density distance, otherwise
-    it opens a new cell with itself as representative.  The result is
-    re-checked with check_partition before it is returned.
+    it opens a new cell with itself as representative.  That is the test
+    check_partition applies, so the partition meets it by construction; a
+    new representative must pass it against itself, which fails only on a
+    NaN row and raises ValueError.
     """
-    if resolution <= 0.0:
+    if not resolution > 0.0:
         raise ValueError("resolution must be positive")
     game = spec.game
-    reps = []
     members = []
-    cost_rows = []
-    density_rows = []
+    rows = []
     for m in range(game.n_states):
-        placed = False
-        for k in range(len(reps)):
-            if cost_rows[k][m] < resolution and density_rows[k][m] < resolution:
-                members[k].append(m)
-                placed = True
+        for cell, (cost, density) in zip(members, rows):
+            if cost[m] < resolution and density[m] < resolution:
+                cell.append(m)
                 break
-        if not placed:
-            reps.append(m)
+        else:
+            cost, density = _distances(game, m)
+            _require_within(len(members), [m], (cost[m:m + 1], density[m:m + 1]), resolution)
             members.append([m])
-            cost_rows.append(_cost_distances(game, m))
-            density_rows.append(_density_distances(game, m))
-    partition = Partition(
-        resolution=resolution,
-        cells=tuple(np.array(c, dtype=int) for c in members),
-        representatives=np.array(reps, dtype=int),
-    )
-    check_partition(spec, partition)
-    return partition
+            rows.append((cost, density))
+    return Partition(resolution=resolution, cells=tuple(members),
+                     representatives=[cell[0] for cell in members])
 
 
 def check_partition(spec, partition):
     """Re-verify the partition invariants against a spec: disjoint cover of
-    the grid and strict resolution conditions for every member.  Raises
-    ValueError on any violation, a NaN distance included."""
+    the grid and strict resolution conditions for every member, computing
+    distances from each representative to its own cell's members only.
+    Raises ValueError on any violation, a NaN distance included."""
     if partition.n_points != spec.n_points:
         raise ValueError(
             f"partition covers {partition.n_points} points, spec has {spec.n_points}"
         )
-    for k, cell in enumerate(partition.cells):
-        rep = int(partition.representatives[k])
-        for name, distances in (("cost", _cost_distances), ("density", _density_distances)):
-            d = distances(spec.game, rep)[cell]
-            if not np.all(d < partition.resolution):
-                worst = int(cell[np.argmax(d)])
-                raise ValueError(
-                    f"cell {k}: point {worst} has {name} distance {d.max():.6g} "
-                    f">= resolution {partition.resolution:.6g}"
-                )
+    for k, (cell, rep) in enumerate(zip(partition.cells, partition.representatives)):
+        _require_within(k, cell, _distances(spec.game, int(rep), cell), partition.resolution)
 
 
 def surrogate_game(spec, partition):
@@ -185,9 +180,11 @@ def surrogate_game(spec, partition):
 
     Surrogate costs copy the representative rows; surrogate transitions put on
     each target cell the representative's kernel mass over that cell's
-    members; the initial distribution aggregates over cells.  Raises
-    ValueError if the aggregated rows fail stochasticity beyond ROW_SUM_TOL
-    (or are NaN), which indicates a malformed spec.
+    members; the initial distribution aggregates over cells.  The partition
+    is checked first (check_partition), the one check per discretization,
+    which also guards partitions built by hand.  Raises ValueError if the
+    aggregated rows fail stochasticity beyond ROW_SUM_TOL (or are NaN), which
+    indicates a malformed spec.
     """
     check_partition(spec, partition)
     game = spec.game

@@ -329,18 +329,23 @@ def test_transform_missing_block_exits_3(tmp_path):
 def test_non_finite_thresholds_exit_3(tmp_path, capsys, value):
     # A NaN threshold fails no `x > threshold` test, so before it was
     # rejected `verify --epsilon nan` printed PASS and exited 0; so did
-    # `--tol inf` on a correlated strategy that breaks its budget.
+    # `--tol inf` on a correlated strategy that breaks its budget, and
+    # `discretize --gamma inf` wrote Infinity, which is not JSON, into its
+    # documents.
     game = write_game(tmp_path, sample_games.decoupled_pair())
     strat = write_profile(tmp_path, pair_profile(0.9))
     psi = write_profile(tmp_path, product_strategy(pair_profile(0.9)), "psi.json")
-    runs = {
-        "--epsilon": ["verify", game, strat, "--concept", "approx"],
-        "--tol": ["verify", game, psi, "--concept", "weak-correlated"],
-        "--target-eps": ["solve", game],
-        "--eps0": ["correlated-sequence", game, "--n", "1"],
-    }
-    for flag, argv in runs.items():
-        out = tmp_path / flag.strip("-")
+    spec = write(tmp_path / "spec.json", spec_to_payload(sample_games.linear_cost_grid_spec(11)))
+    runs = [
+        ("--epsilon", ["verify", game, strat, "--concept", "approx"]),
+        ("--tol", ["verify", game, psi, "--concept", "weak-correlated"]),
+        ("--target-eps", ["solve", game]),
+        ("--eps0", ["correlated-sequence", game, "--n", "1"]),
+        ("--gamma", ["discretize", spec]),
+        ("--epsilon", ["discretize", spec]),
+    ]
+    for k, (flag, argv) in enumerate(runs):
+        out = tmp_path / f"out{k}"
         assert main(argv + [f"{flag}={value}", "--out-dir", str(out)]) == EXIT_VALIDATION, flag
         assert f"{flag} must be finite" in capsys.readouterr().err
         assert not out.exists()
@@ -364,7 +369,7 @@ def test_sequence_negative_level_count_exits_3(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["correlated-sequence", game, "--eps0", "0.2", "--n=-1",
                  "--out-dir", str(out)]) == EXIT_VALIDATION
-    assert "n_levels must be nonnegative" in capsys.readouterr().err
+    assert "--n must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -20,6 +20,7 @@ from csgames import (
     verify_approximation_bound,
 )
 from csgames import sample_games
+from csgames.cli import EXIT_OK, _dump, main, spec_to_payload
 
 
 def random_rows(rng, shape):
@@ -74,6 +75,17 @@ def test_error_bound_domain():
         error_bound(0.1, 1.0, 1.0)
     with pytest.raises(ValueError):
         resolution_for(-0.1, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), -np.inf, -0.1])
+def test_nan_or_negative_inputs_are_rejected(value):
+    # `value < 0.0` is false for NaN, so a NaN input once came back as NaN.
+    with pytest.raises(ValueError, match="resolution must be nonnegative"):
+        error_bound(value, 0.5, 1.0)
+    with pytest.raises(ValueError, match="error must be nonnegative"):
+        resolution_for(value, 0.5, 1.0)
+    with pytest.raises(ValueError, match="resolution must be positive"):
+        build_partition(sample_games.linear_cost_grid_spec(n_points=11), value)
 
 
 def test_flat_spec_single_cell():
@@ -269,3 +281,64 @@ def test_grid_of_surrogate_data_matches_surrogate():
         for s in cell:
             np.testing.assert_allclose(lifted_game.costs[:, :, s, :],
                                        spec.costs[:, :, rep, :], atol=1e-15)
+
+
+def reference_build_partition(spec, resolution):
+    """The greedy before it met check_partition by construction: full
+    distance rows for every representative, then a trailing check."""
+    def cost_distances(game, rep):
+        diff = np.abs(game.costs - game.costs[:, :, rep:rep + 1, :])
+        return diff.max(axis=3).sum(axis=1).max(axis=0)
+
+    def density_distances(game, rep):
+        diff = np.abs(game.transitions - game.transitions[rep:rep + 1])
+        return diff.sum(axis=2).max(axis=1)
+
+    if resolution <= 0.0:
+        raise ValueError("resolution must be positive")
+    game = spec.game
+    reps, members, cost_rows, density_rows = [], [], [], []
+    for m in range(game.n_states):
+        placed = False
+        for k in range(len(reps)):
+            if cost_rows[k][m] < resolution and density_rows[k][m] < resolution:
+                members[k].append(m)
+                placed = True
+                break
+        if not placed:
+            reps.append(m)
+            members.append([m])
+            cost_rows.append(cost_distances(game, m))
+            density_rows.append(density_distances(game, m))
+    partition = Partition(resolution=resolution,
+                          cells=tuple(np.array(c, dtype=int) for c in members),
+                          representatives=np.array(reps, dtype=int))
+    check_partition(spec, partition)
+    return partition
+
+
+def test_build_partition_matches_reference(rng, tmp_path, monkeypatch):
+    specs = [sample_games.linear_cost_grid_spec()]
+    for _ in range(8):
+        specs.append(sample_games.random_continuous_spec(
+            rng, n_points=int(rng.integers(15, 62)), n_players=int(rng.integers(1, 3)),
+            n_layers=int(rng.integers(0, 2))))
+    for spec in specs:
+        for resolution in (0.02, 0.1, 0.3, float(rng.uniform(0.05, 1.0)), 5.0):
+            got = build_partition(spec, resolution)
+            want = reference_build_partition(spec, resolution)
+            np.testing.assert_array_equal(got.representatives, want.representatives)
+            assert len(got.cells) == len(want.cells)
+            for a, b in zip(got.cells, want.cells):
+                np.testing.assert_array_equal(a, b)
+
+    # One check per discretize run: surrogate_game's, none in build_partition.
+    calls = []
+    checked = discretization.check_partition
+    monkeypatch.setattr(discretization, "check_partition",
+                        lambda *args: calls.append(1) or checked(*args))
+    path = tmp_path / "spec.json"
+    path.write_text(_dump(spec_to_payload(specs[0])))
+    assert main(["discretize", str(path), "--gamma", "0.3",
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+    assert len(calls) == 1
