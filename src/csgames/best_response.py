@@ -10,7 +10,9 @@ and every layer cost is the linear functional sum theta * c.  Minimizing the
 objective layer over this polytope subject to the budget rows is the
 constrained best response; the optimal policy is recovered by disintegration.
 One LP builder, `_occupation_lp`, sets up and checks this program for the
-best response, the feasibility test and the Slater margin.
+best response, the feasibility test and the Slater margin.  It hands each LP
+to HiGHS directly, as one model through scipy's bundled `_highspy` module,
+with one options object built at import from LP_OPTIONS.
 
 Every function here takes the MDP as a one-player FiniteCSG, such as
 `induced_mdp` returns; to solve under other budgets, pass
@@ -21,7 +23,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401  (only for perfbench's tracer hook)
+from scipy.optimize._highspy import _core as _h
 
 from .evaluation import _discounted_solve, evaluate_policy, induced_mdp
 
@@ -40,10 +43,28 @@ __all__ = [
 ]
 
 FLOW_TOL = 1e-9
+SOLUTION_TOL = 1e-9
 LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+
+
+def _highs_options():
+    """LP_OPTIONS plus the settings scipy's linprog(method="highs") passes:
+    presolve on, no output, dual simplex, no debugging."""
+    options = _h.HighsOptions()
+    options.presolve = "on"
+    options.output_flag = False
+    options.log_to_console = False
+    options.simplex_strategy = _h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = _h.HighsDebugLevel.kHighsDebugLevelNone
+    for key, value in LP_OPTIONS.items():
+        setattr(options, key, value)
+    return options
+
+
+_HIGHS_OPTIONS = _highs_options()
 
 
 @dataclass(frozen=True)
@@ -141,20 +162,16 @@ def _occupation_lp(mdp, objective, epigraph=False):
     eye = np.repeat(np.eye(s)[:, :, None], a, axis=2)
     flow = (eye - mdp.discount * np.moveaxis(mdp.transitions, 2, 0)).reshape(s, s * a)
     b_eq = (1.0 - mdp.discount) * mdp.initial
-    a_ub = mdp.costs[0, 1:].reshape(n_layers, s * a) if n_layers else None
-    b_ub = mdp.constraint_bounds[0] if n_layers else None
-    a_eq, box = flow, (0, None)
+    a_ub, b_ub = mdp.costs[0, 1:].reshape(n_layers, s * a), mdp.constraint_bounds[0]
+    a_eq, lower = flow, np.zeros(s * a)
     if epigraph:
         a_eq = np.hstack([flow, np.zeros((s, 1))])
         a_ub = np.hstack([a_ub, np.ones((n_layers, 1))])
-        box = [(0, None)] * (s * a) + [(None, None)]
-    res = linprog(objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=box, method="highs", options=LP_OPTIONS)
-    if res.status not in (0, 2):
-        raise RuntimeError(f"LP solver failure (status {res.status}): {res.message}")
-    if res.status == 2:
+        lower = np.append(lower, -np.inf)
+    x = _solve(objective, a_ub, b_ub, a_eq, b_eq, lower)
+    if x is None:
         return None
-    occ = res.x[:s * a]
+    occ = x[:s * a]
     residuals = {
         "flow_balance": float(np.max(np.abs(flow @ occ - b_eq))),
         "mass": abs(float(occ.sum()) - 1.0),
@@ -163,7 +180,56 @@ def _occupation_lp(mdp, objective, epigraph=False):
     if not residuals["flow_balance"] <= FLOW_TOL:
         raise RuntimeError(f"LP flow-balance residual {residuals['flow_balance']:.3e} "
                            f"exceeds {FLOW_TOL:.1e}")
-    return res.x, np.maximum(occ.reshape(s, a), 0.0), residuals
+    return x, np.maximum(occ.reshape(s, a), 0.0), residuals
+
+
+def _solve(objective, a_ub, b_ub, a_eq, b_eq, lower):
+    """Minimize objective @ x subject to a_ub @ x <= b_ub, a_eq @ x == b_eq
+    and x >= lower, as one HiGHS model whose rows are the budget rows
+    followed by the flow rows.
+
+    Returns x, or None when HiGHS proves the LP infeasible.  Raises
+    RuntimeError on any other outcome but an optimum, and on an optimum that
+    holds a NaN or breaks a bound, a budget row or an equality row by more
+    than SOLUTION_TOL (scipy's linprog applies the same test, at its looser
+    default tolerance of sqrt(1e-9) * 10).
+    """
+    columns = np.vstack([a_ub, a_eq]).T
+    nonzero = columns != 0
+    n_ub, (n_cols, n_rows) = len(b_ub), columns.shape
+    lp = _h.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_cols
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
+    # The compressed-column form of the matrix, as scipy.sparse.csc_array builds it.
+    lp.a_matrix_.format_ = _h.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
+    lp.a_matrix_.index_ = np.nonzero(nonzero)[1]
+    lp.a_matrix_.value_ = columns[nonzero]
+    lp.col_cost_ = objective
+    lp.col_lower_ = lower
+    lp.col_upper_ = np.full(n_cols, np.inf)
+    lp.row_lower_ = np.concatenate([np.full(n_ub, -np.inf), b_eq])
+    lp.row_upper_ = np.concatenate([b_ub, b_eq])
+    highs = _h._Highs()
+    error = _h.HighsStatus.kError
+    if (highs.passOptions(_HIGHS_OPTIONS) == error or highs.passModel(lp) == error
+            or highs.run() == error):
+        raise RuntimeError("LP solver failure: HiGHS reported an error "
+                           f"({highs.modelStatusToString(highs.getModelStatus())})")
+    status = highs.getModelStatus()
+    if status == _h.HighsModelStatus.kInfeasible:
+        return None
+    if status != _h.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"LP solver failure: {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    x, row_value = np.array(solution.col_value), np.array(solution.row_value)
+    slack = b_ub - row_value[:n_ub]
+    con = b_eq - row_value[n_ub:]
+    if (np.isnan(x).any() or np.isnan(row_value).any() or (x < lower - SOLUTION_TOL).any()
+            or (slack < -SOLUTION_TOL).any() or (np.abs(con) > SOLUTION_TOL).any()):
+        raise RuntimeError(f"LP solution breaks a bound or constraint by more than "
+                           f"{SOLUTION_TOL:.1e} although HiGHS reported it optimal")
+    return x
 
 
 def constrained_best_response(mdp):

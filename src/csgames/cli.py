@@ -351,11 +351,12 @@ def cmd_solve(args):
 
 def cmd_discretize(args):
     by_gamma = args.gamma is not None
-    _require_finite(args.gamma if by_gamma else args.epsilon,
-                    "--gamma" if by_gamma else "--epsilon")
+    value, flag = (args.gamma, "--gamma") if by_gamma else (args.epsilon, "--epsilon")
+    _require_finite(value, flag)
+    if value <= 0:
+        raise ValidationFailure(f"{flag} must be positive")
     spec, _ = load_spec(args.spec)
-    resolution = (args.gamma if by_gamma
-                  else resolution_for(args.epsilon, spec.discount, spec.cost_bound))
+    resolution = value if by_gamma else resolution_for(value, spec.discount, spec.cost_bound)
     disc = surrogate_game(spec, build_partition(spec, resolution))
     print(f"{disc.partition.n_cells} cells at resolution {resolution:.6g}; "
           f"certified error {disc.certified_error:.6g}")

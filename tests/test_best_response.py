@@ -1,7 +1,11 @@
+import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
 
 from csgames import (
     FiniteCSG,
@@ -17,7 +21,9 @@ from csgames import (
     slater_margin,
     slater_scan,
 )
-from csgames import sample_games
+from csgames import best_response, sample_games
+from csgames.best_response import LP_OPTIONS
+from csgames.cli import EXIT_SOLVER, _dump, game_to_payload, main, strategy_to_payload
 
 
 def value_iteration(mdp, layer=0, sweeps=20000, tol=1e-13):
@@ -291,3 +297,129 @@ def test_multi_player_game_is_refused(pair):
     for call in calls:
         with pytest.raises(ValueError, match="expected a one-player game"):
             call(pair)
+
+
+def test_direct_highs_matches_linprog(monkeypatch):
+    # Each LP goes to HiGHS as one model; scipy's linprog, given the same
+    # matrices, bounds and LP_OPTIONS, must report the same status and the
+    # same x to the last bit.  Budgets uniform in [-1, 1] are often
+    # unreachable, so infeasible LPs are among them.
+    lps = []
+
+    def recording(*args):
+        x = solve(*args)
+        lps.append((args, x))
+        return x
+
+    solve = best_response._solve
+    monkeypatch.setattr(best_response, "_solve", recording)
+    for seed in range(60):
+        rng = np.random.default_rng([7, seed])
+        s, a, n_layers = int(rng.integers(2, 41)), int(rng.integers(2, 6)), int(rng.integers(0, 3))
+        mdp = sample_games.random_game(rng, n_players=1, n_states=s, n_actions=(a,),
+                                       n_layers=n_layers)
+        constrained_best_response(mdp)
+        feasibility(mdp)
+        if n_layers:
+            slater_margin(mdp)
+    statuses = set()
+    for (objective, a_ub, b_ub, a_eq, b_eq, lower), x in lps:
+        budgets = {"A_ub": a_ub, "b_ub": b_ub} if len(b_ub) else {}
+        bounds = [(low, None) for low in lower]
+        res = linprog(objective, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs",
+                      options=LP_OPTIONS, **budgets)
+        assert res.status in (0, 2)
+        assert (x is None) == (res.status == 2)
+        if x is not None:
+            assert np.array_equal(x, res.x)
+        statuses.add((res.status, lower[-1] == -np.inf))
+    assert statuses == {(0, False), (2, False), (0, True)}
+
+
+def test_private_highs_surface_is_pinned():
+    # The LPs use scipy's private HiGHS binding; a scipy that moves or
+    # renames any of this fails here, not in a certificate.
+    assert best_response._h is _core
+    for name in ("_Highs", "HighsLp", "HighsOptions", "MatrixFormat", "HighsModelStatus",
+                 "HighsStatus", "HighsDebugLevel", "simplex_constants"):
+        assert hasattr(_core, name), name
+    for enum, member in ((_core.MatrixFormat, "kColwise"), (_core.HighsModelStatus, "kOptimal"),
+                         (_core.HighsModelStatus, "kInfeasible"), (_core.HighsStatus, "kError")):
+        assert hasattr(enum, member), member
+    highs = _core._Highs()
+    assert highs.passOptions(best_response._HIGHS_OPTIONS) == _core.HighsStatus.kOk
+    expected = {**LP_OPTIONS, "presolve": "on", "output_flag": False, "log_to_console": False,
+                "simplex_strategy": int(_core.simplex_constants.SimplexStrategy
+                                        .kSimplexStrategyDual),
+                "highs_debug_level": int(_core.HighsDebugLevel.kHighsDebugLevelNone)}
+    for key, value in expected.items():
+        assert highs.getOptionValue(key) == (_core.HighsStatus.kOk, value), key
+    solution = highs.getSolution()
+    assert hasattr(solution, "col_value") and hasattr(solution, "row_value")
+
+
+def _doctor(field, index, change):
+    """getSolution that passes the solver's answer on with one entry changed."""
+    def getSolution(self):
+        solution = _core._Highs.getSolution(self)
+        values = getattr(solution, field)
+        values[index] = change(values[index])
+        setattr(solution, field, values)
+        return solution
+    return {"getSolution": getSolution}
+
+
+def _use_highs(monkeypatch, methods):
+    doctored = type("DoctoredHighs", (_core._Highs,), methods)
+    monkeypatch.setattr(best_response, "_h", SimpleNamespace(**{**vars(_core), "_Highs": doctored}))
+
+
+# At the constrained trap's optimum x = [0.6, 0.2, 0.2, 0]; row 0 is the
+# budget (0.6, binding) and rows 1-2 are the flow rows.
+DOCTORED = {
+    "column below its bound": _doctor("col_value", 3, lambda v: -2e-9),
+    "budget row over": _doctor("row_value", 0, lambda v: 0.6 + 2e-9),
+    "equality residual": _doctor("row_value", 1, lambda v: v + 2e-9),
+    "NaN": _doctor("col_value", 0, lambda v: math.nan),
+}
+
+
+@pytest.mark.parametrize("case", DOCTORED)
+def test_solution_check_rejects_doctored_optimum(ctrap, monkeypatch, case):
+    _use_highs(monkeypatch, DOCTORED[case])
+    with pytest.raises(RuntimeError, match="breaks a bound or constraint"):
+        constrained_best_response(induced_mdp(ctrap, 0, []))
+
+
+@pytest.mark.parametrize("methods", [
+    _doctor("col_value", 3, lambda v: -5e-10),
+    _doctor("row_value", 0, lambda v: 0.6 + 5e-10),
+    _doctor("row_value", 1, lambda v: v + 5e-10),
+])
+def test_solution_check_allows_errors_within_tolerance(ctrap, monkeypatch, methods):
+    _use_highs(monkeypatch, methods)
+    assert constrained_best_response(induced_mdp(ctrap, 0, [])).feasible
+
+
+@pytest.mark.parametrize("methods", [
+    {"getModelStatus": lambda self: _core.HighsModelStatus.kUnboundedOrInfeasible},
+    {"getModelStatus": lambda self: _core.HighsModelStatus.kIterationLimit},
+    {"run": lambda self: _core.HighsStatus.kError},
+    {"passModel": lambda self, lp: _core.HighsStatus.kError},
+])
+def test_solver_failure_raises(ctrap, monkeypatch, methods):
+    _use_highs(monkeypatch, methods)
+    with pytest.raises(RuntimeError, match="LP solver failure"):
+        constrained_best_response(induced_mdp(ctrap, 0, []))
+
+
+@pytest.mark.parametrize("case", DOCTORED)
+def test_best_respond_on_doctored_optimum_exits_4(ctrap, tmp_path, monkeypatch, case):
+    game = tmp_path / "game.json"
+    game.write_text(_dump(game_to_payload(ctrap)))
+    strat = tmp_path / "strategy.json"
+    strat.write_text(_dump(strategy_to_payload(sample_games.trap_profile(0.2))))
+    _use_highs(monkeypatch, DOCTORED[case])
+    out = tmp_path / "out"
+    assert main(["best-respond", str(game), str(strat), "--player", "0",
+                 "--out-dir", str(out)]) == EXIT_SOLVER

@@ -364,6 +364,19 @@ def test_simulate_rejects_non_positive_tol(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("flag", ["--gamma", "--epsilon"])
+def test_discretize_rejects_non_positive_threshold(tmp_path, capsys, flag, value):
+    # Unchecked, `--epsilon=-1` failed with the library's "error must be
+    # nonnegative" and the other three with "resolution must be positive",
+    # naming no flag.
+    spec = write(tmp_path / "spec.json", spec_to_payload(sample_games.linear_cost_grid_spec(11)))
+    out = tmp_path / "out"
+    assert main(["discretize", spec, f"{flag}={value}", "--out-dir", str(out)]) == EXIT_VALIDATION
+    assert f"{flag} must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sequence_negative_level_count_exits_3(tmp_path, capsys):
     game = write_game(tmp_path, sample_games.decoupled_pair())
     out = tmp_path / "out"
