@@ -142,9 +142,7 @@ def strategy_to_payload(strategy):
 
 
 def certificate_to_payload(cert):
-    # A StatewiseCertificate has no concept field; the other certificates'
-    # own concept field overrides the default.
-    return {"schema": CERTIFICATE_SCHEMA, "concept": "statewise", **_plain(cert)}
+    return {"schema": CERTIFICATE_SCHEMA, **_plain(cert)}
 
 
 def _load(path, schema, tag, classes):
@@ -197,9 +195,26 @@ def _require_class(strategy, wanted, path):
     return strategy
 
 
-def _require_finite(value, flag):
-    if not math.isfinite(value):
-        raise ValidationFailure(f"{flag} must be finite; got {value}")
+def _number(flag, convert=float, low=-math.inf, strict=False):
+    """argparse type of a numeric flag.  Text that `convert` cannot parse stays
+    argparse's usage error (exit 2).  A value that is not finite, or lies below
+    `low` (or at it, if strict), raises ValidationFailure, which argparse does
+    not catch and main reports as a validation error (exit 3)."""
+    def parse(text):
+        value = convert(text)
+        # Compared, not converted to float, so a huge int is not an overflow.
+        if not -math.inf < value < math.inf:
+            raise ValidationFailure(f"{flag} must be finite; got {value}")
+        if value < low or (strict and value == low):
+            if low == 0:
+                need = "positive" if strict else "nonnegative"
+            else:
+                need = f"{'greater than' if strict else 'at least'} {low}"
+            raise ValidationFailure(f"{flag} must be {need}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
 
 
 def _run(args):
@@ -254,9 +269,6 @@ def cmd_evaluate(args):
 
 
 def cmd_simulate(args):
-    _require_finite(args.tol, "--tol")
-    if args.tol <= 0:
-        raise ValidationFailure("--tol must be positive")
     game, _ = load_game(args.game)
     strategy = load_strategy(args.strategy)
     if isinstance(strategy, StationaryProfile):
@@ -303,8 +315,6 @@ def cmd_best_respond(args):
 
 
 def cmd_verify(args):
-    _require_finite(args.epsilon, "--epsilon")
-    _require_finite(args.tol, "--tol")
     game, _ = load_game(args.game)
     strategy = load_strategy(args.strategy)
     if args.concept == "weak-correlated":
@@ -328,7 +338,6 @@ def cmd_verify(args):
 
 
 def cmd_solve(args):
-    _require_finite(args.target_eps, "--target-eps")
     game, _ = load_game(args.game)
     config = SearchConfig(restarts=args.restarts, target_epsilon=args.target_eps,
                           seed=args.seed)
@@ -350,13 +359,9 @@ def cmd_solve(args):
 
 
 def cmd_discretize(args):
-    by_gamma = args.gamma is not None
-    value, flag = (args.gamma, "--gamma") if by_gamma else (args.epsilon, "--epsilon")
-    _require_finite(value, flag)
-    if value <= 0:
-        raise ValidationFailure(f"{flag} must be positive")
     spec, _ = load_spec(args.spec)
-    resolution = value if by_gamma else resolution_for(value, spec.discount, spec.cost_bound)
+    resolution = (args.gamma if args.gamma is not None
+                  else resolution_for(args.epsilon, spec.discount, spec.cost_bound))
     disc = surrogate_game(spec, build_partition(spec, resolution))
     print(f"{disc.partition.n_cells} cells at resolution {resolution:.6g}; "
           f"certified error {disc.certified_error:.6g}")
@@ -382,10 +387,7 @@ def cmd_transform(args):
         beta = float(block["beta"])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{args.game}: malformed transform block: {exc}") from exc
-    try:
-        wg = wessels_transform(game, omega, beta)
-    except ValueError as exc:
-        raise ValidationFailure(str(exc)) from exc
+    wg = wessels_transform(game, omega, beta)
     print(f"bounded game with discount {wg.game.discount:.6g}, cost bound {wg.c0:.6g}, "
           f"value scale {wg.value_scale:.6g}")
     return {
@@ -405,12 +407,7 @@ def cmd_transform(args):
 
 
 def cmd_correlated_sequence(args):
-    _require_finite(args.eps0, "--eps0")
     game, _ = load_game(args.game)
-    if args.eps0 <= 0:
-        raise ValidationFailure("--eps0 must be positive")
-    if args.n < 0:
-        raise ValidationFailure("--n must be nonnegative")
     seq = correlated_limit_sequence(game, args.eps0, args.n, SearchConfig(seed=args.seed))
     levels = [{
         "n": level.index,
@@ -455,9 +452,9 @@ def build_parser():
     p = sub.add_parser("simulate", help="Monte Carlo estimate of discounted costs")
     p.add_argument("game")
     p.add_argument("strategy")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trajectories", type=int, default=10000)
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--seed", type=_number("--seed", int, low=0), default=0)
+    p.add_argument("--trajectories", type=_number("--trajectories", int, low=2), default=10000)
+    p.add_argument("--tol", type=_number("--tol", low=0, strict=True), default=1e-6,
                    help="truncation bias target (sets the horizon)")
     add_out(p)
     p.set_defaults(func=cmd_simulate)
@@ -474,26 +471,27 @@ def build_parser():
     p.add_argument("strategy")
     p.add_argument("--concept", choices=["approx", "statewise", "weak-correlated"],
                    default="approx")
-    p.add_argument("--epsilon", type=float, default=0.0,
+    p.add_argument("--epsilon", type=_number("--epsilon"), default=0.0,
                    help="accuracy to certify (approx/statewise)")
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=_number("--tol"), default=1e-8,
                    help="numerical slack (weak-correlated)")
     add_out(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("solve", help="search for an approximate equilibrium")
     p.add_argument("game")
-    p.add_argument("--target-eps", type=float, default=1e-8)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--target-eps", type=_number("--target-eps"), default=1e-8)
+    p.add_argument("--restarts", type=_number("--restarts", int, low=1), default=4)
+    p.add_argument("--seed", type=_number("--seed", int, low=0), default=0)
     add_out(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("discretize", help="partition a gridded game and emit the surrogate")
     p.add_argument("spec")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--gamma", type=float, help="partition resolution")
-    group.add_argument("--epsilon", type=float,
+    group.add_argument("--gamma", type=_number("--gamma", low=0, strict=True),
+                       help="partition resolution")
+    group.add_argument("--epsilon", type=_number("--epsilon", low=0, strict=True),
                        help="target certified error (sets the resolution)")
     add_out(p)
     p.set_defaults(func=cmd_discretize)
@@ -507,9 +505,10 @@ def build_parser():
                        help="halving-target equilibrium sequence with a final "
                             "weak-correlated certificate")
     p.add_argument("game")
-    p.add_argument("--eps0", type=float, required=True)
-    p.add_argument("--n", type=int, required=True, help="last level index")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--eps0", type=_number("--eps0", low=0, strict=True), required=True)
+    p.add_argument("--n", type=_number("--n", int, low=0), required=True,
+                   help="last level index")
+    p.add_argument("--seed", type=_number("--seed", int, low=0), default=0)
     add_out(p)
     p.set_defaults(func=cmd_correlated_sequence)
 
@@ -517,10 +516,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _run(args)
+        return _run(build_parser().parse_args(argv))
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

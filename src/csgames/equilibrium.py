@@ -96,6 +96,7 @@ class StatewiseCertificate:
     epsilon: float
     threshold: float
     passed: bool
+    concept: str = "statewise"
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,21 @@ def _certificate(concept, players, threshold, feas_tol, gap_tol):
     )
 
 
-def verify_approx_equilibrium(game, profile, epsilon,
-                              feas_tol=FEASIBILITY_TOL, gap_tol=GAP_TOL):
+def _induced_mdps(game, profile):
+    """Each player's induced MDP against the other players' rows."""
+    return [induced_mdp(game, i, profile.rows[:i] + profile.rows[i + 1:])
+            for i in range(game.n_players)]
+
+
+def _certify(concept, game, cost_vector, mdps, threshold, feas_tol, gap_tol):
+    """The certificate of the players' cost vector against the constrained
+    best responses in their induced MDPs, and those BestResponseResults."""
+    responses = [constrained_best_response(mdp) for mdp in mdps]
+    players = [_player_certificate(game, cost_vector, i, br) for i, br in enumerate(responses)]
+    return _certificate(concept, players, threshold, feas_tol, gap_tol), responses
+
+
+def verify_approx_equilibrium(game, profile, epsilon):
     """Certify a stationary profile as an approximate equilibrium.
 
     For each player, checks the budgets up to epsilon and compares the
@@ -167,45 +181,27 @@ def verify_approx_equilibrium(game, profile, epsilon,
     epsilon is the max over players of max(feasibility excess, gap); it can
     only dip below zero by solver tolerance.
     """
-    return _approx_certificate(game, profile, epsilon, feas_tol, gap_tol)[0]
+    return _approx_certificate(game, profile, epsilon)[0]
 
 
-def _approx_certificate(game, profile, epsilon, feas_tol=FEASIBILITY_TOL, gap_tol=GAP_TOL):
+def _approx_certificate(game, profile, epsilon):
     """The approximate-equilibrium certificate of a profile, and the
     per-player BestResponseResults it was computed from."""
-    if profile.n_actions != game.n_actions or profile.n_states != game.n_states:
-        raise ValueError("profile does not match the game dimensions")
-    cv = evaluate_profile(game, profile)
-    responses = _best_responses(game, profile)
-    players = [_player_certificate(game, cv, i, br) for i, br in enumerate(responses)]
-    return _certificate("approximate", players, epsilon, feas_tol, gap_tol), responses
+    return _certify("approximate", game, evaluate_profile(game, profile),
+                    _induced_mdps(game, profile), epsilon, FEASIBILITY_TOL, GAP_TOL)
 
 
-def _best_responses(game, profile):
-    """Each player's constrained best response against the others' rows."""
-    return [
-        constrained_best_response(induced_mdp(
-            game, i, [r for j, r in enumerate(profile.rows) if j != i]))
-        for i in range(game.n_players)
-    ]
-
-
-def verify_statewise_equilibrium(game, profile, epsilon, gap_tol=GAP_TOL):
+def verify_statewise_equilibrium(game, profile, epsilon):
     """Certify per-initial-state epsilon-optimality with constraints ignored."""
-    if profile.n_actions != game.n_actions or profile.n_states != game.n_states:
-        raise ValueError("profile does not match the game dimensions")
     cv = evaluate_profile(game, profile)
-    gaps = np.zeros((game.n_players, game.n_states))
-    for i in range(game.n_players):
-        others = [r for j, r in enumerate(profile.rows) if j != i]
-        v_star, _ = optimal_policy_values(induced_mdp(game, i, others), layer=0)
-        gaps[i] = cv.Jx[i, 0] - v_star
+    gaps = np.array([cv.Jx[i, 0] - optimal_policy_values(mdp, layer=0)[0]
+                     for i, mdp in enumerate(_induced_mdps(game, profile))])
     worst = float(np.max(gaps))
     return StatewiseCertificate(
         gaps=gaps,
         epsilon=worst,
         threshold=float(epsilon),
-        passed=bool(worst <= epsilon + gap_tol),
+        passed=bool(worst <= epsilon + GAP_TOL),
     )
 
 
@@ -213,12 +209,9 @@ def verify_weak_correlated(game, psi, tol=GAP_TOL):
     """Certify a correlated strategy: budgets hold and no player improves by
     playing the induced MDP against the others' marginal."""
     cv = evaluate_correlated(game, psi)
-    players = []
-    for i in range(game.n_players):
-        marginal = marginal_excluding(psi, i)
-        br = constrained_best_response(induced_mdp_from_marginal(game, i, marginal))
-        players.append(_player_certificate(game, cv, i, br))
-    return _certificate("weak-correlated", players, 0.0, tol, tol)
+    mdps = [induced_mdp_from_marginal(game, i, marginal_excluding(psi, i))
+            for i in range(game.n_players)]
+    return _certify("weak-correlated", game, cv, mdps, 0.0, tol, tol)[0]
 
 
 def one_shot_game(game, state, values):
@@ -363,7 +356,8 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
         for _ in range(config.max_iterations):
             iterations += 1
             if responses is None:
-                responses = _best_responses(game, profile)
+                responses = [constrained_best_response(mdp)
+                             for mdp in _induced_mdps(game, profile)]
             moves = []
             for i, br in enumerate(responses):
                 if br.feasible:

@@ -46,6 +46,15 @@ def _frozen_array(x, dtype=float):
     return a
 
 
+def _require_distributions(table, what):
+    """Raise ValueError unless every row of `table` is a probability vector
+    up to ROW_SUM_TOL.  Written as `not x >= bound`, so NaN and ±inf fail."""
+    if not np.all(table >= -ROW_SUM_TOL):
+        raise ValueError(f"{what} has negative or non-finite probabilities")
+    if not np.all(np.abs(table.sum(axis=-1) - 1.0) <= ROW_SUM_TOL):
+        raise ValueError(f"{what} rows must sum to 1")
+
+
 @dataclass(frozen=True)
 class FiniteCSG:
     """Finite constrained discounted stochastic game.
@@ -198,10 +207,7 @@ class StationaryProfile:
         for i, r in enumerate(rows):
             if r.ndim != 2 or r.shape[0] != s:
                 raise ValueError(f"player {i} rows must be (S, A_i); got {r.shape}")
-            if np.any(r < -ROW_SUM_TOL):
-                raise ValueError(f"player {i} has negative action probabilities")
-            if np.max(np.abs(r.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
-                raise ValueError(f"player {i} rows must sum to 1")
+            _require_distributions(r, f"player {i}")
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -236,9 +242,11 @@ class MarkovStrategy:
         tail = _frozen_array(self.tail)
         if tail.ndim != 2:
             raise ValueError("tail must be an (S, A_i) array")
+        _require_distributions(tail, "tail")
         for t, h in enumerate(head):
             if h.shape != tail.shape:
                 raise ValueError(f"head step {t} has shape {h.shape}, tail {tail.shape}")
+            _require_distributions(h, f"head step {t}")
         object.__setattr__(self, "player", int(self.player))
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "tail", tail)
@@ -261,10 +269,7 @@ class CorrelatedStrategy:
         p = int(np.prod(self.n_actions))
         if table.ndim != 2 or table.shape[1] != p:
             raise ValueError(f"table must be (S, {p}); got {table.shape}")
-        if np.any(table < -ROW_SUM_TOL):
-            raise ValueError("negative profile probabilities")
-        if np.max(np.abs(table.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
-            raise ValueError("profile rows must sum to 1")
+        _require_distributions(table, "profile table")
         object.__setattr__(self, "table", table)
 
     @property

@@ -349,8 +349,7 @@ def test_shadowed_state_flagging_and_repair():
             best = int(np.argmin(one_shot_game(game, state, values).payoffs[0]))
             repaired[state] = 0.0
             repaired[state, best] = 1.0
-    cert = verify_statewise_equilibrium(
-        game, StationaryProfile((repaired,)), 0.0, gap_tol=1e-8)
+    cert = verify_statewise_equilibrium(game, StationaryProfile((repaired,)), 0.0)
     ok = flag_ok and cert.passed and float(cert.gaps.max()) <= 1e-8
     _report(8, ok, f"flagged states {report.flagged}; after repair the "
                    f"statewise gaps peak at {float(cert.gaps.max()):.1e} "

@@ -377,6 +377,75 @@ def test_discretize_rejects_non_positive_threshold(tmp_path, capsys, flag, value
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, command, message", [
+    ("--trajectories", "1", "simulate", "--trajectories must be at least 2"),
+    ("--restarts", "0", "solve", "--restarts must be at least 1"),
+    ("--restarts", "-5", "solve", "--restarts must be at least 1"),
+    ("--seed", "-1", "simulate", "--seed must be nonnegative"),
+    ("--seed", "-1", "solve", "--seed must be nonnegative"),
+    ("--seed", "-1", "correlated-sequence", "--seed must be nonnegative"),
+])
+def test_numeric_flag_ranges_exit_3(tmp_path, capsys, flag, value, command, message):
+    # Unchecked, `solve --restarts 0` ran one restart and exited 0; the others
+    # exited 3 with library or numpy messages that named no flag, and
+    # `solve --seed -1` only failed once a second restart drew from the seed.
+    game = write_game(tmp_path, sample_games.constrained_trap_game())
+    strat = write_profile(tmp_path, sample_games.trap_profile(0.75))
+    argv = {"simulate": ["simulate", game, strat],
+            "solve": ["solve", game, "--restarts", "2"],
+            "correlated-sequence": ["correlated-sequence", game, "--eps0", "0.2", "--n", "0"]}
+    out = tmp_path / "out"
+    assert main(argv[command] + [f"{flag}={value}", "--out-dir", str(out)]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["simulate", "game.json", "strategy.json", "--tol", "small"], "float"),
+    (["solve", "game.json", "--restarts", "1.5"], "int"),
+])
+def test_unparsable_number_is_a_usage_error(capsys, argv, kind):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE
+    assert f"invalid {kind} value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_strategy_rows_exit_2(tmp_path, capsys, command, bad):
+    # A stationary row [NaN, 1] passed the old checks: `simulate` printed
+    # J0=0+-0 and exited 0, and `evaluate` exited 3 with scipy's "array must
+    # not contain infs or NaNs".  A Markov strategy's rows were not checked.
+    game = write_game(tmp_path, sample_games.constrained_trap_game())
+    profile = sample_games.trap_profile(0.75)
+    docs = {
+        "stationary": strategy_to_payload(profile),
+        "correlated": strategy_to_payload(product_strategy(profile)),
+        "markov": strategy_to_payload(MarkovStrategy(0, profile.rows, profile.rows[0])),
+    }
+    docs["stationary"]["rows"][0][0] = [bad, 1.0]
+    docs["correlated"]["table"][0] = [bad, 1.0]
+    docs["markov"]["head"][0][0] = [bad, 1.0]
+    for name, doc in docs.items():
+        strat = write(tmp_path / f"{name}.json", doc)
+        out = tmp_path / f"out-{name}"
+        assert main([command, game, strat, "--out-dir", str(out)]) == EXIT_PARSE, name
+        assert "parse error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("concept", ["approx", "statewise"])
+def test_verify_mismatched_profile_exits_3(tmp_path, capsys, concept):
+    game = write_game(tmp_path, sample_games.decoupled_pair())
+    strat = write_profile(tmp_path, sample_games.trap_profile(0.75, n_states=4))
+    out = tmp_path / "out"
+    assert main(["verify", game, strat, "--concept", concept,
+                 "--out-dir", str(out)]) == EXIT_VALIDATION
+    assert "do not match game" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sequence_negative_level_count_exits_3(tmp_path, capsys):
     game = write_game(tmp_path, sample_games.decoupled_pair())
     out = tmp_path / "out"

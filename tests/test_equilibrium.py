@@ -290,6 +290,18 @@ def test_nan_threshold_fails_certificate(pair):
     assert not cert.passed
 
 
+def test_mismatched_profile_raises(pair):
+    # The profile is checked against the game once, by evaluate_profile.
+    row = sample_games.trap_profile(0.75).rows[0]
+    wrong_states = StationaryProfile((row, row))
+    one_player = sample_games.trap_profile(0.75, n_states=4)
+    for verify in (verify_approx_equilibrium, verify_statewise_equilibrium):
+        with pytest.raises(ValueError, match="strategy has 2 states, game has 4"):
+            verify(pair, wrong_states, 0.1)
+        with pytest.raises(ValueError, match="strategy actions .2,. do not match"):
+            verify(pair, one_player, 0.1)
+
+
 @pytest.mark.parametrize("epsilon0", [np.nan, 0.0, -0.1])
 def test_sequence_rejects_non_positive_epsilon0(pair, epsilon0):
     with pytest.raises(ValueError, match="epsilon0 must be positive"):

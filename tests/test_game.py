@@ -6,6 +6,7 @@ import pytest
 from csgames import (
     CorrelatedStrategy,
     FiniteCSG,
+    MarkovStrategy,
     StationaryProfile,
     marginal_excluding,
     observed_cost_bound,
@@ -201,6 +202,21 @@ def test_profile_rows_must_be_stochastic():
         StationaryProfile((np.array([[0.5, 0.4]]),))
     with pytest.raises(ValueError):
         StationaryProfile((np.array([[1.2, -0.2]]),))
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0],
+                                 [0.5, 0.4], [1.2, -0.2]])
+def test_strategies_require_distributions(bad):
+    # Checked as `r < -tol` and `|sum - 1| > tol`, a NaN row passed both
+    # tests, and a Markov strategy's rows were not checked at all.
+    good = np.full((2, 2), 0.5)
+    table = np.array([bad, [0.5, 0.5]])
+    for build in (lambda: StationaryProfile((good, table)),
+                  lambda: CorrelatedStrategy((2,), table),
+                  lambda: MarkovStrategy(0, (good,), table),
+                  lambda: MarkovStrategy(0, (good, table), good)):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_profile_replace(ctrap):
