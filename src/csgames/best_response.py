@@ -12,7 +12,9 @@ constrained best response; the optimal policy is recovered by disintegration.
 One LP builder, `_occupation_lp`, sets up and checks this program for the
 best response, the feasibility test and the Slater margin.  It hands each LP
 to HiGHS directly, as one model through scipy's bundled `_highspy` module,
-with one options object built at import from LP_OPTIONS.
+with one options object built at import from LP_OPTIONS and with every
+presolve rule on except the dependent-equations search (DEPENDENT_EQUATIONS),
+which cannot remove a row of an occupation LP; `_solve` gives the proof.
 
 Every function here takes the MDP as a one-player FiniteCSG, such as
 `induced_mdp` returns; to solve under other budgets, pass
@@ -48,6 +50,8 @@ LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+# HiGHS's presolve_rule_off bit for rule 10, kPresolveRuleDependentEquations.
+DEPENDENT_EQUATIONS = 1 << 10
 
 
 def _highs_options():
@@ -193,6 +197,22 @@ def _solve(objective, a_ub, b_ub, a_eq, b_eq, lower):
     holds a NaN or breaks a bound, a budget row or an equality row by more
     than SOLUTION_TOL (scipy's linprog applies the same test, at its looser
     default tolerance of sqrt(1e-9) * 10).
+
+    Presolve runs without its dependent-equations search, which looks for
+    equality rows that are linear combinations of others and is the costliest
+    presolve step on a large occupation LP.  It can remove no row here:
+    - the equality rows are the S flow rows [I - alpha P_a^T]_a, one column
+      block per action, plus an all-zero column for the epigraph variable;
+    - for any deterministic policy pi the S x S block of columns (s, pi(s))
+      is I - alpha P_pi^T, and since P_pi is row-stochastic and alpha < 1,
+      each of its columns has diagonal 1 - alpha P_pi[s, s] above the
+      off-diagonal sum alpha (1 - P_pi[s, s]).  The block is strictly
+      diagonally dominant, hence invertible, so the flow rows have full row
+      rank S;
+    - the budget rows and the epigraph row are inequalities, which the
+      search does not look at.
+    Turning a presolve rule off never changes the LP, and this one has no
+    row to remove, so skipping it changes the solve time and not the answer.
     """
     columns = np.vstack([a_ub, a_eq]).T
     nonzero = columns != 0
@@ -212,8 +232,9 @@ def _solve(objective, a_ub, b_ub, a_eq, b_eq, lower):
     lp.row_upper_ = np.concatenate([b_ub, b_eq])
     highs = _h._Highs()
     error = _h.HighsStatus.kError
-    if (highs.passOptions(_HIGHS_OPTIONS) == error or highs.passModel(lp) == error
-            or highs.run() == error):
+    if (highs.passOptions(_HIGHS_OPTIONS) == error
+            or highs.setOptionValue("presolve_rule_off", DEPENDENT_EQUATIONS) == error
+            or highs.passModel(lp) == error or highs.run() == error):
         raise RuntimeError("LP solver failure: HiGHS reported an error "
                            f"({highs.modelStatusToString(highs.getModelStatus())})")
     status = highs.getModelStatus()

@@ -30,13 +30,15 @@ from .best_response import constrained_best_response
 from .discretization import build_partition, resolution_for, surrogate_game
 from .equilibrium import (
     SearchConfig,
+    _induced_mdps,
     correlated_limit_sequence,
     search_equilibrium,
     verify_approx_equilibrium,
     verify_statewise_equilibrium,
     verify_weak_correlated,
 )
-from .evaluation import evaluate_correlated, evaluate_markov, evaluate_profile, induced_mdp, simulate
+from .evaluation import _check_psi, evaluate_correlated, evaluate_markov, evaluate_profile, simulate
+from .evaluation import induced_mdp  # noqa: F401  (only for perfbench's tracer hook)
 from .game import (
     ContinuousGameSpec,
     CorrelatedStrategy,
@@ -297,10 +299,8 @@ def cmd_best_respond(args):
     profile = _require_class(load_strategy(args.strategy), "stationary", args.strategy)
     if not 0 <= args.player < game.n_players:
         raise ValidationFailure(f"player {args.player} out of range")
-    if profile.n_actions != game.n_actions or profile.n_states != game.n_states:
-        raise ValidationFailure("strategy does not match the game dimensions")
-    others = [r for j, r in enumerate(profile.rows) if j != args.player]
-    result = constrained_best_response(induced_mdp(game, args.player, others))
+    _check_psi(game, profile)
+    result = constrained_best_response(_induced_mdps(game, profile)[args.player])
     if not result.feasible:
         print("no strategy meets the budgets against this profile")
         return {"status": result.status}, {}, EXIT_CERTIFIED_FAIL

@@ -288,6 +288,10 @@ class SearchConfig:
     target_epsilon: float = 1e-8
     seed: int = 0
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1; got {self.restarts}")
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -343,7 +347,7 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
             converged = True
         return responses
 
-    for restart in range(max(1, config.restarts)):
+    for restart in range(config.restarts):
         restarts_used = restart + 1
         if restart == 0 and initial is not None:
             profile = initial

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core
 
@@ -313,14 +315,21 @@ def test_direct_highs_matches_linprog(monkeypatch):
 
     solve = best_response._solve
     monkeypatch.setattr(best_response, "_solve", recording)
+    mdps = []
     for seed in range(60):
         rng = np.random.default_rng([7, seed])
         s, a, n_layers = int(rng.integers(2, 41)), int(rng.integers(2, 6)), int(rng.integers(0, 3))
-        mdp = sample_games.random_game(rng, n_players=1, n_states=s, n_actions=(a,),
-                                       n_layers=n_layers)
+        mdps.append(sample_games.random_game(rng, n_players=1, n_states=s, n_actions=(a,),
+                                             n_layers=n_layers))
+    # Dense games as large as the benchmark's, where the dependent-equations
+    # search that linprog still runs took most of the solve time.
+    for seed, (s, a) in enumerate([(60, 4), (90, 5), (120, 6)]):
+        mdps.append(sample_games.random_constrained_game(np.random.default_rng([8, seed]), 1, s,
+                                                         (a,), 2, slack=0.05))
+    for mdp in mdps:
         constrained_best_response(mdp)
         feasibility(mdp)
-        if n_layers:
+        if mdp.n_layers:
             slater_margin(mdp)
     statuses = set()
     for (objective, a_ub, b_ub, a_eq, b_eq, lower), x in lps:
@@ -336,6 +345,26 @@ def test_direct_highs_matches_linprog(monkeypatch):
     assert statuses == {(0, False), (2, False), (0, True)}
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), s=st.integers(1, 30), a=st.integers(1, 5),
+       discount=st.floats(0.01, 0.999), deterministic=st.booleans(), epigraph=st.booleans())
+def test_flow_rows_have_full_row_rank(seed, s, a, discount, deterministic, epigraph):
+    # Why presolve may skip its dependent-equations search: the equality rows
+    # of every occupation LP, epigraph or not, have rank S.
+    rng = np.random.default_rng(seed)
+    mdp = sample_games.random_game(rng, n_players=1, n_states=s, n_actions=(a,),
+                                   discount=discount)
+    if deterministic:
+        mdp = replace(mdp, transitions=np.eye(s)[rng.integers(0, s, size=(s, a))])
+    equalities = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(best_response, "_solve", lambda *args: equalities.append(args[3]))
+        best_response._occupation_lp(mdp, np.zeros(s * a + epigraph), epigraph=epigraph)
+    (a_eq,) = equalities
+    assert a_eq.shape == (s, s * a + epigraph)
+    assert np.linalg.matrix_rank(a_eq) == s
+
+
 def test_private_highs_surface_is_pinned():
     # The LPs use scipy's private HiGHS binding; a scipy that moves or
     # renames any of this fails here, not in a certificate.
@@ -348,14 +377,29 @@ def test_private_highs_surface_is_pinned():
         assert hasattr(enum, member), member
     highs = _core._Highs()
     assert highs.passOptions(best_response._HIGHS_OPTIONS) == _core.HighsStatus.kOk
+    assert (highs.setOptionValue("presolve_rule_off", best_response.DEPENDENT_EQUATIONS)
+            == _core.HighsStatus.kOk)
     expected = {**LP_OPTIONS, "presolve": "on", "output_flag": False, "log_to_console": False,
                 "simplex_strategy": int(_core.simplex_constants.SimplexStrategy
                                         .kSimplexStrategyDual),
-                "highs_debug_level": int(_core.HighsDebugLevel.kHighsDebugLevelNone)}
+                "highs_debug_level": int(_core.HighsDebugLevel.kHighsDebugLevelNone),
+                "presolve_rule_off": 1024}
     for key, value in expected.items():
         assert highs.getOptionValue(key) == (_core.HighsStatus.kOk, value), key
     solution = highs.getSolution()
     assert hasattr(solution, "col_value") and hasattr(solution, "row_value")
+
+
+def test_presolve_skips_only_dependent_equations(ctrap, monkeypatch, capfd):
+    # HiGHS numbers its presolve rules; if it renumbers them, bit 1024 would
+    # switch off another rule without a word, so read the name from its log.
+    options = best_response._highs_options()
+    options.output_flag = options.log_to_console = True
+    monkeypatch.setattr(best_response, "_HIGHS_OPTIONS", options)
+    assert constrained_best_response(induced_mdp(ctrap, 0, [])).feasible
+    log = capfd.readouterr().out
+    block = log.split("Presolve rules not allowed:\n", 1)[1].split("Presolving model", 1)[0]
+    assert block.splitlines() == ["   Rule 10 (bit 1024): Dependent equations"]
 
 
 def _doctor(field, index, change):
@@ -406,6 +450,7 @@ def test_solution_check_allows_errors_within_tolerance(ctrap, monkeypatch, metho
     {"getModelStatus": lambda self: _core.HighsModelStatus.kIterationLimit},
     {"run": lambda self: _core.HighsStatus.kError},
     {"passModel": lambda self, lp: _core.HighsStatus.kError},
+    {"setOptionValue": lambda self, name, value: _core.HighsStatus.kError},
 ])
 def test_solver_failure_raises(ctrap, monkeypatch, methods):
     _use_highs(monkeypatch, methods)

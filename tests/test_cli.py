@@ -435,13 +435,14 @@ def test_non_finite_strategy_rows_exit_2(tmp_path, capsys, command, bad):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("concept", ["approx", "statewise"])
+@pytest.mark.parametrize("concept", ["approx", "statewise", "best-respond"])
 def test_verify_mismatched_profile_exits_3(tmp_path, capsys, concept):
     game = write_game(tmp_path, sample_games.decoupled_pair())
     strat = write_profile(tmp_path, sample_games.trap_profile(0.75, n_states=4))
     out = tmp_path / "out"
-    assert main(["verify", game, strat, "--concept", concept,
-                 "--out-dir", str(out)]) == EXIT_VALIDATION
+    command = (["best-respond", game, strat, "--player", "0"] if concept == "best-respond"
+               else ["verify", game, strat, "--concept", concept])
+    assert main(command + ["--out-dir", str(out)]) == EXIT_VALIDATION
     assert "do not match game" in capsys.readouterr().err
     assert not out.exists()
 

@@ -231,6 +231,13 @@ def test_search_decoupled_pair(pair):
     assert result.certificate.epsilon <= 1e-8
 
 
+@pytest.mark.parametrize("restarts", [0, -5])
+def test_search_config_needs_a_restart(restarts):
+    # A search with no restart would have no certificate to return.
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
+        SearchConfig(restarts=restarts)
+
+
 def test_search_zero_costs(rng):
     game = zero_cost_game(rng)
     result = search_equilibrium(game, SearchConfig(target_epsilon=0.0))
@@ -330,7 +337,7 @@ def reference_search(game, config, initial=None):
         if best["cert"].epsilon <= config.target_epsilon:
             best["converged"] = True
 
-    for restart in range(max(1, config.restarts)):
+    for restart in range(config.restarts):
         restarts_used = restart + 1
         if restart == 0 and initial is not None:
             profile = initial
