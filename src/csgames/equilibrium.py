@@ -291,6 +291,10 @@ class SearchConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1; got {self.restarts}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1; got {self.max_iterations}")
+        if not 0.0 < self.damping <= 1.0:
+            raise ValueError(f"damping must be in (0, 1]; got {self.damping}")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,12 @@ through one LU solve of (I - alpha * K) x = b in `_discounted_solve`, checked
 against RESIDUAL_TOL.  One factorization serves all players and cost layers,
 since the kernel under a fixed joint strategy does not depend on them.
 
+`simulate` samples every step by inverse transform over row CDFs with one
+exact sampler, `_count_below`: a branchless binary search for the first CDF
+entry >= u.  It only compares, so on the non-decreasing rows `_rows_cdf`
+builds it picks the same index as counting the entries below u, in
+ceil(log2 width) rounds instead of O(width) work per draw.
+
 The constrained MDP one player faces against fixed opponents (`induced_mdp`)
 is a one-player FiniteCSG, so every game function applies to it; its budgets
 are overridden with dataclasses.replace(mdp, constraint_bounds=[[...]]).
@@ -209,15 +215,40 @@ def simulation_horizon(tol, discount, cost_bound):
 
 
 def _rows_cdf(table):
-    cdf = np.cumsum(table, axis=-1)
-    cdf[..., -1] = 1.0
+    """Inverse-transform CDFs of the last axis, flattened to (rows, width).
+
+    Entries are clipped at 0 before the cumsum, so every row is
+    non-decreasing (validation admits entries down to -ROW_SUM_TOL) and a
+    negative entry gets no mass.  Every entry from the row's last one with
+    mass on is set to 1.0, so no u < 1 lands past it on an entry without
+    mass, even when the row sums to slightly less than 1.
+    """
+    mass = np.maximum(table, 0.0).reshape(-1, table.shape[-1])
+    cdf = np.cumsum(mass, axis=1)
+    last = mass.shape[1] - 1 - np.argmax(mass[:, ::-1] > 0.0, axis=1)
+    cdf[np.arange(mass.shape[1]) >= last[:, None]] = 1.0
     return cdf
 
 
-def _sample_rows(cdf_rows, u):
-    # First index where the row cdf reaches u; clip guards the u ~ 1.0 edge.
-    idx = (cdf_rows < u[:, None]).sum(axis=1)
-    return np.minimum(idx, cdf_rows.shape[1] - 1)
+def _count_below(cdf, rows, u):
+    """First index k with cdf[rows, k] >= u, clipped to width - 1.
+
+    A branchless binary search over each flattened row: ceil(log2 width)
+    rounds of gather, compare and add.  The answer lies in [pos, pos + n);
+    it is at least pos + half exactly when the entry at pos + half - 1 is
+    below u.  On non-decreasing rows this is the count of entries below u,
+    clipped to width - 1, and it never reads the last entry.
+    """
+    width = cdf.shape[1]
+    flat = cdf.ravel()
+    base = rows * width
+    pos = base.copy()
+    n = width
+    while n > 1:
+        half = n // 2
+        pos += half * (flat[pos + (half - 1)] < u)
+        n -= half
+    return pos - base
 
 
 def simulate(game, psi, n_trajectories=1000, tol=1e-6, seed=0, chunk=16384):
@@ -225,19 +256,27 @@ def simulate(game, psi, n_trajectories=1000, tol=1e-6, seed=0, chunk=16384):
 
     Trajectory k consumes a dedicated slice of a counter-based Philox stream
     keyed by `seed`, so results do not depend on chunking or execution order.
+    Each step draws the joint action from the state's strategy row and the
+    next state from the (state, action) kernel row by inverse transform:
+    `_count_below` finds the first CDF entry >= u by binary search.  That
+    search only compares, so it picks the same index as counting the entries
+    below u, and estimates do not depend on how the search is done.
     The returned radii are standard errors of the per-trajectory discounted
     sums; the truncation bias bound is reported separately.
     """
     _check_psi(game, psi)
     if n_trajectories < 2:
         raise ValueError("need at least two trajectories for a confidence radius")
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1; got {chunk}")
     horizon = simulation_horizon(tol, game.discount, game.cost_bound)
     action_cdf = _rows_cdf(psi.table)
     state_cdf = _rows_cdf(game.transitions)
-    initial_cdf = _rows_cdf(game.initial[None, :])[0]
-    # (S, P, N, L+1) cost lookup so one fancy-index per step covers everything.
-    ctab = np.moveaxis(game.costs, (0, 1), (2, 3))
+    initial_cdf = _rows_cdf(game.initial)
     n, layers = game.n_players, game.n_layers + 1
+    # (S*P, N, L+1) cost lookup, indexed by sa = state * P + action like the
+    # rows of state_cdf, so one fancy-index per step covers every cost.
+    ctab = np.moveaxis(game.costs, (0, 1), (2, 3)).reshape(-1, n, layers)
     draws_per_traj = 1 + 2 * horizon
     rng = np.random.Generator(np.random.Philox(key=seed))
     totals = np.empty((n_trajectories, n, layers))
@@ -245,14 +284,16 @@ def simulate(game, psi, n_trajectories=1000, tol=1e-6, seed=0, chunk=16384):
     while start < n_trajectories:
         size = min(chunk, n_trajectories - start)
         u = rng.random((size, draws_per_traj))
-        state = np.searchsorted(initial_cdf, u[:, 0], side="left")
-        state = np.minimum(state, game.n_states - 1)
+        state = _count_below(initial_cdf, np.zeros(size, dtype=np.intp), u[:, 0])
         acc = np.zeros((size, n, layers))
         weight = 1.0 - game.discount
         for t in range(horizon):
-            action = _sample_rows(action_cdf[state], u[:, 1 + 2 * t])
-            acc += weight * ctab[state, action]
-            state = _sample_rows(state_cdf[state, action], u[:, 2 + 2 * t])
+            # One contiguous copy of the step's two columns: the search reads
+            # u once per round, and a strided read costs about twice as much.
+            u_action, u_state = u[:, 1 + 2 * t:3 + 2 * t].T.copy()
+            sa = state * game.n_profiles + _count_below(action_cdf, state, u_action)
+            acc += weight * ctab[sa]
+            state = _count_below(state_cdf, sa, u_state)
             weight *= game.discount
         totals[start:start + size] = acc
         start += size

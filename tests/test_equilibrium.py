@@ -238,6 +238,20 @@ def test_search_config_needs_a_restart(restarts):
         SearchConfig(restarts=restarts)
 
 
+@pytest.mark.parametrize("max_iterations", [0, -3])
+def test_search_config_needs_an_iteration(max_iterations):
+    # With no iteration no profile is certified, so there is nothing to return.
+    with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+        SearchConfig(max_iterations=max_iterations)
+
+
+@pytest.mark.parametrize("damping", [0.0, -0.5, 1.5, float("nan")])
+def test_search_config_damping_is_a_step_fraction(damping):
+    # Outside (0, 1] the damped iterate stands still or leaves the simplex.
+    with pytest.raises(ValueError, match=r"damping must be in \(0, 1\]"):
+        SearchConfig(damping=damping)
+
+
 def test_search_zero_costs(rng):
     game = zero_cost_game(rng)
     result = search_equilibrium(game, SearchConfig(target_epsilon=0.0))

@@ -18,7 +18,7 @@ from csgames import (
     simulation_horizon,
     validate_game,
 )
-from csgames import sample_games
+from csgames import evaluation, sample_games
 
 
 def truncated_value(game, psi, horizon):
@@ -194,6 +194,113 @@ def test_simulate_chunk_invariant(ctrap):
     a = simulate(ctrap, psi, n_trajectories=300, seed=2, chunk=7)
     b = simulate(ctrap, psi, n_trajectories=300, seed=2, chunk=300)
     np.testing.assert_array_equal(a.estimates, b.estimates)
+
+
+@pytest.mark.parametrize("chunk", [0, -4])
+def test_simulate_rejects_empty_chunks(ctrap, chunk):
+    # With chunk 0 no trajectory is ever drawn and the loop never ends.
+    psi = product_strategy(sample_games.trap_profile(0.75))
+    with pytest.raises(ValueError, match="chunk must be at least 1"):
+        simulate(ctrap, psi, n_trajectories=10, chunk=chunk)
+
+
+def counting_rule(cdf_rows, u):
+    """Index of the first CDF entry >= u by counting the entries below u."""
+    return np.minimum((cdf_rows < u[:, None]).sum(axis=1), cdf_rows.shape[1] - 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       width=st.integers(1, 70) | st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
+       zero_frac=st.floats(0.0, 0.9))
+def test_count_below_is_the_counting_rule(seed, width, zero_frac):
+    # Zero-mass entries repeat a CDF value, so ties are common; u = 0 and u
+    # equal to an entry of its own row are drawn on purpose.
+    rng = np.random.default_rng(seed)
+    mass = rng.random((5, width)) * (rng.random((5, width)) >= zero_frac)
+    cdf = np.cumsum(mass, axis=1)
+    rows = rng.integers(0, 5, size=400)
+    u = rng.random(400) * (1.1 * cdf.max() + 0.1)
+    u[:50] = 0.0
+    u[50:200] = cdf[rows[50:200], rng.integers(0, width, size=150)]
+    got = evaluation._count_below(cdf, rows, u)
+    np.testing.assert_array_equal(got, counting_rule(cdf[rows], u))
+
+
+def test_count_below_skips_entries_without_mass():
+    # Validation admits entries down to -1e-12 in kernels (-1e-9 in
+    # strategies) and row sums off by up to 1e-9.  On the raw cumsum the
+    # counting rule picks a negative entry when u falls in the dip below it,
+    # and a trailing entry without mass when u is above a short row's sum.
+    table = np.array([[-1e-12, 0.5, -1e-12, 0.5 + 2e-12],
+                      [0.5, 0.5 - 1e-12, -1e-12, 0.0]])
+    cdf = evaluation._rows_cdf(table)
+    assert np.all(np.diff(cdf, axis=1) >= 0.0)
+    rng = np.random.default_rng(7)
+    u = np.concatenate([0.5 + np.linspace(-5e-12, 5e-12, 101),
+                        1.0 - np.geomspace(1e-16, 1e-11, 50), rng.random(1000),
+                        [5e-324, 1e-13, np.nextafter(1.0, 0.0)]])
+    raw = np.cumsum(table, axis=1)
+    for row in range(2):
+        rows = np.full(u.size, row)
+        assert np.all(table[row, evaluation._count_below(cdf, rows, u)] > 0.0)
+        assert np.any(table[row, counting_rule(raw[rows], u)] <= 0.0)
+
+
+def counting_simulate(game, psi, n_trajectories, seed, tol=1e-6):
+    """The O(width) sampler simulate used before its binary search: each
+    draw gathers CDF rows and counts the entries below u."""
+    def rows_cdf(table):
+        cdf = np.cumsum(table, axis=-1)
+        cdf[..., -1] = 1.0
+        return cdf
+
+    horizon = simulation_horizon(tol, game.discount, game.cost_bound)
+    action_cdf = rows_cdf(psi.table)
+    state_cdf = rows_cdf(game.transitions)
+    initial_cdf = rows_cdf(game.initial[None, :])[0]
+    ctab = np.moveaxis(game.costs, (0, 1), (2, 3))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    u = rng.random((n_trajectories, 1 + 2 * horizon))
+    state = np.minimum(np.searchsorted(initial_cdf, u[:, 0], side="left"), game.n_states - 1)
+    totals = np.zeros((n_trajectories, game.n_players, game.n_layers + 1))
+    weight = 1.0 - game.discount
+    for t in range(horizon):
+        action = counting_rule(action_cdf[state], u[:, 1 + 2 * t])
+        totals += weight * ctab[state, action]
+        state = counting_rule(state_cdf[state, action], u[:, 2 + 2 * t])
+        weight *= game.discount
+    return totals.mean(axis=0), totals.std(axis=0, ddof=1) / np.sqrt(n_trajectories)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_simulate_matches_counting_oracle(seed):
+    # Sparse and deterministic rows put ties in the CDFs.
+    rng = np.random.default_rng([31, seed])
+    n_actions = [(int(rng.integers(1, 10)),),
+                 (int(rng.integers(1, 4)), int(rng.integers(1, 4)))][seed % 2]
+    game = sample_games.random_game(rng, len(n_actions), int(rng.integers(1, 61)), n_actions,
+                                    discount=float(rng.uniform(0.3, 0.9)))
+    s, p = game.n_states, game.n_profiles
+    transitions = game.transitions * (rng.random((s, p, s)) < 0.4)
+    transitions[..., 0] += 1e-3
+    transitions /= transitions.sum(axis=-1, keepdims=True)
+    if seed % 3 == 0:
+        transitions = np.eye(s)[rng.integers(0, s, size=(s, p))]
+    game = FiniteCSG(game.n_actions, game.costs, transitions, game.discount, game.initial,
+                     game.constraint_bounds, game.cost_bound)
+    rows = []
+    for a in n_actions:
+        support = rng.random((s, a)) < 0.7
+        support[:, 0] = True
+        row = rng.dirichlet(np.ones(a), size=s) * support
+        rows.append(row / row.sum(axis=1, keepdims=True))
+    psi = product_strategy(StationaryProfile(tuple(rows)))
+    estimates, radii = counting_simulate(game, psi, 150, seed)
+    for chunk in (7, 150):
+        sim = simulate(game, psi, n_trajectories=150, seed=seed, chunk=chunk)
+        np.testing.assert_array_equal(sim.estimates, estimates)
+        np.testing.assert_array_equal(sim.radii, radii)
 
 
 def test_simulation_horizon_bounds_tail():
