@@ -11,10 +11,13 @@ objective layer over this polytope subject to the budget rows is the
 constrained best response; the optimal policy is recovered by disintegration.
 One LP builder, `_occupation_lp`, sets up and checks this program for the
 best response, the feasibility test and the Slater margin.  It hands each LP
-to HiGHS directly, as one model through scipy's bundled `_highspy` module,
-with one options object built at import from LP_OPTIONS and with every
-presolve rule on except the dependent-equations search (DEPENDENT_EQUATIONS),
-which cannot remove a row of an occupation LP; `_solve` gives the proof.
+to HiGHS directly, through scipy's bundled `_highspy` module: each thread
+keeps one solver (`_solver`), set up once with the options built at import
+from LP_OPTIONS and with every presolve rule on except the
+dependent-equations search (DEPENDENT_EQUATIONS), which cannot remove a row
+of an occupation LP; `_solve` gives the proof.  Each LP goes to that solver
+as plain arrays in compressed-column form, and passing a model drops the
+previous basis, so every LP is solved from scratch as on a new solver.
 
 Every function here takes the MDP as a one-player FiniteCSG, such as
 `induced_mdp` returns; to solve under other budgets, pass
@@ -22,6 +25,7 @@ dataclasses.replace(mdp, constraint_bounds=[[...]]).
 """
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +56,8 @@ LP_OPTIONS = {
 }
 # HiGHS's presolve_rule_off bit for rule 10, kPresolveRuleDependentEquations.
 DEPENDENT_EQUATIONS = 1 << 10
+_COLWISE = int(_h.MatrixFormat.kColwise)
+_MINIMIZE = int(_h.ObjSense.kMinimize)
 
 
 def _highs_options():
@@ -69,6 +75,27 @@ def _highs_options():
 
 
 _HIGHS_OPTIONS = _highs_options()
+_local = threading.local()
+
+
+def _failure(highs):
+    return RuntimeError("LP solver failure: HiGHS reported an error "
+                        f"({highs.modelStatusToString(highs.getModelStatus())})")
+
+
+def _solver():
+    """This thread's HiGHS solver.  The thread's first LP makes it and sets
+    _HIGHS_OPTIONS and presolve_rule_off on it; if HiGHS refuses either, it
+    raises RuntimeError and keeps nothing."""
+    highs = getattr(_local, "highs", None)
+    if highs is None:
+        highs = _h._Highs()
+        error = _h.HighsStatus.kError
+        if (highs.passOptions(_HIGHS_OPTIONS) == error
+                or highs.setOptionValue("presolve_rule_off", DEPENDENT_EQUATIONS) == error):
+            raise _failure(highs)
+        _local.highs = highs
+    return highs
 
 
 @dataclass(frozen=True)
@@ -163,8 +190,9 @@ def _occupation_lp(mdp, objective, epigraph=False):
     RuntimeError on solver failure or a flow residual above FLOW_TOL.
     """
     (s, a), n_layers = _dims(mdp), mdp.n_layers
-    eye = np.repeat(np.eye(s)[:, :, None], a, axis=2)
-    flow = (eye - mdp.discount * np.moveaxis(mdp.transitions, 2, 0)).reshape(s, s * a)
+    # Column (s, a) of flow row s' is [s' == s] - alpha q(s' | s, a).
+    flow = np.multiply(-mdp.discount, mdp.transitions.reshape(s * a, s).T, order="C")
+    flow[np.arange(s * a) // a, np.arange(s * a)] += 1.0
     b_eq = (1.0 - mdp.discount) * mdp.initial
     a_ub, b_ub = mdp.costs[0, 1:].reshape(n_layers, s * a), mdp.constraint_bounds[0]
     a_eq, lower = flow, np.zeros(s * a)
@@ -189,8 +217,8 @@ def _occupation_lp(mdp, objective, epigraph=False):
 
 def _solve(objective, a_ub, b_ub, a_eq, b_eq, lower):
     """Minimize objective @ x subject to a_ub @ x <= b_ub, a_eq @ x == b_eq
-    and x >= lower, as one HiGHS model whose rows are the budget rows
-    followed by the flow rows.
+    and x >= lower, as one HiGHS model on this thread's solver whose rows are
+    the budget rows followed by the flow rows.
 
     Returns x, or None when HiGHS proves the LP infeasible.  Raises
     RuntimeError on any other outcome but an optimum, and on an optimum that
@@ -217,26 +245,21 @@ def _solve(objective, a_ub, b_ub, a_eq, b_eq, lower):
     columns = np.vstack([a_ub, a_eq]).T
     nonzero = columns != 0
     n_ub, (n_cols, n_rows) = len(b_ub), columns.shape
-    lp = _h.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n_cols
-    lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
-    # The compressed-column form of the matrix, as scipy.sparse.csc_array builds it.
-    lp.a_matrix_.format_ = _h.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
-    lp.a_matrix_.index_ = np.nonzero(nonzero)[1]
-    lp.a_matrix_.value_ = columns[nonzero]
-    lp.col_cost_ = objective
-    lp.col_lower_ = lower
-    lp.col_upper_ = np.full(n_cols, np.inf)
-    lp.row_lower_ = np.concatenate([np.full(n_ub, -np.inf), b_eq])
-    lp.row_upper_ = np.concatenate([b_ub, b_eq])
-    highs = _h._Highs()
-    error = _h.HighsStatus.kError
-    if (highs.passOptions(_HIGHS_OPTIONS) == error
-            or highs.setOptionValue("presolve_rule_off", DEPENDENT_EQUATIONS) == error
-            or highs.passModel(lp) == error or highs.run() == error):
-        raise RuntimeError("LP solver failure: HiGHS reported an error "
-                           f"({highs.modelStatusToString(highs.getModelStatus())})")
+    # The compressed-column form of the matrix, as scipy.sparse.csc_array
+    # builds it; HiGHS takes the column starts without the closing one.
+    start = np.zeros(n_cols, dtype=np.int32)
+    np.cumsum(nonzero.sum(axis=1)[:-1], out=start[1:])
+    index = np.nonzero(nonzero)[1].astype(np.int32)
+    value = columns[nonzero]
+    highs = _solver()
+    # The integrality array must hold one kContinuous per column: HiGHS reads
+    # num_col entries from it, however short it is.
+    if (highs.passModel(n_cols, n_rows, value.size, _COLWISE, _MINIMIZE, 0.0, objective, lower,
+                        np.full(n_cols, np.inf), np.concatenate([np.full(n_ub, -np.inf), b_eq]),
+                        np.concatenate([b_ub, b_eq]), start, index, value,
+                        np.zeros(n_cols, dtype=np.int32)) == _h.HighsStatus.kError
+            or highs.run() == _h.HighsStatus.kError):
+        raise _failure(highs)
     status = highs.getModelStatus()
     if status == _h.HighsModelStatus.kInfeasible:
         return None

@@ -150,12 +150,13 @@ def build_partition(spec, resolution):
     rows = []
     for m in range(game.n_states):
         for cell, (cost, density) in zip(members, rows):
-            if cost[m] < resolution and density[m] < resolution:
+            if cost[m - cell[0]] < resolution and density[m - cell[0]] < resolution:
                 cell.append(m)
                 break
         else:
-            cost, density = _distances(game, m)
-            _require_within(len(members), [m], (cost[m:m + 1], density[m:m + 1]), resolution)
+            # Only later points can join the new cell: distances from m on.
+            cost, density = _distances(game, m, slice(m, None))
+            _require_within(len(members), [m], (cost[:1], density[:1]), resolution)
             members.append([m])
             rows.append((cost, density))
     return Partition(resolution=resolution, cells=tuple(members),

@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
+# Largest block of uniforms simulate draws at once: a chunk holds at most as
+# many trajectories as fit their 1 + 2H draws in it (and at least one).
+SIMULATE_BLOCK_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True)
@@ -262,7 +265,9 @@ def simulate(game, psi, n_trajectories=1000, tol=1e-6, seed=0, chunk=16384):
     search only compares, so it picks the same index as counting the entries
     below u, and estimates do not depend on how the search is done.
     The returned radii are standard errors of the per-trajectory discounted
-    sums; the truncation bias bound is reported separately.
+    sums; the truncation bias bound is reported separately.  A chunk holds at
+    most `chunk` trajectories, fewer when their uniforms would take more than
+    SIMULATE_BLOCK_BYTES.
     """
     _check_psi(game, psi)
     if n_trajectories < 2:
@@ -278,6 +283,7 @@ def simulate(game, psi, n_trajectories=1000, tol=1e-6, seed=0, chunk=16384):
     # rows of state_cdf, so one fancy-index per step covers every cost.
     ctab = np.moveaxis(game.costs, (0, 1), (2, 3)).reshape(-1, n, layers)
     draws_per_traj = 1 + 2 * horizon
+    chunk = max(1, min(chunk, SIMULATE_BLOCK_BYTES // (8 * draws_per_traj)))
     rng = np.random.Generator(np.random.Philox(key=seed))
     totals = np.empty((n_trajectories, n, layers))
     start = 0

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -369,10 +371,11 @@ def test_private_highs_surface_is_pinned():
     # The LPs use scipy's private HiGHS binding; a scipy that moves or
     # renames any of this fails here, not in a certificate.
     assert best_response._h is _core
-    for name in ("_Highs", "HighsLp", "HighsOptions", "MatrixFormat", "HighsModelStatus",
+    for name in ("_Highs", "HighsOptions", "MatrixFormat", "ObjSense", "HighsModelStatus",
                  "HighsStatus", "HighsDebugLevel", "simplex_constants"):
         assert hasattr(_core, name), name
-    for enum, member in ((_core.MatrixFormat, "kColwise"), (_core.HighsModelStatus, "kOptimal"),
+    for enum, member in ((_core.MatrixFormat, "kColwise"), (_core.ObjSense, "kMinimize"),
+                         (_core.HighsModelStatus, "kOptimal"),
                          (_core.HighsModelStatus, "kInfeasible"), (_core.HighsStatus, "kError")):
         assert hasattr(enum, member), member
     highs = _core._Highs()
@@ -386,8 +389,24 @@ def test_private_highs_surface_is_pinned():
                 "presolve_rule_off": 1024}
     for key, value in expected.items():
         assert highs.getOptionValue(key) == (_core.HighsStatus.kOk, value), key
+    # The array overload of passModel, as _solve calls it: minimize x0 + 2 x1
+    # subject to x0 + x1 == 1 and x >= 0.
+    assert highs.passModel(2, 1, 2, best_response._COLWISE, best_response._MINIMIZE, 0.0,
+                           np.array([1.0, 2.0]), np.zeros(2), np.full(2, np.inf), np.ones(1),
+                           np.ones(1), np.array([0, 1], dtype=np.int32),
+                           np.zeros(2, dtype=np.int32), np.ones(2),
+                           np.zeros(2, dtype=np.int32)) == _core.HighsStatus.kOk
+    assert highs.getNumCol() == 2 and highs.getNumRow() == 1 and highs.getNumNz() == 2
+    assert highs.run() == _core.HighsStatus.kOk
+    assert highs.getModelStatus() == _core.HighsModelStatus.kOptimal
     solution = highs.getSolution()
-    assert hasattr(solution, "col_value") and hasattr(solution, "row_value")
+    assert list(solution.col_value) == [1.0, 0.0] and list(solution.row_value) == [1.0]
+
+
+def _fresh_solver(monkeypatch):
+    """Make the next LP build its solver anew, from the current `_h` and
+    `_HIGHS_OPTIONS`, and drop it when the test ends."""
+    monkeypatch.setattr(best_response, "_local", threading.local())
 
 
 def test_presolve_skips_only_dependent_equations(ctrap, monkeypatch, capfd):
@@ -396,6 +415,7 @@ def test_presolve_skips_only_dependent_equations(ctrap, monkeypatch, capfd):
     options = best_response._highs_options()
     options.output_flag = options.log_to_console = True
     monkeypatch.setattr(best_response, "_HIGHS_OPTIONS", options)
+    _fresh_solver(monkeypatch)
     assert constrained_best_response(induced_mdp(ctrap, 0, [])).feasible
     log = capfd.readouterr().out
     block = log.split("Presolve rules not allowed:\n", 1)[1].split("Presolving model", 1)[0]
@@ -416,6 +436,7 @@ def _doctor(field, index, change):
 def _use_highs(monkeypatch, methods):
     doctored = type("DoctoredHighs", (_core._Highs,), methods)
     monkeypatch.setattr(best_response, "_h", SimpleNamespace(**{**vars(_core), "_Highs": doctored}))
+    _fresh_solver(monkeypatch)
 
 
 # At the constrained trap's optimum x = [0.6, 0.2, 0.2, 0]; row 0 is the
@@ -449,7 +470,7 @@ def test_solution_check_allows_errors_within_tolerance(ctrap, monkeypatch, metho
     {"getModelStatus": lambda self: _core.HighsModelStatus.kUnboundedOrInfeasible},
     {"getModelStatus": lambda self: _core.HighsModelStatus.kIterationLimit},
     {"run": lambda self: _core.HighsStatus.kError},
-    {"passModel": lambda self, lp: _core.HighsStatus.kError},
+    {"passModel": lambda self, *args: _core.HighsStatus.kError},
     {"setOptionValue": lambda self, name, value: _core.HighsStatus.kError},
 ])
 def test_solver_failure_raises(ctrap, monkeypatch, methods):
@@ -468,3 +489,125 @@ def test_best_respond_on_doctored_optimum_exits_4(ctrap, tmp_path, monkeypatch, 
     out = tmp_path / "out"
     assert main(["best-respond", str(game), str(strat), "--player", "0",
                  "--out-dir", str(out)]) == EXIT_SOLVER
+
+
+LP_KINDS = {
+    "best response": constrained_best_response,
+    "feasibility": feasibility,
+    "slater": slater_margin,
+}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), s=st.integers(1, 15), a=st.integers(1, 4),
+       n_layers=st.integers(1, 2), data=st.data(),
+       lps=st.lists(st.tuples(st.sampled_from(sorted(LP_KINDS)), st.booleans()),
+                    min_size=2, max_size=10))
+def test_reused_solver_matches_a_fresh_one(seed, s, a, n_layers, data, lps):
+    # Each thread keeps one solver for all its LPs.  Passing it a model drops
+    # the previous basis, so it must give what a new solver per LP gives, bit
+    # for bit, infeasible LPs and a failed run() along the way included.  As
+    # in a search, the LPs share a shape, so a kept basis would fit the next.
+    rng = np.random.default_rng(seed)
+    mdps = []
+    for kind, infeasible in lps:
+        mdp = sample_games.random_game(rng, n_players=1, n_states=s, n_actions=(a,),
+                                       n_layers=n_layers)
+        if infeasible:
+            # Costs lie in [-1, 1], so no strategy meets a budget of -2.
+            mdp = replace(mdp, constraint_bounds=np.full((1, n_layers), -2.0))
+        mdps.append((LP_KINDS[kind], mdp))
+    fail_at = data.draw(st.integers(0, len(mdps) - 1), label="fail_at")
+
+    def solve_all(fresh):
+        runs = []
+
+        class FailOnce(_core._Highs):
+            def run(self):
+                runs.append(self)
+                if len(runs) == fail_at + 1:
+                    return _core.HighsStatus.kError
+                return _core._Highs.run(self)
+
+        results = []
+
+        def recording(*args):
+            results.append(solve(*args))
+            return results[-1]
+
+        solve = best_response._solve
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(best_response, "_h",
+                          SimpleNamespace(**{**vars(_core), "_Highs": FailOnce}))
+            patch.setattr(best_response, "_solve", recording)
+            patch.setattr(best_response, "_local", threading.local())
+            for call, mdp in mdps:
+                if fresh:
+                    patch.setattr(best_response, "_local", threading.local())
+                try:
+                    call(mdp)
+                except RuntimeError as error:
+                    results.append(str(error))
+        assert len(runs) == len(mdps)
+        assert len({id(highs) for highs in runs}) == (len(mdps) if fresh else 1)
+        return results
+
+    reused, fresh = solve_all(fresh=False), solve_all(fresh=True)
+    assert len(reused) == len(fresh) == len(mdps)
+    assert sum(isinstance(x, str) for x in reused) == 1
+    assert isinstance(reused[fail_at], str) and "LP solver failure" in reused[fail_at]
+    for got, want in zip(reused, fresh):
+        assert type(got) is type(want)
+        if isinstance(got, np.ndarray):
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert got == want
+
+
+def test_threads_keep_their_own_solvers():
+    # Two threads solve alternate LPs of one list at the same time; each
+    # answer equals the one-thread answer bit for bit, and each thread made
+    # its own solver.
+    mdps = []
+    for seed in range(24):
+        rng = np.random.default_rng([11, seed])
+        s, a = int(rng.integers(2, 20)), int(rng.integers(2, 5))
+        mdps.append(sample_games.random_game(rng, n_players=1, n_states=s, n_actions=(a,),
+                                             n_layers=int(rng.integers(0, 3))))
+
+    def solve(mdp):
+        lp = best_response._occupation_lp(mdp, mdp.costs[0, 0].ravel())
+        return None if lp is None else lp[0]
+
+    want = [solve(mdp) for mdp in mdps]
+    assert any(x is None for x in want) and any(x is not None for x in want)
+    got, solvers, errors = [None] * len(mdps), [None, None], []
+    start = threading.Barrier(2, timeout=30)
+
+    def work(k):
+        try:
+            start.wait()
+            for index in range(k, len(mdps), 2):
+                got[index] = solve(mdps[index])
+            solvers[k] = best_response._solver()
+        except BaseException as error:  # reported by the main thread
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for x, y in zip(got, want):
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert x.tobytes() == y.tobytes()
+    assert solvers[0] is not solvers[1]
+    assert best_response._solver() not in solvers

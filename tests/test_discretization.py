@@ -332,6 +332,20 @@ def test_build_partition_matches_reference(rng, tmp_path, monkeypatch):
             for a, b in zip(got.cells, want.cells):
                 np.testing.assert_array_equal(a, b)
 
+    # The 401-point grids of the benchmark, at its two resolutions.
+    rng = np.random.default_rng([3, 3])
+    for spec in (sample_games.linear_cost_grid_spec(401),
+                 sample_games.random_continuous_spec(rng, n_points=401, n_players=1,
+                                                     n_actions=(2,), n_layers=1)):
+        for resolution in (0.02, 0.005):
+            got = build_partition(spec, resolution)
+            want = reference_build_partition(spec, resolution)
+            assert got.n_cells > 1
+            np.testing.assert_array_equal(got.representatives, want.representatives)
+            assert len(got.cells) == len(want.cells)
+            for a, b in zip(got.cells, want.cells):
+                np.testing.assert_array_equal(a, b)
+
     # One check per discretize run: surrogate_game's, none in build_partition.
     calls = []
     checked = discretization.check_partition

@@ -196,6 +196,40 @@ def test_simulate_chunk_invariant(ctrap):
     np.testing.assert_array_equal(a.estimates, b.estimates)
 
 
+def test_simulate_caps_each_block_of_uniforms(ctrap, monkeypatch):
+    # A chunk draws its uniforms as one (rows, 1 + 2H) block.  At alpha =
+    # 0.999 the default chunk would make that block 5.2 GiB, so the rows are
+    # capped to keep it within SIMULATE_BLOCK_BYTES, one row at the least.
+    psi = product_strategy(sample_games.trap_profile(0.75))
+    cases = []
+    for n_trajectories, rows in ((300, 32), (20, 1)):
+        want = simulate(ctrap, psi, n_trajectories=n_trajectories, seed=2, chunk=n_trajectories)
+        cases.append((n_trajectories, rows, want))
+    draws = 1 + 2 * want.horizon
+    shapes = []
+
+    class Recording(np.random.Generator):
+        def random(self, size=None, *args, **kwargs):
+            shapes.append(size)
+            return super().random(size, *args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    for n_trajectories, rows, want in cases:
+        # Room for `rows` trajectories' draws and not one more.
+        monkeypatch.setattr(evaluation, "SIMULATE_BLOCK_BYTES", 8 * draws * rows + 7)
+        shapes.clear()
+        got = simulate(ctrap, psi, n_trajectories=n_trajectories, seed=2, chunk=n_trajectories)
+        full, rest = divmod(n_trajectories, rows)
+        assert shapes == [(rows, draws)] * full + [(rest, draws)] * bool(rest)
+        assert got.estimates.tobytes() == want.estimates.tobytes()
+        assert got.radii.tobytes() == want.radii.tobytes()
+    # A chunk below the cap stays as given.
+    monkeypatch.setattr(evaluation, "SIMULATE_BLOCK_BYTES", 8 * draws * 32)
+    shapes.clear()
+    simulate(ctrap, psi, n_trajectories=20, seed=2, chunk=7)
+    assert shapes == [(7, draws), (7, draws), (6, draws)]
+
+
 @pytest.mark.parametrize("chunk", [0, -4])
 def test_simulate_rejects_empty_chunks(ctrap, chunk):
     # With chunk 0 no trajectory is ever drawn and the loop never ends.
