@@ -3,8 +3,8 @@ discretize, transform, and correlated-sequence over JSON documents.
 
 Exit codes: 0 success (and verification passed), 1 a verification or solve
 target was not certified (outputs are still written), 2 input could not be
-parsed, 3 input parsed but failed validation or a precondition, 4 the solver
-failed numerically.
+parsed (or is not UTF-8 text), 3 input parsed but failed validation or a
+precondition, 4 the solver failed numerically.
 
 Documents are JSON with explicit shapes.  Their keys are the field names of
 the dataclass they hold, next to a schema tag and a few derived sizes, so one
@@ -30,7 +30,7 @@ from .best_response import constrained_best_response
 from .discretization import build_partition, resolution_for, surrogate_game
 from .equilibrium import (
     SearchConfig,
-    _induced_mdps,
+    _induced_mdp,
     correlated_limit_sequence,
     search_equilibrium,
     verify_approx_equilibrium,
@@ -97,15 +97,28 @@ def _write(path, payload):
     Path(path).write_text(_dump(payload))
 
 
+# SHA-256 of each file _load_json read, by path, for the report of the run
+# that read it: _run clears it first, and runs one command at a time.
+_DIGESTS = {}
+
+
 def _digest(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return _DIGESTS[str(path)]
 
 
 def _load_json(path):
+    """Parse a JSON file, read once: the digest of its bytes is kept for the
+    report, and a file that is not UTF-8 text is a parse error."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    _DIGESTS[str(path)] = hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    del data  # a game document can be tens of MB: drop the bytes before parsing
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -229,6 +242,7 @@ def _run(args):
     excluded from the determinism contract.
     """
     started = time.perf_counter()
+    _DIGESTS.clear()
     results, documents, code = args.func(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -300,7 +314,7 @@ def cmd_best_respond(args):
     if not 0 <= args.player < game.n_players:
         raise ValidationFailure(f"player {args.player} out of range")
     _check_psi(game, profile)
-    result = constrained_best_response(_induced_mdps(game, profile)[args.player])
+    result = constrained_best_response(_induced_mdp(game, profile, args.player))
     if not result.feasible:
         print("no strategy meets the budgets against this profile")
         return {"status": result.status}, {}, EXIT_CERTIFIED_FAIL

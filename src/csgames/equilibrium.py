@@ -126,11 +126,15 @@ class ConsistencyReport:
         return all(self.initial_masses[s] <= 0.0 for s in self.flagged)
 
 
-def _player_certificate(game, cost_vector, player, br):
+def _budget_excess(game, cost_vector, player):
+    """max_l (J_l - kappa_l) of a player, or None without constraint layers."""
+    if not game.n_layers:
+        return None
+    return float(np.max(cost_vector.J[player, 1:] - game.constraint_bounds[player]))
+
+
+def _player_certificate(cost_vector, player, excess, br):
     layer_values = cost_vector.J[player]
-    excess = None
-    if game.n_layers:
-        excess = float(np.max(layer_values[1:] - game.constraint_bounds[player]))
     vacuous = not br.feasible
     return PlayerCertificate(
         objective=float(layer_values[0]),
@@ -159,17 +163,36 @@ def _certificate(concept, players, threshold, feas_tol, gap_tol):
     )
 
 
-def _induced_mdps(game, profile):
-    """Each player's induced MDP against the other players' rows."""
-    return [induced_mdp(game, i, profile.rows[:i] + profile.rows[i + 1:])
-            for i in range(game.n_players)]
+def _induced_mdp(game, profile, player):
+    """A player's induced MDP against the other players' rows."""
+    return induced_mdp(game, player, profile.rows[:player] + profile.rows[player + 1:])
 
 
-def _certify(concept, game, cost_vector, mdps, threshold, feas_tol, gap_tol):
+def _certify(concept, game, cost_vector, mdp_of, threshold, feas_tol, gap_tol, beat=math.inf):
     """The certificate of the players' cost vector against the constrained
-    best responses in their induced MDPs, and those BestResponseResults."""
-    responses = [constrained_best_response(mdp) for mdp in mdps]
-    players = [_player_certificate(game, cost_vector, i, br) for i, br in enumerate(responses)]
+    best responses in their induced MDPs, and those BestResponseResults.
+
+    mdp_of(i) builds player i's induced MDP; it is called just before that
+    player's LP is solved.  A finite `beat` bounds the search's interest:
+    once a part of the certificate reaches it, its epsilon cannot fall below
+    `beat` (the max only grows, or is NaN if an earlier part was), so
+    (None, None) is returned with no further LP.  Budget excesses, which need
+    no LP, are checked first, then each player's epsilon as its LP is solved.
+    A NaN on either side is never `>= beat`, so it never stops the work.
+    """
+    def out_of_reach(value):
+        return beat < math.inf and value is not None and value >= beat
+
+    excesses = [_budget_excess(game, cost_vector, i) for i in range(game.n_players)]
+    if any(out_of_reach(excess) for excess in excesses):
+        return None, None
+    players, responses = [], []
+    for i, excess in enumerate(excesses):
+        br = constrained_best_response(mdp_of(i))
+        players.append(_player_certificate(cost_vector, i, excess, br))
+        if out_of_reach(players[-1].epsilon):
+            return None, None
+        responses.append(br)
     return _certificate(concept, players, threshold, feas_tol, gap_tol), responses
 
 
@@ -184,18 +207,21 @@ def verify_approx_equilibrium(game, profile, epsilon):
     return _approx_certificate(game, profile, epsilon)[0]
 
 
-def _approx_certificate(game, profile, epsilon):
+def _approx_certificate(game, profile, epsilon, beat=math.inf):
     """The approximate-equilibrium certificate of a profile, and the
-    per-player BestResponseResults it was computed from."""
+    per-player BestResponseResults it was computed from; (None, None) once it
+    cannot beat `beat` (see _certify)."""
     return _certify("approximate", game, evaluate_profile(game, profile),
-                    _induced_mdps(game, profile), epsilon, FEASIBILITY_TOL, GAP_TOL)
+                    lambda i: _induced_mdp(game, profile, i), epsilon,
+                    FEASIBILITY_TOL, GAP_TOL, beat=beat)
 
 
 def verify_statewise_equilibrium(game, profile, epsilon):
     """Certify per-initial-state epsilon-optimality with constraints ignored."""
     cv = evaluate_profile(game, profile)
-    gaps = np.array([cv.Jx[i, 0] - optimal_policy_values(mdp, layer=0)[0]
-                     for i, mdp in enumerate(_induced_mdps(game, profile))])
+    gaps = np.array([
+        cv.Jx[i, 0] - optimal_policy_values(_induced_mdp(game, profile, i), layer=0)[0]
+        for i in range(game.n_players)])
     worst = float(np.max(gaps))
     return StatewiseCertificate(
         gaps=gaps,
@@ -209,9 +235,9 @@ def verify_weak_correlated(game, psi, tol=GAP_TOL):
     """Certify a correlated strategy: budgets hold and no player improves by
     playing the induced MDP against the others' marginal."""
     cv = evaluate_correlated(game, psi)
-    mdps = [induced_mdp_from_marginal(game, i, marginal_excluding(psi, i))
-            for i in range(game.n_players)]
-    return _certify("weak-correlated", game, cv, mdps, 0.0, tol, tol)[0]
+    return _certify("weak-correlated", game, cv,
+                    lambda i: induced_mdp_from_marginal(game, i, marginal_excluding(psi, i)),
+                    0.0, tol, tol)[0]
 
 
 def one_shot_game(game, state, values):
@@ -324,16 +350,21 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
     """Damped best-response iteration with seeded random restarts.
 
     Each iteration computes every player's constrained best response; both the
-    undamped best-response profile and the damped iterate are certified, and
-    the best certificate seen is returned (the search never returns without
-    one).  Iterations where a player's deviation set is empty skip that
-    player's update and are logged in `skipped`.
+    undamped best-response profile (the candidate) and the damped iterate are
+    considered, and the best certificate seen is returned (the search never
+    returns without one).  Iterations where a player's deviation set is empty
+    skip that player's update and are logged in `skipped`.
 
     Certifying a profile solves each player's best-response LP against it, so
     the damped iterate's certificate already holds the next iteration's best
     responses and they are reused: only the first iteration of each restart
-    solves its own N LPs, and every certified profile N more (2N per
-    iteration instead of 3N, with the same iterates and certificates).
+    solves its own N LPs.  The candidate's best responses drive no move; it
+    only matters if its epsilon is below the best so far, so its certificate
+    stops, with no further LP, as soon as a budget excess or a player's
+    epsilon reaches that best (_certify's `beat`).  An iteration thus solves
+    N LPs for the damped iterate plus only those candidate LPs that could
+    still beat the best certificate, with the same iterates and certificates
+    as certifying every profile in full.
     """
     best_profile = None
     best_cert = None
@@ -342,10 +373,11 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
     restarts_used = 0
     converged = False
 
-    def consider(profile):
+    def consider(profile, bounded):
         nonlocal best_profile, best_cert, converged
-        cert, responses = _approx_certificate(game, profile, config.target_epsilon)
-        if best_cert is None or cert.epsilon < best_cert.epsilon:
+        beat = best_cert.epsilon if bounded and best_cert is not None else math.inf
+        cert, responses = _approx_certificate(game, profile, config.target_epsilon, beat=beat)
+        if cert is not None and (best_cert is None or cert.epsilon < best_cert.epsilon):
             best_profile, best_cert = profile, cert
         if best_cert.epsilon <= config.target_epsilon:
             converged = True
@@ -364,8 +396,8 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
         for _ in range(config.max_iterations):
             iterations += 1
             if responses is None:
-                responses = [constrained_best_response(mdp)
-                             for mdp in _induced_mdps(game, profile)]
+                responses = [constrained_best_response(_induced_mdp(game, profile, i))
+                             for i in range(game.n_players)]
             moves = []
             for i, br in enumerate(responses):
                 if br.feasible:
@@ -377,7 +409,7 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
                 move if move is not None else row
                 for move, row in zip(moves, profile.rows)
             )
-            consider(StationaryProfile(candidate_rows))
+            consider(StationaryProfile(candidate_rows), bounded=True)
             if converged:
                 break
             damped_rows = tuple(
@@ -389,7 +421,7 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
                 for new, old in zip(damped_rows, profile.rows)
             )
             profile = StationaryProfile(damped_rows)
-            responses = consider(profile)
+            responses = consider(profile, bounded=False)
             if converged or step < 1e-13:
                 break
         if converged:

@@ -1,11 +1,19 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from csgames import FiniteCSG, sample_games, validate_spec, wessels_cost_relation
+from csgames import (
+    FiniteCSG,
+    evaluate_profile,
+    sample_games,
+    validate_spec,
+    wessels_cost_relation,
+)
 from csgames.cli import (
     EXIT_CERTIFIED_FAIL,
     EXIT_OK,
@@ -101,6 +109,31 @@ def test_malformed_json_exits_2(tmp_path):
     strat = write_profile(tmp_path, sample_games.trap_profile(0.75))
     assert main(["evaluate", str(bad), strat,
                  "--out-dir", str(tmp_path)]) == EXIT_PARSE
+
+
+def test_report_digests_the_bytes_read(tmp_path, monkeypatch):
+    # Each input is read once; its digest is of those bytes, whichever command
+    # read it and even if the file changes before the report is written.
+    game = write_game(tmp_path, sample_games.constrained_trap_game())
+    strat = write_profile(tmp_path, sample_games.trap_profile(0.75))
+    expected = {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in (game, strat)}
+    assert main(["evaluate", game, strat, "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert read_json(tmp_path, "evaluate.report.json")["inputs"] == expected
+
+    def rewrite_then_evaluate(*args):
+        Path(game).write_text(Path(game).read_text() + "\n")
+        return evaluate_profile(*args)
+
+    monkeypatch.setattr("csgames.cli.evaluate_profile", rewrite_then_evaluate)
+    assert main(["evaluate", game, strat, "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert read_json(tmp_path, "evaluate.report.json")["inputs"] == expected
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["evaluate", str(bad), str(bad), "--out-dir", str(tmp_path)]) == EXIT_PARSE
+    assert "bad.json is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_wrong_schema_exits_2(tmp_path):

@@ -1,7 +1,11 @@
-from dataclasses import fields
+import json
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csgames import (
     FiniteCSG,
@@ -23,6 +27,8 @@ from csgames import (
     verify_weak_correlated,
 )
 from csgames import sample_games
+from csgames import equilibrium
+from csgames.cli import EXIT_OK, EXIT_SOLVER, game_to_payload, load_game, main
 
 
 def zero_cost_game(rng, n_players=2):
@@ -336,16 +342,36 @@ def test_sequence_rejects_negative_level_count(pair):
         correlated_limit_sequence(pair, 0.2, -1)
 
 
+def lps_needed(cert, beat):
+    """The LPs a certificate costs when it stops once a part reaches `beat`:
+    none if a budget excess does, else one per player up to and including the
+    first whose epsilon does."""
+    if not beat < np.inf:
+        return len(cert.players)
+    if any(pc.feasibility_excess is not None and pc.feasibility_excess >= beat
+           for pc in cert.players):
+        return 0
+    for i, pc in enumerate(cert.players):
+        if pc.epsilon >= beat:
+            return i + 1
+    return len(cert.players)
+
+
 def reference_search(game, config, initial=None):
     """The search as it was before certificates handed back their best
     responses: 3N LPs per iteration, N of them solved again for the damped
-    iterate.  Returns the result fields and the number of certified profiles."""
-    best = {"profile": None, "cert": None, "converged": False, "certified": 0}
+    iterate, and every profile certified in full.  Returns the result fields
+    and the number of LPs the search needs: N at the start of each restart,
+    plus, for each certified profile, what lps_needed gives with the best
+    epsilon so far as the bound for a candidate and none for a damped
+    iterate."""
+    best = {"profile": None, "cert": None, "converged": False, "lps": 0}
     skipped, iterations, restarts_used = [], 0, 0
 
-    def consider(profile):
+    def consider(profile, bounded):
         cert = verify_approx_equilibrium(game, profile, config.target_epsilon)
-        best["certified"] += 1
+        beat = best["cert"].epsilon if bounded and best["cert"] is not None else np.inf
+        best["lps"] += lps_needed(cert, beat)
         if best["cert"] is None or cert.epsilon < best["cert"].epsilon:
             best["profile"], best["cert"] = profile, cert
         if best["cert"].epsilon <= config.target_epsilon:
@@ -375,7 +401,7 @@ def reference_search(game, config, initial=None):
                     skipped.append((restart, iterations, i))
             consider(StationaryProfile(tuple(
                 resp if resp is not None else row
-                for resp, row in zip(responses, profile.rows))))
+                for resp, row in zip(responses, profile.rows))), bounded=True)
             if best["converged"]:
                 break
             damped_rows = tuple(
@@ -384,25 +410,29 @@ def reference_search(game, config, initial=None):
             step = max(float(np.max(np.abs(new - old)))
                        for new, old in zip(damped_rows, profile.rows))
             profile = StationaryProfile(damped_rows)
-            consider(profile)
+            consider(profile, bounded=False)
             if best["converged"] or step < 1e-13:
                 break
         if best["converged"]:
             break
     return (best["profile"], best["cert"], iterations, restarts_used, best["converged"],
-            tuple(skipped)), best["certified"]
+            tuple(skipped)), best["lps"]
 
 
 def test_search_matches_reference_with_2n_lps(monkeypatch):
-    import csgames.equilibrium as equilibrium
-
-    calls = []
+    # Every LP the search solves is for an induced MDP built just for it.
+    calls, built = [], []
 
     def counted(mdp):
         calls.append(1)
         return constrained_best_response(mdp)
 
+    def counted_mdp(*args):
+        built.append(1)
+        return induced_mdp(*args)
+
     monkeypatch.setattr(equilibrium, "constrained_best_response", counted)
+    monkeypatch.setattr(equilibrium, "induced_mdp", counted_mdp)
     any_skipped = any_converged = False
     for k in range(10):
         rng = np.random.default_rng([31, k])
@@ -412,8 +442,9 @@ def test_search_matches_reference_with_2n_lps(monkeypatch):
             slack=-0.1 if k % 4 == 3 else 0.02)
         config = SearchConfig(restarts=2, max_iterations=5, seed=k,
                               target_epsilon=1e-2 if k % 2 else 1e-8)
-        expected, certified = reference_search(game, config)
+        expected, lps = reference_search(game, config)
         calls.clear()
+        built.clear()
         result = search_equilibrium(game, config)
         profile, cert, iterations, restarts_used, converged, skipped = expected
         assert len(result.profile.rows) == len(profile.rows)
@@ -422,7 +453,7 @@ def test_search_matches_reference_with_2n_lps(monkeypatch):
         assert_same_certificate(result.certificate, cert)
         assert (result.iterations, result.restarts_used, result.converged, result.skipped) \
             == (iterations, restarts_used, converged, skipped), k
-        assert len(calls) == n_players * (restarts_used + certified), k
+        assert len(calls) == len(built) == n_players * restarts_used + lps, k
         any_skipped |= bool(skipped)
         any_converged |= converged
     assert any_skipped and any_converged
@@ -438,3 +469,150 @@ def test_sequence_levels_are_fresh_certificates(game):
         assert_same_certificate(
             level.certificate,
             verify_approx_equilibrium(game, level.profile, level.epsilon_target))
+
+
+def solved_mdps(game, config, eager=False):
+    """Search the game, and list (costs, transitions) bytes of every MDP whose
+    best-response LP the search solved.  With eager=True every profile is
+    certified in full, as if nothing could be pruned."""
+    solved = []
+    certify = equilibrium._certify
+
+    def recorded(mdp):
+        solved.append((mdp.costs.tobytes(), mdp.transitions.tobytes()))
+        return constrained_best_response(mdp)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equilibrium, "constrained_best_response", recorded)
+        if eager:
+            patch.setattr(equilibrium, "_certify", lambda *args, beat=math.inf: certify(*args))
+        result = search_equilibrium(game, config)
+    return result, solved
+
+
+def assert_same_search(a, b):
+    assert len(a.profile.rows) == len(b.profile.rows)
+    for x, y in zip(a.profile.rows, b.profile.rows):
+        assert np.array_equal(x, y)
+    assert_same_certificate(a.certificate, b.certificate)
+    assert (a.iterations, a.restarts_used, a.converged, a.skipped) \
+        == (b.iterations, b.restarts_used, b.converged, b.skipped)
+
+
+# Hand-picked draws: pruned LPs in a search that converges, one that hits the
+# iteration cap, and one that skips vacuous players' updates.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_players=st.integers(1, 3), n_states=st.integers(1, 4),
+       n_layers=st.integers(0, 2), slack=st.sampled_from([0.05, 0.0, -0.05, -0.2]),
+       target=st.sampled_from([5e-2, 1e-8]), max_iterations=st.integers(1, 8))
+@example(seed=5, n_players=3, n_states=2, n_layers=1, slack=0.0, target=5e-2,
+         max_iterations=6)
+@example(seed=13, n_players=2, n_states=2, n_layers=1, slack=0.0, target=5e-2,
+         max_iterations=6)
+@example(seed=22, n_players=2, n_states=3, n_layers=1, slack=-0.05, target=1e-8,
+         max_iterations=6)
+def test_lazy_search_matches_eager_search(seed, n_players, n_states, n_layers, slack,
+                                          target, max_iterations):
+    # A candidate stops being certified once it cannot beat the best
+    # certificate; the search must end exactly where certifying it in full
+    # would, with no more LPs.
+    rng = np.random.default_rng(seed)
+    game = sample_games.random_constrained_game(
+        rng, n_players=n_players, n_states=n_states,
+        n_actions=tuple(int(a) for a in rng.integers(1, 4, size=n_players)),
+        n_layers=n_layers, slack=slack)
+    config = SearchConfig(restarts=2, max_iterations=max_iterations, seed=seed % 1000,
+                          target_epsilon=target)
+    lazy, lazy_lps = solved_mdps(game, config)
+    eager, eager_lps = solved_mdps(game, config, eager=True)
+    assert_same_search(lazy, eager)
+    assert len(lazy_lps) <= len(eager_lps)
+    # Each profile the search considers, against its full certificate: a
+    # pruned one could not have beaten the bound, any other is the same.
+    approx = equilibrium._approx_certificate
+
+    def checked(game, profile, epsilon, beat=math.inf):
+        cert, responses = approx(game, profile, epsilon, beat=beat)
+        full = approx(game, profile, epsilon)[0]
+        if cert is None:
+            assert not full.epsilon < beat
+        else:
+            assert_same_certificate(cert, full)
+        return cert, responses
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equilibrium, "_approx_certificate", checked)
+        assert_same_search(search_equilibrium(game, config), lazy)
+
+
+def test_certify_prunes_only_below_a_finite_bound(pair):
+    # A certificate stops at a part that reaches a finite bound.  The default
+    # bound prunes nothing, not even an infinite part, and neither does NaN.
+    profile = sample_games.random_profile(np.random.default_rng(3), pair)
+    cert, responses = equilibrium._approx_certificate(pair, profile, 0.0)
+    assert_same_certificate(cert, verify_approx_equilibrium(pair, profile, 0.0))
+    assert len(responses) == 2
+    assert equilibrium._approx_certificate(pair, profile, 0.0, beat=cert.epsilon) \
+        == (None, None)
+    assert_same_certificate(
+        equilibrium._approx_certificate(pair, profile, 0.0, beat=math.nan)[0], cert)
+    cv = evaluate_profile(pair, profile)
+    J = cv.J.copy()
+    J[1, 1] = math.inf
+    unbounded, _ = equilibrium._certify(
+        "approximate", pair, replace(cv, J=J),
+        lambda i: equilibrium._induced_mdp(pair, profile, i),
+        0.0, equilibrium.FEASIBILITY_TOL, equilibrium.GAP_TOL)
+    assert unbounded.epsilon == math.inf
+
+
+def failing_on(keys):
+    def doctored(mdp):
+        if (mdp.costs.tobytes(), mdp.transitions.tobytes()) in keys:
+            raise RuntimeError("LP solver failure: doctored")
+        return constrained_best_response(mdp)
+    return doctored
+
+
+def pruning_search_game(tmp_path):
+    """A game written to disk whose `solve --restarts 1` prunes candidate LPs
+    and converges, read back as the CLI reads it, and the search's config."""
+    rng = np.random.default_rng(6)
+    game = sample_games.random_constrained_game(
+        rng, n_players=2, n_states=2, n_actions=(2, 3), slack=0.0)
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(game_to_payload(game)))
+    return str(path), load_game(str(path))[0], SearchConfig(restarts=1)
+
+
+def test_pruned_lp_failure_is_never_seen(tmp_path, monkeypatch):
+    # An LP the search no longer solves cannot fail it: a best response that
+    # raises only for a pruned candidate player changes no output and no exit
+    # code, though the eager search, which solves it, fails.
+    path, game, config = pruning_search_game(tmp_path)
+    lazy, lazy_lps = solved_mdps(game, config)
+    eager_lps = solved_mdps(game, config, eager=True)[1]
+    pruned = set(eager_lps) - set(lazy_lps)
+    assert pruned
+    assert main(["solve", path, "--restarts", "1", "--out-dir", str(tmp_path / "a")]) == EXIT_OK
+    monkeypatch.setattr(equilibrium, "constrained_best_response", failing_on(pruned))
+    assert_same_search(search_equilibrium(game, config), lazy)
+    assert main(["solve", path, "--restarts", "1", "--out-dir", str(tmp_path / "b")]) == EXIT_OK
+    for name in ("solve.certificate.json", "solve.strategy.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    certify = equilibrium._certify
+    monkeypatch.setattr(equilibrium, "_certify", lambda *args, beat=math.inf: certify(*args))
+    with pytest.raises(RuntimeError, match="doctored"):
+        search_equilibrium(game, config)
+
+
+def test_needed_lp_failure_exits_4(tmp_path, monkeypatch, capsys):
+    # The last LP a search solves, a candidate's or a damped iterate's, is one
+    # it needs; its failure still raises and exits 4.
+    path, game, config = pruning_search_game(tmp_path)
+    needed = {solved_mdps(game, config)[1][-1]}
+    monkeypatch.setattr(equilibrium, "constrained_best_response", failing_on(needed))
+    with pytest.raises(RuntimeError, match="doctored"):
+        search_equilibrium(game, config)
+    assert main(["solve", path, "--restarts", "1", "--out-dir", str(tmp_path)]) == EXIT_SOLVER
+    assert "solver error: LP solver failure: doctored" in capsys.readouterr().err
