@@ -16,7 +16,7 @@ import numpy as np
 from csgames import (
     StationaryProfile,
     caratheodory_reduce,
-    evaluate_markov_profile,
+    evaluate_markov,
     evaluate_policy,
     evaluate_profile,
     induced_mdp,
@@ -49,10 +49,8 @@ def main():
     strategy = rng.dirichlet(np.ones(game.n_actions[0]), size=game.n_states)
     horizon = 6
     repl = markov_replacement(game, partition, 0, [], strategy, horizon)
-    heads = [StationaryProfile((h,)) for h in repl.head]
-    original = StationaryProfile((strategy,))
-    a = evaluate_markov_profile(game, heads, original).J[0]
-    b = evaluate_profile(game, original).J[0]
+    a = evaluate_markov(game, [], repl).J[0]
+    b = evaluate_profile(game, StationaryProfile((strategy,))).J[0]
     print(f"  {game.n_states} states in {partition.n_cells} cells, head "
           f"length {horizon}")
     print(f"  layer costs, replaced vs original: "

@@ -33,6 +33,7 @@ from scipy.optimize import linprog  # noqa: F401  (only for perfbench's tracer h
 from scipy.optimize._highspy import _core as _h
 
 from .evaluation import _discounted_solve, evaluate_policy, induced_mdp
+from .game import _frozen_array
 
 __all__ = [
     "OccupationMeasure",
@@ -105,9 +106,7 @@ class OccupationMeasure:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.table, dtype=float)
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
+        object.__setattr__(self, "table", _frozen_array(self.table))
 
     @property
     def mass(self):
@@ -167,14 +166,14 @@ def occupation_measure(mdp, policy):
     return OccupationMeasure(masses[:, None] * policy)
 
 
-def recover_strategy(occupation, mass_tol=1e-12):
-    """Disintegrate an occupation measure into a policy; states without mass
-    get the uniform row."""
+def recover_strategy(occupation):
+    """Disintegrate an occupation measure into a policy; states whose mass is
+    at most 1e-12 get the uniform row."""
     table = occupation.table if isinstance(occupation, OccupationMeasure) else np.asarray(occupation)
     masses = table.sum(axis=1)
     n_actions = table.shape[1]
     policy = np.full_like(table, 1.0 / n_actions)
-    covered = masses > mass_tol
+    covered = masses > 1e-12
     policy[covered] = table[covered] / masses[covered, None]
     return policy
 
@@ -338,20 +337,21 @@ def slater_scan(game, player, opponent_samples):
     return SlaterScan(margins=margins, worst=float(margins[worst]), worst_index=worst)
 
 
-def optimal_policy_values(mdp, layer=0):
-    """Optimal per-state values of one unconstrained layer, by policy iteration.
+def optimal_policy_values(mdp):
+    """Optimal per-state values of the unconstrained objective layer, by
+    policy iteration; the constraint layers are ignored.
 
     Howard iteration with lowest-index greedy tie-breaking terminates finitely
     and gives values exact up to the linear-solve residual.
     """
     s, a = _dims(mdp)
-    costs = mdp.costs[0, layer]
+    costs = mdp.costs[0, 0]
     policy_idx = np.argmin(costs, axis=1)
     for _ in range(max(1000, 20 * s * a)):
         policy = np.zeros((s, a))
         policy[np.arange(s), policy_idx] = 1.0
         _, jx = evaluate_policy(mdp, policy)
-        v = jx[layer]
+        v = jx[0]
         q = (1.0 - mdp.discount) * costs + mdp.discount * mdp.transitions @ v
         greedy = np.argmin(q, axis=1)
         improved = q[np.arange(s), greedy] < q[np.arange(s), policy_idx] - 1e-13

@@ -277,7 +277,7 @@ def cmd_evaluate(args):
         if game.n_players != 1:
             raise ValidationFailure(
                 "a markov strategy alone determines play only in a one-player game")
-        cv = evaluate_markov(game, strategy.player, [], strategy)
+        cv = evaluate_markov(game, [], strategy)
     for i in range(game.n_players):
         print(f"player {i}: " + "  ".join(f"J{l}={cv.J[i, l]:.12g}"
                                           for l in range(game.n_layers + 1)))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .evaluation import evaluate_markov_profile, evaluate_profile
-from .game import ROW_SUM_TOL, FiniteCSG, StationaryProfile
+from .game import ROW_SUM_TOL, FiniteCSG, StationaryProfile, _frozen_array
 
 __all__ = [
     "Partition",
@@ -70,11 +70,8 @@ class Partition:
     representatives: np.ndarray
 
     def __post_init__(self):
-        cells = tuple(np.array(c, dtype=int) for c in self.cells)
-        for c in cells:
-            c.setflags(write=False)
-        reps = np.array(self.representatives, dtype=int)
-        reps.setflags(write=False)
+        cells = tuple(_frozen_array(c, dtype=int) for c in self.cells)
+        reps = _frozen_array(self.representatives, dtype=int)
         if len(cells) != reps.shape[0]:
             raise ValueError("one representative per cell required")
         n_points = sum(c.size for c in cells)

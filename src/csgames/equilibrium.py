@@ -29,7 +29,7 @@ from .evaluation import (
     induced_mdp,
     induced_mdp_from_marginal,
 )
-from .game import StationaryProfile, marginal_excluding, product_strategy
+from .game import StationaryProfile, _row_product, marginal_excluding, product_strategy
 
 __all__ = [
     "PlayerCertificate",
@@ -220,7 +220,7 @@ def verify_statewise_equilibrium(game, profile, epsilon):
     """Certify per-initial-state epsilon-optimality with constraints ignored."""
     cv = evaluate_profile(game, profile)
     gaps = np.array([
-        cv.Jx[i, 0] - optimal_policy_values(_induced_mdp(game, profile, i), layer=0)[0]
+        cv.Jx[i, 0] - optimal_policy_values(_induced_mdp(game, profile, i))[0]
         for i in range(game.n_players)])
     worst = float(np.max(gaps))
     return StatewiseCertificate(
@@ -253,35 +253,26 @@ def one_shot_game(game, state, values):
     return OneShotGame(state=int(state), n_actions=game.n_actions, payoffs=current + future)
 
 
-def _mixed_payoff_and_deviations(osg, mixed, player):
-    """Expected payoff of the mixed profile for `player`, and the payoff of
-    each of their pure actions against the others' mix."""
-    tensor = osg.payoffs[player].reshape(osg.n_actions)
-    against = tensor
-    for j in range(len(osg.n_actions) - 1, -1, -1):
-        if j == player:
-            continue
-        against = np.tensordot(against, mixed[j], axes=([j], [0]))
-    value = float(against @ mixed[player])
-    return value, against
-
-
-def verify_one_shot_nash(osg, mixed, tol=REGRET_TOL):
+def verify_one_shot_nash(osg, mixed):
     """Check a mixed profile of the one-shot game; regret_i is the payoff drop
-    available to player i by a best pure action."""
+    available to player i by a best pure action, and the check passes when
+    every regret is at most REGRET_TOL."""
     mixed = [np.asarray(m, dtype=float) for m in mixed]
     if len(mixed) != len(osg.n_actions):
         raise ValueError("one mixed action per player required")
     regrets = np.zeros(len(mixed))
-    for i in range(len(mixed)):
-        value, against = _mixed_payoff_and_deviations(osg, mixed, i)
-        regrets[i] = value - float(np.min(against))
-    return bool(np.max(regrets) <= tol), regrets
+    for i, own in enumerate(mixed):
+        # Player i's payoffs with its actions last, against the others' joint mix.
+        table = np.moveaxis(osg.payoffs[i].reshape(osg.n_actions), i, -1)
+        table = table.reshape(-1, osg.n_actions[i])
+        against = _row_product([m[None] for m in mixed[:i] + mixed[i + 1:]], 1)[0] @ table
+        regrets[i] = float(against @ own) - float(np.min(against))
+    return bool(np.max(regrets) <= REGRET_TOL), regrets
 
 
-def one_shot_consistency(game, profile, tol=REGRET_TOL):
+def one_shot_consistency(game, profile):
     """Check the per-state one-shot Nash condition of a stationary profile
-    against its own continuation values.
+    against its own continuation values, up to REGRET_TOL.
 
     An aggregated equilibrium only pins behavior down on states that are
     charged by the initial distribution, so suboptimal choices can hide on
@@ -292,17 +283,17 @@ def one_shot_consistency(game, profile, tol=REGRET_TOL):
     regrets = np.zeros((game.n_players, game.n_states))
     for state in range(game.n_states):
         osg = one_shot_game(game, state, values)
-        _, reg = verify_one_shot_nash(osg, [r[state] for r in profile.rows], tol)
+        _, reg = verify_one_shot_nash(osg, [r[state] for r in profile.rows])
         regrets[:, state] = reg
     worst = regrets.max(axis=0)
-    flagged = tuple(int(s) for s in np.nonzero(worst > tol)[0])
-    conforming = tuple(int(s) for s in np.nonzero(worst <= tol)[0])
+    flagged = tuple(int(s) for s in np.nonzero(worst > REGRET_TOL)[0])
+    conforming = tuple(int(s) for s in np.nonzero(worst <= REGRET_TOL)[0])
     return ConsistencyReport(
         regrets=regrets,
         flagged=flagged,
         conforming=conforming,
         initial_masses=game.initial.copy(),
-        tol=float(tol),
+        tol=REGRET_TOL,
     )
 
 

@@ -28,6 +28,7 @@ from .game import (
     FiniteCSG,
     MarkovStrategy,
     StationaryProfile,
+    _frozen_array,
     _row_product,
     product_strategy,
 )
@@ -61,12 +62,8 @@ class CostVector:
     Jx: np.ndarray
 
     def __post_init__(self):
-        J = np.array(self.J, dtype=float)
-        Jx = np.array(self.Jx, dtype=float)
-        J.setflags(write=False)
-        Jx.setflags(write=False)
-        object.__setattr__(self, "J", J)
-        object.__setattr__(self, "Jx", Jx)
+        object.__setattr__(self, "J", _frozen_array(self.J))
+        object.__setattr__(self, "Jx", _frozen_array(self.Jx))
 
 
 @dataclass(frozen=True)
@@ -140,13 +137,15 @@ def evaluate_markov_profile(game, heads, tail):
     return CostVector(J=v @ game.initial, Jx=v)
 
 
-def evaluate_markov(game, player, others, strategy):
-    """Evaluate the game when `player` follows a Markov strategy and the other
-    players (in ascending order) follow the stationary rows in `others`."""
+def evaluate_markov(game, others, strategy):
+    """Evaluate the game when strategy.player follows the Markov strategy (a
+    MarkovReplacement is one) and the other players (in ascending order)
+    follow the stationary rows in `others`."""
     if not isinstance(strategy, MarkovStrategy):
         raise ValueError("strategy must be a MarkovStrategy")
-    if strategy.player != player:
-        raise ValueError(f"strategy belongs to player {strategy.player}, not {player}")
+    player = strategy.player
+    if not 0 <= player < game.n_players:
+        raise ValueError(f"strategy is for player {player}; the game has {game.n_players}")
     others = [np.asarray(r, dtype=float) for r in others]
     if len(others) != game.n_players - 1:
         raise ValueError(f"expected {game.n_players - 1} other strategies, got {len(others)}")

@@ -334,21 +334,21 @@ def validate_game(game, tol=STOCHASTIC_TOL):
     return ValidationReport(tuple(issues))
 
 
-def validate_spec(spec, tol=ROW_SUM_TOL):
-    """Check a ContinuousGameSpec: its quadrature weights, the sign of its
-    density, then validate_game on its grid game, whose row sums are the
-    density integrals.  Bad weights are reported alone, since every kernel
-    row is then off too.  As in validate_game, a NaN or infinite entry fails."""
+def validate_spec(spec):
+    """Check a ContinuousGameSpec up to ROW_SUM_TOL: its quadrature weights,
+    the sign of its density, then validate_game on its grid game, whose row
+    sums are the density integrals.  Bad weights are reported alone, since
+    every kernel row is then off too.  A NaN or infinite entry fails."""
     issues = []
     if not np.all(spec.weights > 0.0):
         issues.append("quadrature weights must be strictly positive")
-    if not abs(spec.weights.sum() - 1.0) <= tol:
+    if not abs(spec.weights.sum() - 1.0) <= ROW_SUM_TOL:
         issues.append(f"quadrature weights sum to {spec.weights.sum():.17g}")
     if issues:
         return ValidationReport(tuple(issues))
-    if np.any(spec.density < -tol):
+    if np.any(spec.density < -ROW_SUM_TOL):
         issues.append("density has a negative entry")
-    return ValidationReport(tuple(issues) + validate_game(spec.game, tol).issues)
+    return ValidationReport(tuple(issues) + validate_game(spec.game, ROW_SUM_TOL).issues)
 
 
 def _row_product(rows, n_states):

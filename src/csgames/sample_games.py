@@ -12,7 +12,8 @@ from dataclasses import replace
 import numpy as np
 
 from .discretization import Partition
-from .game import ContinuousGameSpec, FiniteCSG, StationaryProfile
+from .evaluation import evaluate_profile
+from .game import ContinuousGameSpec, CorrelatedStrategy, FiniteCSG, StationaryProfile
 
 __all__ = [
     "trap_game",
@@ -174,8 +175,6 @@ def random_constrained_game(rng, n_players=1, n_states=2, n_actions=(2,),
                             n_layers=1, discount=None, slack=0.0):
     """Random game whose budgets are calibrated on a random witness strategy,
     so the constraint set is nonempty (with at least `slack` margin)."""
-    from .evaluation import evaluate_profile
-
     game = random_game(rng, n_players, n_states, n_actions, n_layers, discount)
     witness = random_profile(rng, game)
     values = evaluate_profile(game, witness).J
@@ -189,8 +188,6 @@ def random_profile(rng, game):
 
 
 def random_correlated(rng, game):
-    from .game import CorrelatedStrategy
-
     return CorrelatedStrategy(
         game.n_actions, _random_rows(rng, (game.n_states, game.n_profiles)))
 

@@ -18,7 +18,7 @@ import scipy.linalg
 
 from .best_response import OccupationMeasure
 from .evaluation import evaluate_policy, evaluate_profile, induced_mdp
-from .game import FiniteCSG, StationaryProfile
+from .game import FiniteCSG, MarkovStrategy, StationaryProfile, _frozen_array
 
 __all__ = [
     "CaratheodoryCertificate",
@@ -49,9 +49,7 @@ class CaratheodoryCertificate:
 
     def __post_init__(self):
         for name in ("indices", "weights", "target"):
-            a = np.array(getattr(self, name))
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), dtype=None))
 
     @property
     def support_size(self):
@@ -107,6 +105,14 @@ def caratheodory_reduce(values, weights):
     return CaratheodoryCertificate(indices=support, weights=reduced, target=target)
 
 
+def _require_cellwise_constant(arr, cells, what):
+    """Raise ValueError unless arr[cell] varies by at most 1e-9 along axis 0
+    within every cell; an arr with no entries per state passes."""
+    for cell in cells:
+        if cell.size > 1 and np.max(np.ptp(arr[cell], axis=0), initial=0.0) > 1e-9:
+            raise ValueError(f"{what} is not constant on a partition cell")
+
+
 def cellwise_match(partition, payoffs, distribution, strategy):
     """Piecewise-constant replacement of a state-dependent strategy.
 
@@ -122,12 +128,10 @@ def cellwise_match(partition, payoffs, distribution, strategy):
     strategy = np.asarray(strategy, dtype=float)
     if payoffs.ndim != 3 or payoffs.shape[1] != partition.n_points:
         raise ValueError("payoffs must be (d, S, A) over the partition's grid")
+    _require_cellwise_constant(np.moveaxis(payoffs, 1, 0), partition.cells, "payoff table")
     n_actions = strategy.shape[1]
     result = np.empty_like(strategy)
     for cell in partition.cells:
-        spread = np.ptp(payoffs[:, cell, :], axis=1)
-        if spread.size and np.max(spread) > 1e-9:
-            raise ValueError("payoffs are not constant within a cell")
         mass = float(distribution[cell].sum())
         if mass <= 0.0:
             result[cell] = 1.0 / n_actions
@@ -143,22 +147,13 @@ def cellwise_match(partition, payoffs, distribution, strategy):
 
 
 @dataclass(frozen=True)
-class MarkovReplacement:
+class MarkovReplacement(MarkovStrategy):
     """Finite-head Markov strategy whose discounted costs from the initial
     distribution equal the replaced stationary strategy's, every layer, at
     every head length; tail_bound = alpha^T * 2b covers swapping the tail for
     any other strategy."""
 
-    head: tuple
-    tail: np.ndarray
     tail_bound: float
-    player: int
-
-
-def _require_cellwise_constant(arr, cells, what):
-    for cell in cells:
-        if cell.size > 1 and np.max(np.ptp(arr[cell], axis=0)) > 1e-9:
-            raise ValueError(f"{what} is not constant on a partition cell")
 
 
 def markov_replacement(game, partition, player, others, strategy, horizon):
@@ -168,9 +163,10 @@ def markov_replacement(game, partition, player, others, strategy, horizon):
     Requires the game data and the other players' strategies to be constant
     on the partition's cells (states in a cell are then indistinguishable to
     the dynamics, so matching the one-step payoff integrals cell by cell keeps
-    every layer exact).  Returns the head of length `horizon`, the original
-    strategy as tail, and the bound alpha^horizon * 2 * cost_bound on the cost
-    of replacing that tail by anything stationary.
+    every layer exact).  Returns, as a MarkovReplacement for `player` that
+    evaluate_markov prices directly, the head of length `horizon`, the
+    original strategy as tail, and the bound alpha^horizon * 2 * cost_bound on
+    the cost of replacing that tail by anything stationary.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -192,10 +188,10 @@ def markov_replacement(game, partition, player, others, strategy, horizon):
         step_kernel = np.einsum("sa,sat->st", step, mdp.transitions)
         occupancy = occupancy @ step_kernel
     return MarkovReplacement(
+        player=player,
         head=tuple(head),
         tail=strategy,
         tail_bound=float(mdp.discount ** horizon * 2.0 * game.cost_bound),
-        player=player,
     )
 
 
@@ -215,10 +211,11 @@ def mix_occupations(first, second, weight):
 def mixing_weight(epsilon, drift, slack):
     """Weight (epsilon + drift) / (slack + drift) that pulls a nearly feasible
     point toward a strict interior point just enough to absorb both the
-    accuracy loss epsilon and the drift term; requires slack > epsilon."""
-    if epsilon < 0.0 or drift < 0.0:
+    accuracy loss epsilon and the drift term; requires epsilon >= 0,
+    drift >= 0 and slack > epsilon, which NaN fails."""
+    if not (epsilon >= 0.0 and drift >= 0.0):
         raise ValueError("epsilon and drift must be nonnegative")
-    if slack <= epsilon:
+    if not slack > epsilon:
         raise ValueError(f"slack {slack} must exceed epsilon {epsilon}")
     return (epsilon + drift) / (slack + drift)
 
@@ -239,48 +236,39 @@ class WesselsGame:
     value_scale: float
 
     def __post_init__(self):
-        omega = np.array(self.omega, dtype=float)
-        omega.setflags(write=False)
-        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "omega", _frozen_array(self.omega))
 
 
-def wessels_transform(game, omega, beta, c0=None):
+def wessels_transform(game, omega, beta):
     """Divide costs by a weight function and rescale the kernel into a bounded
     game with discount alpha * beta.
 
-    Requires omega >= 1, beta > 1, alpha * beta < 1, and the growth condition
-    sum_y omega(y) p(y | s, a) <= beta * omega(s) for every (s, a); the mass
-    deficit goes to a zero-cost absorbing state appended as the last state.
-    If c0 is given, |c| <= c0 * omega is checked; otherwise the smallest such
-    c0 is computed.  Budgets are rescaled by value_scale so the two games have
-    identical feasible strategy sets.
+    Requires finite omega >= 1, beta > 1, alpha * beta < 1 (each check fails
+    on NaN), and the growth condition sum_y omega(y) p(y | s, a) <= beta *
+    omega(s) for every (s, a); the mass deficit goes to a zero-cost absorbing
+    state appended as the last state.  The cost bound c0 of the bounded game
+    is the smallest with |c| <= c0 * omega, or 1 when every cost is 0.
+    Budgets are rescaled by value_scale so the two games have identical
+    feasible strategy sets.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (game.n_states,):
         raise ValueError(f"omega must have shape {(game.n_states,)}")
-    if np.any(omega < 1.0):
-        worst = int(np.argmin(omega))
-        raise ValueError(f"omega must be >= 1 everywhere; omega[{worst}] = {omega[worst]}")
+    bad = ~(np.isfinite(omega) & (omega >= 1.0))
+    if np.any(bad):
+        worst = int(np.argmax(bad))
+        raise ValueError(f"omega must be finite and >= 1; omega[{worst}] = {omega[worst]}")
     beta = float(beta)
-    if beta <= 1.0:
+    if not beta > 1.0:
         raise ValueError(f"growth factor beta must exceed 1; got {beta}")
-    if game.discount * beta >= 1.0:
+    if not game.discount * beta < 1.0:
         raise ValueError(
             f"need discount * beta < 1; got {game.discount} * {beta} "
             f"= {game.discount * beta}"
         )
-    ratios = np.abs(game.costs) / omega[None, None, :, None]
-    if c0 is None:
-        c0 = float(ratios.max())
-        if c0 <= 0.0:
-            c0 = 1.0
-    elif np.any(ratios > c0 + 1e-12):
-        i, l, s, j = (int(k[0]) for k in np.nonzero(ratios > c0 + 1e-12))
-        raise ValueError(
-            f"cost growth violated at (player {i}, layer {l}, state {s}, "
-            f"profile {game.profile_tuple(j)}): |c| = {abs(game.costs[i, l, s, j]):.6g} "
-            f"> c0 * omega = {c0 * omega[s]:.6g}"
-        )
+    c0 = float((np.abs(game.costs) / omega[None, None, :, None]).max())
+    if c0 <= 0.0:
+        c0 = 1.0
     weighted_mass = game.transitions @ omega
     limit = beta * omega[:, None]
     if np.any(weighted_mass > limit + 1e-12):
@@ -316,7 +304,7 @@ def wessels_transform(game, omega, beta, c0=None):
         beta=beta,
         game=transformed,
         eta_omega=eta_omega,
-        c0=float(c0),
+        c0=c0,
         value_scale=value_scale,
     )
 
@@ -331,9 +319,10 @@ class CostRelationReport:
     passed: bool
 
 
-def wessels_cost_relation(game, omega, beta, profile, tol=1e-8):
+def wessels_cost_relation(game, omega, beta, profile):
     """Evaluate a profile on both games and check that the transformed costs,
-    brought back to the original normalization, equal J / eta_omega.
+    brought back to the original normalization, equal J / eta_omega up to
+    1e-8.
 
     The profile is extended to the absorbing state with uniform rows (its
     costs vanish there, so the choice is immaterial).
@@ -353,5 +342,5 @@ def wessels_cost_relation(game, omega, beta, profile, tol=1e-8):
         max_error=err,
         transformed_values=lhs,
         original_values=rhs,
-        passed=bool(err <= tol),
+        passed=bool(err <= 1e-8),
     )

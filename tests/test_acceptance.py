@@ -20,7 +20,7 @@ from csgames import (
     caratheodory_reduce,
     constrained_best_response,
     correlated_limit_sequence,
-    evaluate_markov_profile,
+    evaluate_markov,
     evaluate_policy,
     evaluate_profile,
     induced_mdp,
@@ -231,13 +231,8 @@ def test_markov_replacement_and_caratheodory():
         others = [r for i, r in enumerate(all_rows) if i != player]
         repl = markov_replacement(game, partition, player, others,
                                   all_rows[player], horizon)
-        heads = []
-        for step in repl.head:
-            rows = list(all_rows)
-            rows[player] = step
-            heads.append(StationaryProfile(tuple(rows)))
         original = StationaryProfile(tuple(all_rows))
-        replaced = evaluate_markov_profile(game, heads, original).J[player]
+        replaced = evaluate_markov(game, others, repl).J[player]
         target = evaluate_profile(game, original).J[player]
         diff = float(np.max(np.abs(replaced - target)))
         worst = max(worst, diff / (horizon * 1e-9))

@@ -352,6 +352,21 @@ def test_transform_bad_discount_exits_3(tmp_path):
                  "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("omega, beta", [
+    ([2.0, 2.0], math.nan),
+    ([math.nan, 2.0], 1.2),
+    ([math.inf, 2.0], 1.2),
+], ids=["nan-beta", "nan-omega", "inf-omega"])
+def test_transform_non_finite_block_exits_3(tmp_path, omega, beta):
+    # NaN fails no `x <= bound` test and inf passes `omega >= 1`; written out,
+    # either would be a bare NaN or Infinity, which is not JSON.
+    game = write_game(tmp_path, sample_games.constrained_trap_game(),
+                      extra={"transform": {"omega": omega, "beta": beta}})
+    assert main(["transform", game,
+                 "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+    assert not (tmp_path / "transform.game.json").exists()
+
+
 def test_transform_missing_block_exits_3(tmp_path):
     game = write_game(tmp_path, sample_games.constrained_trap_game())
     assert main(["transform", game,
@@ -466,6 +481,17 @@ def test_non_finite_strategy_rows_exit_2(tmp_path, capsys, command, bad):
         assert main([command, game, strat, "--out-dir", str(out)]) == EXIT_PARSE, name
         assert "parse error" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_markov_strategy_for_missing_player_exits_3(tmp_path, capsys):
+    # A one-player game has no player 1 to look up the action count of.
+    game = write_game(tmp_path, sample_games.constrained_trap_game())
+    rows = sample_games.trap_profile(0.75).rows[0]
+    strat = write(tmp_path / "markov.json", strategy_to_payload(MarkovStrategy(1, (rows,), rows)))
+    out = tmp_path / "out"
+    assert main(["evaluate", game, strat, "--out-dir", str(out)]) == EXIT_VALIDATION
+    assert "strategy is for player 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("concept", ["approx", "statewise", "best-respond"])

@@ -8,7 +8,7 @@ from csgames import (
     StationaryProfile,
     caratheodory_reduce,
     cellwise_match,
-    evaluate_markov_profile,
+    evaluate_markov,
     evaluate_profile,
     induced_mdp,
     markov_replacement,
@@ -95,6 +95,14 @@ def test_cellwise_match_identity_when_constant():
     np.testing.assert_allclose(f, strategy, atol=1e-12)
 
 
+def test_cellwise_match_no_payoff_rows():
+    # With d = 0 there is no integral to keep: each cell takes one member's row.
+    partition = two_state_cell()
+    strategy = np.array([[0.6, 0.4], [0.1, 0.9]])
+    f = cellwise_match(partition, np.zeros((0, 2, 2)), np.array([0.3, 0.7]), strategy)
+    np.testing.assert_allclose(f, np.tile(strategy[0], (2, 1)), atol=1e-12)
+
+
 def test_cellwise_match_two_states_hand():
     # one cell, two states, one payoff layer linear in the action probability
     partition = two_state_cell()
@@ -160,9 +168,7 @@ def test_replacement_matches_all_layers(rng):
         strategy = random_rows(rng, (game.n_states, game.n_actions[0]))
         horizon = 5
         rep = markov_replacement(game, partition, 0, [], strategy, horizon)
-        heads = [StationaryProfile((h,)) for h in rep.head]
-        tail = StationaryProfile((rep.tail,))
-        got = evaluate_markov_profile(game, heads, tail).J
+        got = evaluate_markov(game, [], rep).J
         want = evaluate_profile(game, StationaryProfile((strategy,))).J
         np.testing.assert_allclose(got, want, atol=horizon * 1e-9)
 
@@ -244,6 +250,9 @@ def test_mixing_weight_domain():
         mixing_weight(0.5, 0.0, 0.5)
     with pytest.raises(ValueError):
         mixing_weight(-0.1, 0.0, 0.5)
+    for args in ((np.nan, 0.0, 0.5), (0.1, np.nan, 0.5), (0.1, 0.0, np.nan)):
+        with pytest.raises(ValueError):
+            mixing_weight(*args)
 
 
 # ------------------------------------------------------------------- Wessels
