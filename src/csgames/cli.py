@@ -311,8 +311,6 @@ def cmd_simulate(args):
 def cmd_best_respond(args):
     game, _ = load_game(args.game)
     profile = _require_class(load_strategy(args.strategy), "stationary", args.strategy)
-    if not 0 <= args.player < game.n_players:
-        raise ValidationFailure(f"player {args.player} out of range")
     _check_psi(game, profile)
     result = constrained_best_response(_induced_mdp(game, profile, args.player))
     if not result.feasible:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .evaluation import evaluate_markov_profile, evaluate_profile
-from .game import ROW_SUM_TOL, FiniteCSG, StationaryProfile, _frozen_array
+from .game import FiniteCSG, StationaryProfile, _frozen_array, validate_game
 
 __all__ = [
     "Partition",
@@ -180,26 +180,23 @@ def surrogate_game(spec, partition):
     each target cell the representative's kernel mass over that cell's
     members; the initial distribution aggregates over cells.  The partition
     is checked first (check_partition), the one check per discretization,
-    which also guards partitions built by hand.  Raises ValueError if the
-    aggregated rows fail stochasticity beyond ROW_SUM_TOL (or are NaN), which
-    indicates a malformed spec.
+    which also guards partitions built by hand.  Raises ValueError with the
+    validate_game report unless the surrogate passes it, as every game that
+    load_game reads must (a density not integrating to 1 fails).
     """
     check_partition(spec, partition)
     game = spec.game
     reps = partition.representatives
     membership = np.zeros((game.n_states, partition.n_cells))
     membership[np.arange(game.n_states), partition.cell_of] = 1.0
-    transitions = game.transitions[reps] @ membership
-    row_sums = transitions.sum(axis=2)
-    if not np.max(np.abs(row_sums - 1.0)) <= ROW_SUM_TOL:
-        bad = np.unravel_index(np.argmax(np.abs(row_sums - 1.0)), row_sums.shape)
-        raise ValueError(
-            f"surrogate transition row {bad} sums to {row_sums[bad]:.12g}; "
-            "the spec's density does not integrate to 1"
-        )
+    surrogate = replace(game, costs=game.costs[:, :, reps, :],
+                        transitions=game.transitions[reps] @ membership,
+                        initial=membership.T @ game.initial)
+    report = validate_game(surrogate)
+    if not report.ok:
+        raise ValueError(f"surrogate game:\n{report}")
     return DiscretizedGame(
-        game=replace(game, costs=game.costs[:, :, reps, :], transitions=transitions,
-                     initial=membership.T @ game.initial),
+        game=surrogate,
         partition=partition,
         certified_error=error_bound(partition.resolution, game.discount, game.cost_bound),
     )

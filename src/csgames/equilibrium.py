@@ -112,14 +112,13 @@ class OneShotGame:
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Per-state one-shot Nash check of a stationary profile against its own
-    continuation values.  States in `flagged` fail the condition; an
-    equilibrium can only be excused there if they carry no initial mass."""
+    continuation values.  States in `flagged` have a regret above REGRET_TOL;
+    an equilibrium can only be excused there if they carry no initial mass."""
 
     regrets: np.ndarray
     flagged: tuple
     conforming: tuple
     initial_masses: np.ndarray
-    tol: float
 
     @property
     def consistent_on_support(self):
@@ -293,7 +292,6 @@ def one_shot_consistency(game, profile):
         flagged=flagged,
         conforming=conforming,
         initial_masses=game.initial.copy(),
-        tol=REGRET_TOL,
     )
 
 

@@ -29,6 +29,7 @@ from .game import (
     MarkovStrategy,
     StationaryProfile,
     _frozen_array,
+    _require_player,
     _row_product,
     product_strategy,
 )
@@ -140,21 +141,15 @@ def evaluate_markov_profile(game, heads, tail):
 def evaluate_markov(game, others, strategy):
     """Evaluate the game when strategy.player follows the Markov strategy (a
     MarkovReplacement is one) and the other players (in ascending order)
-    follow the stationary rows in `others`."""
+    follow the stationary rows in `others`.  Raises ValueError if the player
+    is not in the game or the rows do not make up a profile of its shape."""
     if not isinstance(strategy, MarkovStrategy):
         raise ValueError("strategy must be a MarkovStrategy")
     player = strategy.player
-    if not 0 <= player < game.n_players:
-        raise ValueError(f"strategy is for player {player}; the game has {game.n_players}")
-    others = [np.asarray(r, dtype=float) for r in others]
-    if len(others) != game.n_players - 1:
-        raise ValueError(f"expected {game.n_players - 1} other strategies, got {len(others)}")
-    if strategy.tail.shape != (game.n_states, game.n_actions[player]):
-        raise ValueError("strategy rows do not match the game dimensions")
+    _require_player(player, game.n_players, "strategy is for player")
 
     def combine(own):
-        rows = others[:player] + [own] + others[player:]
-        return StationaryProfile(tuple(rows))
+        return StationaryProfile((*others[:player], own, *others[player:]))
 
     heads = [combine(h) for h in strategy.head]
     return evaluate_markov_profile(game, heads, combine(strategy.tail))
@@ -163,7 +158,9 @@ def evaluate_markov(game, others, strategy):
 def induced_mdp_from_marginal(game, player, marginal):
     """Constrained MDP faced by `player` when the others' joint behavior is the
     per-state distribution `marginal` over their profiles (row-major with the
-    player's axis removed), as a one-player FiniteCSG with n_actions (A_i,)."""
+    player's axis removed), as a one-player FiniteCSG with n_actions (A_i,).
+    Raises ValueError if the player is not in the game."""
+    _require_player(player, game.n_players)
     marginal = np.asarray(marginal, dtype=float)
     s = game.n_states
     a_i = game.n_actions[player]
@@ -183,10 +180,15 @@ def induced_mdp_from_marginal(game, player, marginal):
 
 def induced_mdp(game, player, others):
     """Constrained MDP faced by `player` against independent stationary
-    strategies of the other players (ascending order, player excluded)."""
+    strategies of the other players (ascending order, player excluded).
+    Raises ValueError if the player is not in the game or unless the rows have
+    shapes [(S, A_j) for j != player], so no row is broadcast over states."""
+    _require_player(player, game.n_players)
     others = [np.asarray(r, dtype=float) for r in others]
-    if len(others) != game.n_players - 1:
-        raise ValueError(f"expected {game.n_players - 1} other strategies, got {len(others)}")
+    shapes = [(game.n_states, a) for j, a in enumerate(game.n_actions) if j != player]
+    if [r.shape for r in others] != shapes:
+        raise ValueError(f"other players' rows must have shapes {shapes}; "
+                         f"got {[r.shape for r in others]}")
     return induced_mdp_from_marginal(game, player, _row_product(others, game.n_states))
 
 

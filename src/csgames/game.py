@@ -36,7 +36,6 @@ __all__ = [
     "renormalize",
 ]
 
-STOCHASTIC_TOL = 1e-12
 ROW_SUM_TOL = 1e-9
 
 
@@ -46,13 +45,31 @@ def _frozen_array(x, dtype=float):
     return a
 
 
+def _row_faults(table):
+    """(index, fault) for each row of `table`, along its last axis, that is
+    not a probability vector up to ROW_SUM_TOL.  Written as `not x >= bound`,
+    so NaN and ±inf fail; a passing table costs one compare and one sum."""
+    sums = table.sum(axis=-1)
+    if np.all(table >= -ROW_SUM_TOL) and np.all(np.abs(sums - 1.0) <= ROW_SUM_TOL):
+        return []
+    bad = ~(np.abs(sums - 1.0) <= ROW_SUM_TOL) | ~np.all(table >= -ROW_SUM_TOL, axis=-1)
+    return [(idx, f"sums to {sums[idx]:.17g}, least entry "
+                  f"{np.min(table[idx], initial=np.inf):.17g}") for idx in zip(*np.nonzero(bad))]
+
+
 def _require_distributions(table, what):
-    """Raise ValueError unless every row of `table` is a probability vector
-    up to ROW_SUM_TOL.  Written as `not x >= bound`, so NaN and ±inf fail."""
-    if not np.all(table >= -ROW_SUM_TOL):
-        raise ValueError(f"{what} has negative or non-finite probabilities")
-    if not np.all(np.abs(table.sum(axis=-1) - 1.0) <= ROW_SUM_TOL):
-        raise ValueError(f"{what} rows must sum to 1")
+    """Raise ValueError naming the first row of the (S, A) `table` that
+    _row_faults finds."""
+    faults = _row_faults(table)
+    if faults:
+        (s,), fault = faults[0]
+        raise ValueError(f"{what} row (state {s}) {fault}")
+
+
+def _require_player(player, n_players, what="no player"):
+    """Raise ValueError unless `player` indexes one of n_players players."""
+    if not 0 <= player < n_players:
+        raise ValueError(f"{what} {player}: the game's players are 0 to {n_players - 1}")
 
 
 @dataclass(frozen=True)
@@ -293,9 +310,11 @@ class ValidationReport:
         return "\n".join(self.issues)
 
 
-def validate_game(game, tol=STOCHASTIC_TOL):
+def validate_game(game):
     """Check stochasticity, bounds, and discount of a FiniteCSG.
 
+    Transition rows and the initial distribution are held to ROW_SUM_TOL, as
+    strategy rows are, and so is |c| against the declared cost bound.
     Returns a ValidationReport listing every violated invariant with the
     offending location.  Every check is written so that a NaN or infinite
     entry fails it.  Inputs are never modified or renormalized here; see
@@ -306,25 +325,13 @@ def validate_game(game, tol=STOCHASTIC_TOL):
         issues.append(f"discount must lie in (0, 1); got {game.discount!r}")
     if not (0.0 < game.cost_bound < math.inf):
         issues.append(f"cost bound must be positive and finite; got {game.cost_bound!r}")
-    row_sums = game.transitions.sum(axis=2)
-    for s, j in zip(*np.nonzero(~(np.abs(row_sums - 1.0) <= tol))):
-        issues.append(
-            f"transition row (state {s}, profile {game.profile_tuple(j)}) "
-            f"sums to {row_sums[s, j]:.17g}"
-        )
-    neg = np.min(game.transitions, axis=2)
-    for s, j in zip(*np.nonzero(neg < -tol)):
-        issues.append(
-            f"transition row (state {s}, profile {game.profile_tuple(j)}) "
-            f"has a negative entry {neg[s, j]:.17g}"
-        )
-    if not abs(game.initial.sum() - 1.0) <= tol:
-        issues.append(f"initial distribution sums to {game.initial.sum():.17g}")
-    if np.any(game.initial < -tol):
-        issues.append("initial distribution has a negative entry")
+    for (s, j), fault in _row_faults(game.transitions):
+        issues.append(f"transition row (state {s}, profile {game.profile_tuple(j)}) {fault}")
+    for _, fault in _row_faults(game.initial[None]):
+        issues.append(f"initial distribution {fault}")
     if not np.all(np.isfinite(game.constraint_bounds)):
         issues.append("constraint bounds must be finite")
-    outside = ~(np.abs(game.costs) <= game.cost_bound + tol)
+    outside = ~(np.abs(game.costs) <= game.cost_bound + ROW_SUM_TOL)
     if np.any(outside):
         i, l, s, j = (int(k[0]) for k in np.nonzero(outside))
         issues.append(
@@ -342,13 +349,12 @@ def validate_spec(spec):
     issues = []
     if not np.all(spec.weights > 0.0):
         issues.append("quadrature weights must be strictly positive")
-    if not abs(spec.weights.sum() - 1.0) <= ROW_SUM_TOL:
-        issues.append(f"quadrature weights sum to {spec.weights.sum():.17g}")
+    issues += [f"quadrature weight row {fault}" for _, fault in _row_faults(spec.weights[None])]
     if issues:
         return ValidationReport(tuple(issues))
     if np.any(spec.density < -ROW_SUM_TOL):
         issues.append("density has a negative entry")
-    return ValidationReport(tuple(issues) + validate_game(spec.game, ROW_SUM_TOL).issues)
+    return ValidationReport(tuple(issues) + validate_game(spec.game).issues)
 
 
 def _row_product(rows, n_states):
@@ -372,9 +378,7 @@ def marginal_excluding(psi, player):
     Returns an (S, P_-i) array.  For a single-player game this is the
     one-column table of an empty product.
     """
-    n = len(psi.n_actions)
-    if not (0 <= player < n):
-        raise ValueError(f"player index {player} out of range for {n} players")
+    _require_player(player, len(psi.n_actions))
     s = psi.n_states
     tensor = psi.table.reshape((s,) + psi.n_actions)
     return tensor.sum(axis=1 + player).reshape(s, -1)

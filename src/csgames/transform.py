@@ -107,9 +107,9 @@ def caratheodory_reduce(values, weights):
 
 def _require_cellwise_constant(arr, cells, what):
     """Raise ValueError unless arr[cell] varies by at most 1e-9 along axis 0
-    within every cell; an arr with no entries per state passes."""
+    within every cell (a NaN fails); an arr with no entries per state passes."""
     for cell in cells:
-        if cell.size > 1 and np.max(np.ptp(arr[cell], axis=0), initial=0.0) > 1e-9:
+        if cell.size > 1 and not np.max(np.ptp(arr[cell], axis=0), initial=0.0) <= 1e-9:
             raise ValueError(f"{what} is not constant on a partition cell")
 
 
@@ -170,7 +170,6 @@ def markov_replacement(game, partition, player, others, strategy, horizon):
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    others = [np.asarray(r, dtype=float) for r in others]
     mdp = induced_mdp(game, player, others)
     _require_cellwise_constant(
         np.moveaxis(mdp.costs[0], 1, 0), partition.cells, "induced cost table")

@@ -31,6 +31,9 @@ from csgames.equilibrium import verify_approx_equilibrium
 from csgames.game import CorrelatedStrategy, MarkovStrategy, StationaryProfile, product_strategy
 
 
+GOLDEN_INPUTS = Path(__file__).parent / "data" / "golden" / "inputs"
+
+
 def write(path, payload):
     path.write_text(_dump(payload))
     return str(path)
@@ -303,6 +306,18 @@ def test_discretize_epsilon_sets_resolution(tmp_path):
     assert abs(report["results"]["resolution"] - 0.1) <= 1e-12
 
 
+def test_discretized_game_is_accepted_by_solve(tmp_path):
+    # The density integrates to 1 - 5e-10, within the row tolerance of specs
+    # and games alike, so the surrogate discretize writes loads again.
+    spec = sample_games.linear_cost_grid_spec(11)
+    spec = replace(spec, density=spec.density * (1.0 - 5e-10))
+    path = write(tmp_path / "spec.json", spec_to_payload(spec))
+    assert main(["discretize", path, "--gamma", "0.3",
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert main(["solve", str(tmp_path / "discretize.game.json"),
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+
+
 def test_bad_weight_is_reported_once_not_per_row(tmp_path, capsys):
     spec = sample_games.linear_cost_grid_spec(401)
     weights = spec.weights.copy()
@@ -364,6 +379,15 @@ def test_transform_non_finite_block_exits_3(tmp_path, omega, beta):
                       extra={"transform": {"omega": omega, "beta": beta}})
     assert main(["transform", game,
                  "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+    assert not (tmp_path / "transform.game.json").exists()
+
+
+def test_transform_kernel_growth_exits_3(tmp_path, capsys):
+    game = write_game(tmp_path, sample_games.constrained_trap_game(),
+                      extra={"transform": {"omega": [1.0, 3.0], "beta": 1.5}})
+    assert main(["transform", game,
+                 "--out-dir", str(tmp_path)]) == EXIT_VALIDATION
+    assert "kernel growth violated at (state 0, profile (1,))" in capsys.readouterr().err
     assert not (tmp_path / "transform.game.json").exists()
 
 
@@ -494,6 +518,18 @@ def test_markov_strategy_for_missing_player_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("player", ["2", "-1"])
+def test_best_respond_missing_player_exits_3(tmp_path, capsys, player):
+    pair = sample_games.decoupled_pair()
+    game = write_game(tmp_path, pair)
+    strat = write_profile(tmp_path, sample_games.random_profile(np.random.default_rng(0), pair))
+    out = tmp_path / "out"
+    assert main(["best-respond", game, strat, f"--player={player}",
+                 "--out-dir", str(out)]) == EXIT_VALIDATION
+    assert f"no player {player}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("concept", ["approx", "statewise", "best-respond"])
 def test_verify_mismatched_profile_exits_3(tmp_path, capsys, concept):
     game = write_game(tmp_path, sample_games.decoupled_pair())
@@ -542,6 +578,20 @@ def test_sequence_single_level(tmp_path):
                  "--out-dir", str(tmp_path)]) == EXIT_OK
     report = read_json(tmp_path, "correlated-sequence.report.json")
     assert len(report["results"]["levels"]) == 1
+
+
+@pytest.mark.parametrize("eps0, n, n_levels", [("1e-12", "2", 0), ("0.05", "6", 1)])
+def test_sequence_stops_early_exits_1(tmp_path, eps0, n, n_levels):
+    # rand2's search certifies about 0.034, so level 0 of 1e-12 fails, and
+    # with 0.05 level 0 passes and level 1 (target 0.025) fails.
+    game = str(GOLDEN_INPUTS / "rand2.game.json")
+    assert main(["correlated-sequence", game, "--eps0", eps0, "--n", n,
+                 "--out-dir", str(tmp_path)]) == EXIT_CERTIFIED_FAIL
+    results = read_json(tmp_path, "correlated-sequence.report.json")["results"]
+    assert len(results["levels"]) == n_levels
+    assert results["completed"] is False
+    for doc in ("strategy", "certificate"):
+        assert (tmp_path / f"correlated-sequence.{doc}.json").exists() == (n_levels > 0)
 
 
 def test_reports_deterministic_modulo_timing(tmp_path):

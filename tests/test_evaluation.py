@@ -13,6 +13,7 @@ from csgames import (
     evaluate_policy,
     evaluate_profile,
     induced_mdp,
+    induced_mdp_from_marginal,
     product_strategy,
     simulate,
     simulation_horizon,
@@ -262,8 +263,8 @@ def test_count_below_is_the_counting_rule(seed, width, zero_frac):
 
 
 def test_count_below_skips_entries_without_mass():
-    # Validation admits entries down to -1e-12 in kernels (-1e-9 in
-    # strategies) and row sums off by up to 1e-9.  On the raw cumsum the
+    # Validation admits entries down to -1e-9 in kernels and strategies
+    # alike, and row sums off by up to 1e-9.  On the raw cumsum the
     # counting rule picks a negative entry when u falls in the dip below it,
     # and a trailing entry without mass when u is above a short row's sum.
     table = np.array([[-1e-12, 0.5, -1e-12, 0.5 + 2e-12],
@@ -393,6 +394,18 @@ def test_evaluate_policy_matches_profile(rng):
 def test_mismatched_strategy_rejected(ctrap):
     with pytest.raises(ValueError):
         evaluate_profile(ctrap, StationaryProfile((np.full((3, 2), 0.5),)))
+
+
+def test_induced_mdp_rejects_bad_player_and_row_shapes(rng):
+    game = sample_games.random_game(rng, n_players=2, n_states=3, n_actions=(2, 2))
+    # A (1, 2) row would broadcast over the states: play that ignores the state.
+    with pytest.raises(ValueError, match=r"shapes \[\(3, 2\)\]; got \[\(1, 2\)\]"):
+        induced_mdp(game, 0, [np.full((1, 2), 0.5)])
+    for player in (-1, 2):
+        with pytest.raises(ValueError, match=f"no player {player}"):
+            induced_mdp(game, player, [np.full((3, 2), 0.5)])
+        with pytest.raises(ValueError, match=f"no player {player}"):
+            induced_mdp_from_marginal(game, player, np.full((3, 2), 0.5))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -103,6 +103,13 @@ def test_cellwise_match_no_payoff_rows():
     np.testing.assert_allclose(f, np.tile(strategy[0], (2, 1)), atol=1e-12)
 
 
+def test_cellwise_match_rejects_nan_payoffs():
+    # `ptp > 1e-9` is False for NaN, which then failed inside caratheodory_reduce.
+    payoffs = np.array([[[0.2, np.nan], [0.2, 0.8]]])
+    with pytest.raises(ValueError, match="payoff table"):
+        cellwise_match(two_state_cell(), payoffs, np.array([0.5, 0.5]), np.full((2, 2), 0.5))
+
+
 def test_cellwise_match_two_states_hand():
     # one cell, two states, one payoff layer linear in the action probability
     partition = two_state_cell()
@@ -320,6 +327,13 @@ def test_wessels_rejects_bad_parameters(ctrap):
         wessels_transform(ctrap, np.array([0.5, 1.0]), 1.2)
     with pytest.raises(ValueError):
         wessels_transform(ctrap, np.ones(2), 2.1)  # alpha*beta >= 1
+
+
+def test_wessels_rejects_kernel_growth(ctrap):
+    # Action 1 moves state 0 to state 1: sum omega * p = 3 > beta * omega(0) = 1.5.
+    with pytest.raises(ValueError,
+                       match=r"kernel growth violated at \(state 0, profile \(1,\)\)"):
+        wessels_transform(ctrap, [1, 3], 1.5)
 
 
 def test_wessels_relation_constant_weight(ctrap):
