@@ -29,6 +29,7 @@ from . import __version__
 from .best_response import constrained_best_response
 from .discretization import build_partition, resolution_for, surrogate_game
 from .equilibrium import (
+    GAP_TOL,
     SearchConfig,
     _induced_mdp,
     correlated_limit_sequence,
@@ -202,11 +203,11 @@ def load_strategy(path):
     return _load(path, STRATEGY_SCHEMA, "class", _CLASSES)[0]
 
 
-def _require_class(strategy, wanted, path):
+def _require_class(strategy, path, *wanted):
     actual = _CLASS_NAMES.get(type(strategy), "unknown")
-    if actual != wanted:
-        raise ValidationFailure(
-            f"{path}: this command needs a {wanted!r} strategy, found {actual!r}")
+    if actual not in wanted:
+        raise ValidationFailure(f"{path}: this command needs a "
+                                f"{' or '.join(map(repr, wanted))} strategy, found {actual!r}")
     return strategy
 
 
@@ -286,11 +287,9 @@ def cmd_evaluate(args):
 
 def cmd_simulate(args):
     game, _ = load_game(args.game)
-    strategy = load_strategy(args.strategy)
-    if isinstance(strategy, StationaryProfile):
-        psi = product_strategy(strategy)
-    else:
-        psi = _require_class(strategy, "correlated", args.strategy)
+    psi = _require_class(load_strategy(args.strategy), args.strategy, "stationary", "correlated")
+    if isinstance(psi, StationaryProfile):
+        psi = product_strategy(psi)
     sim = simulate(game, psi, n_trajectories=args.trajectories,
                    tol=args.tol, seed=args.seed)
     for i in range(game.n_players):
@@ -310,7 +309,7 @@ def cmd_simulate(args):
 
 def cmd_best_respond(args):
     game, _ = load_game(args.game)
-    profile = _require_class(load_strategy(args.strategy), "stationary", args.strategy)
+    profile = _require_class(load_strategy(args.strategy), args.strategy, "stationary")
     _check_psi(game, profile)
     result = constrained_best_response(_induced_mdp(game, profile, args.player))
     if not result.feasible:
@@ -330,10 +329,10 @@ def cmd_verify(args):
     game, _ = load_game(args.game)
     strategy = load_strategy(args.strategy)
     if args.concept == "weak-correlated":
-        psi = _require_class(strategy, "correlated", args.strategy)
+        psi = _require_class(strategy, args.strategy, "correlated")
         cert = verify_weak_correlated(game, psi, tol=args.tol)
     else:
-        profile = _require_class(strategy, "stationary", args.strategy)
+        profile = _require_class(strategy, args.strategy, "stationary")
         verify = (verify_statewise_equilibrium if args.concept == "statewise"
                   else verify_approx_equilibrium)
         cert = verify(game, profile, args.epsilon)
@@ -485,16 +484,18 @@ def build_parser():
                    default="approx")
     p.add_argument("--epsilon", type=_number("--epsilon"), default=0.0,
                    help="accuracy to certify (approx/statewise)")
-    p.add_argument("--tol", type=_number("--tol"), default=1e-8,
+    p.add_argument("--tol", type=_number("--tol"), default=GAP_TOL,
                    help="numerical slack (weak-correlated)")
     add_out(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("solve", help="search for an approximate equilibrium")
     p.add_argument("game")
-    p.add_argument("--target-eps", type=_number("--target-eps"), default=1e-8)
-    p.add_argument("--restarts", type=_number("--restarts", int, low=1), default=4)
-    p.add_argument("--seed", type=_number("--seed", int, low=0), default=0)
+    p.add_argument("--target-eps", type=_number("--target-eps"),
+                   default=SearchConfig.target_epsilon)
+    p.add_argument("--restarts", type=_number("--restarts", int, low=1),
+                   default=SearchConfig.restarts)
+    p.add_argument("--seed", type=_number("--seed", int, low=0), default=SearchConfig.seed)
     add_out(p)
     p.set_defaults(func=cmd_solve)
 
@@ -520,7 +521,7 @@ def build_parser():
     p.add_argument("--eps0", type=_number("--eps0", low=0, strict=True), required=True)
     p.add_argument("--n", type=_number("--n", int, low=0), required=True,
                    help="last level index")
-    p.add_argument("--seed", type=_number("--seed", int, low=0), default=0)
+    p.add_argument("--seed", type=_number("--seed", int, low=0), default=SearchConfig.seed)
     add_out(p)
     p.set_defaults(func=cmd_correlated_sequence)
 

@@ -29,7 +29,7 @@ from .evaluation import (
     induced_mdp,
     induced_mdp_from_marginal,
 )
-from .game import StationaryProfile, _row_product, marginal_excluding, product_strategy
+from .game import StationaryProfile, _row_faults, _row_product, marginal_excluding, product_strategy
 
 __all__ = [
     "PlayerCertificate",
@@ -54,6 +54,9 @@ __all__ = [
 FEASIBILITY_TOL = 1e-9
 GAP_TOL = 1e-8
 REGRET_TOL = 1e-9
+# Fraction of the way to the best responses that search_equilibrium's damped
+# iterate moves.
+DAMPING = 0.5
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,6 @@ class ConsistencyReport:
 
     regrets: np.ndarray
     flagged: tuple
-    conforming: tuple
     initial_masses: np.ndarray
 
     @property
@@ -255,10 +257,17 @@ def one_shot_game(game, state, values):
 def verify_one_shot_nash(osg, mixed):
     """Check a mixed profile of the one-shot game; regret_i is the payoff drop
     available to player i by a best pure action, and the check passes when
-    every regret is at most REGRET_TOL."""
+    every regret is at most REGRET_TOL.  Each player's mixed action must be
+    a probability vector over its actions, up to ROW_SUM_TOL."""
     mixed = [np.asarray(m, dtype=float) for m in mixed]
     if len(mixed) != len(osg.n_actions):
         raise ValueError("one mixed action per player required")
+    for i, (own, a) in enumerate(zip(mixed, osg.n_actions)):
+        if own.shape != (a,):
+            raise ValueError(f"player {i} mixed action must have shape {(a,)}; got {own.shape}")
+        faults = _row_faults(own[None])
+        if faults:
+            raise ValueError(f"player {i} mixed action {faults[0][1]}")
     regrets = np.zeros(len(mixed))
     for i, own in enumerate(mixed):
         # Player i's payoffs with its actions last, against the others' joint mix.
@@ -286,20 +295,20 @@ def one_shot_consistency(game, profile):
         regrets[:, state] = reg
     worst = regrets.max(axis=0)
     flagged = tuple(int(s) for s in np.nonzero(worst > REGRET_TOL)[0])
-    conforming = tuple(int(s) for s in np.nonzero(worst <= REGRET_TOL)[0])
     return ConsistencyReport(
         regrets=regrets,
         flagged=flagged,
-        conforming=conforming,
         initial_masses=game.initial.copy(),
     )
 
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Restarts, iterations per restart, target epsilon and seed of
+    search_equilibrium; its damped step is the module constant DAMPING."""
+
     restarts: int = 4
     max_iterations: int = 60
-    damping: float = 0.5
     target_epsilon: float = 1e-8
     seed: int = 0
 
@@ -308,8 +317,6 @@ class SearchConfig:
             raise ValueError(f"restarts must be at least 1; got {self.restarts}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1; got {self.max_iterations}")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must be in (0, 1]; got {self.damping}")
 
 
 @dataclass(frozen=True)
@@ -339,7 +346,8 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
     """Damped best-response iteration with seeded random restarts.
 
     Each iteration computes every player's constrained best response; both the
-    undamped best-response profile (the candidate) and the damped iterate are
+    undamped best-response profile (the candidate) and the damped iterate,
+    which moves a fraction DAMPING of the way to the responses, are
     considered, and the best certificate seen is returned (the search never
     returns without one).  Iterations where a player's deviation set is empty
     skip that player's update and are logged in `skipped`.
@@ -402,7 +410,7 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
             if converged:
                 break
             damped_rows = tuple(
-                row if move is None else (1.0 - config.damping) * row + config.damping * move
+                row if move is None else (1.0 - DAMPING) * row + DAMPING * move
                 for move, row in zip(moves, profile.rows)
             )
             step = max(

@@ -76,7 +76,6 @@ class SimulationResult:
     n_trajectories: int
     horizon: int
     bias_bound: float
-    seed: int
 
 
 def _check_psi(game, psi):
@@ -313,5 +312,4 @@ def simulate(game, psi, n_trajectories=1000, tol=1e-6, seed=0, chunk=16384):
         n_trajectories=int(n_trajectories),
         horizon=int(horizon),
         bias_bound=float(bias),
-        seed=int(seed),
     )

@@ -148,6 +148,25 @@ def test_wrong_schema_exits_2(tmp_path):
                  "--out-dir", str(tmp_path)]) == EXIT_PARSE
 
 
+@pytest.mark.parametrize("case, message", [
+    ("missing-discount", "missing field 'discount'"),
+    ("top-level-list", "top level must be a JSON object"),
+    ("directory", "cannot read"),
+], ids=["missing-discount", "top-level-list", "directory"])
+def test_unreadable_game_exits_2(tmp_path, capsys, case, message):
+    doc = game_to_payload(sample_games.trap_game())
+    del doc["discount"]
+    if case == "directory":
+        game = str(tmp_path)
+    else:
+        game = write(tmp_path / "game.json", doc if case == "missing-discount" else [1, 2])
+    strat = write_profile(tmp_path, sample_games.trap_profile(0.75))
+    out = tmp_path / "out"
+    assert main(["evaluate", game, strat, "--out-dir", str(out)]) == EXIT_PARSE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_rows_exit_3(tmp_path):
     strat = write_profile(tmp_path, sample_games.trap_profile(0.75))
     # Non-finite entries must fail validation too, although every comparison
@@ -391,6 +410,14 @@ def test_transform_kernel_growth_exits_3(tmp_path, capsys):
     assert not (tmp_path / "transform.game.json").exists()
 
 
+def test_transform_malformed_block_exits_2(tmp_path, capsys):
+    game = write_game(tmp_path, sample_games.constrained_trap_game(),
+                      extra={"transform": {"omega": [2.0, 2.0], "beta": "x"}})
+    assert main(["transform", game, "--out-dir", str(tmp_path)]) == EXIT_PARSE
+    assert "malformed transform block" in capsys.readouterr().err
+    assert not (tmp_path / "transform.game.json").exists()
+
+
 def test_transform_missing_block_exits_3(tmp_path):
     game = write_game(tmp_path, sample_games.constrained_trap_game())
     assert main(["transform", game,
@@ -515,6 +542,20 @@ def test_markov_strategy_for_missing_player_exits_3(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["evaluate", game, strat, "--out-dir", str(out)]) == EXIT_VALIDATION
     assert "strategy is for player 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    ("evaluate", "a markov strategy alone determines play only in a one-player game"),
+    ("simulate", "needs a 'stationary' or 'correlated' strategy, found 'markov'"),
+], ids=["evaluate", "simulate"])
+def test_markov_strategy_in_two_player_game_exits_3(tmp_path, capsys, command, message):
+    game = write_game(tmp_path, sample_games.decoupled_pair())
+    rows = sample_games.trap_profile(0.75, n_states=4).rows[0]
+    strat = write(tmp_path / "markov.json", strategy_to_payload(MarkovStrategy(0, (rows,), rows)))
+    out = tmp_path / "out"
+    assert main([command, game, strat, "--out-dir", str(out)]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
