@@ -32,20 +32,18 @@ import numpy as np
 from scipy.optimize import linprog  # noqa: F401  (only for perfbench's tracer hook)
 from scipy.optimize._highspy import _core as _h
 
-from .evaluation import _discounted_solve, evaluate_policy, induced_mdp
+from .evaluation import _discounted_solve, evaluate_policy
 from .game import _frozen_array
 
 __all__ = [
     "OccupationMeasure",
     "BestResponseResult",
     "SlaterResult",
-    "SlaterScan",
     "occupation_measure",
     "recover_strategy",
     "constrained_best_response",
     "feasibility",
     "slater_margin",
-    "slater_scan",
     "optimal_policy_values",
 ]
 
@@ -118,11 +116,16 @@ class OccupationMeasure:
 
 @dataclass(frozen=True)
 class BestResponseResult:
+    """A constrained best response.  multipliers holds the budget rows'
+    Lagrange multipliers lambda >= 0, read from the LP's duals (NaN when no
+    strategy meets the budgets)."""
+
     status: str
     value: float
     layer_values: np.ndarray
     occupation: OccupationMeasure
     strategy: np.ndarray
+    multipliers: np.ndarray
     residuals: dict = field(default_factory=dict)
 
     @property
@@ -138,13 +141,6 @@ class SlaterResult:
 
     margin: float
     strategy: np.ndarray
-
-
-@dataclass(frozen=True)
-class SlaterScan:
-    margins: np.ndarray
-    worst: float
-    worst_index: int
 
 
 def _dims(mdp):
@@ -184,8 +180,9 @@ def _occupation_lp(mdp, objective, epigraph=False):
 
     With `epigraph`, x gains a free last column z that is added to every
     budget row.  Returns None when no occupation measure meets the budgets,
-    else (x, theta, residuals): theta is the occupation part of x clipped at
-    zero, and residuals its flow-balance, mass and sign errors.  Raises
+    else (x, theta, residuals, multipliers): theta is the occupation part of x
+    clipped at zero, residuals its flow-balance, mass and sign errors, and
+    multipliers the budget rows' multipliers (see _solve).  Raises
     RuntimeError on solver failure or a flow residual above FLOW_TOL.
     """
     (s, a), n_layers = _dims(mdp), mdp.n_layers
@@ -199,9 +196,10 @@ def _occupation_lp(mdp, objective, epigraph=False):
         a_eq = np.hstack([flow, np.zeros((s, 1))])
         a_ub = np.hstack([a_ub, np.ones((n_layers, 1))])
         lower = np.append(lower, -np.inf)
-    x = _solve(objective, a_ub, b_ub, a_eq, b_eq, lower)
-    if x is None:
+    solved = _solve(objective, a_ub, b_ub, a_eq, b_eq, lower)
+    if solved is None:
         return None
+    x, multipliers = solved
     occ = x[:s * a]
     residuals = {
         "flow_balance": float(np.max(np.abs(flow @ occ - b_eq))),
@@ -211,7 +209,7 @@ def _occupation_lp(mdp, objective, epigraph=False):
     if not residuals["flow_balance"] <= FLOW_TOL:
         raise RuntimeError(f"LP flow-balance residual {residuals['flow_balance']:.3e} "
                            f"exceeds {FLOW_TOL:.1e}")
-    return x, np.maximum(occ.reshape(s, a), 0.0), residuals
+    return x, np.maximum(occ.reshape(s, a), 0.0), residuals, multipliers
 
 
 def _solve(objective, a_ub, b_ub, a_eq, b_eq, lower):
@@ -219,7 +217,10 @@ def _solve(objective, a_ub, b_ub, a_eq, b_eq, lower):
     and x >= lower, as one HiGHS model on this thread's solver whose rows are
     the budget rows followed by the flow rows.
 
-    Returns x, or None when HiGHS proves the LP infeasible.  Raises
+    Returns (x, multipliers), or None when HiGHS proves the LP infeasible.
+    multipliers = max(-row_dual, 0) over the budget rows: the Lagrange
+    multipliers lambda >= 0 of a_ub @ x <= b_ub (HiGHS gives an active upper
+    bound of a minimization a nonpositive dual).  Raises
     RuntimeError on any other outcome but an optimum, and on an optimum that
     holds a NaN or breaks a bound, a budget row or an equality row by more
     than SOLUTION_TOL (scipy's linprog applies the same test, at its looser
@@ -266,13 +267,14 @@ def _solve(objective, a_ub, b_ub, a_eq, b_eq, lower):
         raise RuntimeError(f"LP solver failure: {highs.modelStatusToString(status)}")
     solution = highs.getSolution()
     x, row_value = np.array(solution.col_value), np.array(solution.row_value)
+    multipliers = np.maximum(-np.array(solution.row_dual[:n_ub]), 0.0)
     slack = b_ub - row_value[:n_ub]
     con = b_eq - row_value[n_ub:]
     if (np.isnan(x).any() or np.isnan(row_value).any() or (x < lower - SOLUTION_TOL).any()
             or (slack < -SOLUTION_TOL).any() or (np.abs(con) > SOLUTION_TOL).any()):
         raise RuntimeError(f"LP solution breaks a bound or constraint by more than "
                            f"{SOLUTION_TOL:.1e} although HiGHS reported it optimal")
-    return x
+    return x, multipliers
 
 
 def constrained_best_response(mdp):
@@ -283,8 +285,9 @@ def constrained_best_response(mdp):
     lp = _occupation_lp(mdp, costs[0])
     if lp is None:
         return BestResponseResult("infeasible", math.nan, np.full(layers, math.nan),
-                                  OccupationMeasure(np.zeros((s, a))), np.full((s, a), math.nan))
-    x, theta, residuals = lp
+                                  OccupationMeasure(np.zeros((s, a))), np.full((s, a), math.nan),
+                                  np.full(layers - 1, math.nan))
+    x, theta, residuals, multipliers = lp
     layer_values = costs @ x
     return BestResponseResult(
         status="optimal",
@@ -292,6 +295,7 @@ def constrained_best_response(mdp):
         layer_values=layer_values,
         occupation=OccupationMeasure(theta),
         strategy=recover_strategy(theta),
+        multipliers=multipliers,
         residuals=residuals,
     )
 
@@ -320,21 +324,8 @@ def slater_margin(mdp):
     lp = _occupation_lp(mdp, obj, epigraph=True)
     if lp is None:
         raise RuntimeError("slack LP reported infeasible; flow polytope should never be empty")
-    x, theta, _ = lp
+    x, theta = lp[:2]
     return SlaterResult(float(x[-1]), recover_strategy(theta))
-
-
-def slater_scan(game, player, opponent_samples):
-    """Slater margin of one player's induced MDP across sampled opponent
-    profiles.  opponent_samples is an iterable of `others` row lists."""
-    margins = []
-    for others in opponent_samples:
-        margins.append(slater_margin(induced_mdp(game, player, others)).margin)
-    margins = np.asarray(margins, dtype=float)
-    if margins.size == 0:
-        raise ValueError("no opponent samples given")
-    worst = int(np.argmin(margins))
-    return SlaterScan(margins=margins, worst=float(margins[worst]), worst_index=worst)
 
 
 def optimal_policy_values(mdp):

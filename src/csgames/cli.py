@@ -355,7 +355,8 @@ def cmd_solve(args):
     result = search_equilibrium(game, config)
     verdict = "reached" if result.converged else "missed"
     print(f"certified epsilon {result.certificate.epsilon:.6g}; target "
-          f"{args.target_eps:.6g} {verdict} after {result.iterations} iterations")
+          f"{args.target_eps:.6g} {verdict} after {result.iterations} iterations and "
+          f"{result.newton_attempts} Newton attempts ({result.newton_adopted} adopted)")
     return {
         "epsilon": result.certificate.epsilon,
         "target": args.target_eps,
@@ -363,6 +364,8 @@ def cmd_solve(args):
         "iterations": result.iterations,
         "restarts_used": result.restarts_used,
         "skipped_updates": len(result.skipped),
+        "newton_attempts": result.newton_attempts,
+        "newton_adopted": result.newton_adopted,
     }, {
         "strategy": strategy_to_payload(result.profile),
         "certificate": certificate_to_payload(result.certificate),

@@ -13,7 +13,9 @@ Three checkable solution concepts:
   marginal.
 
 Deviation infima are exact finite LPs over occupation measures, so every
-certificate is a checked numerical statement, not a heuristic.
+certificate is a checked numerical statement, not a heuristic.  The search
+may finish with a semismooth Newton solve of the equilibrium conditions
+(_newton_proposal), but only a profile's certificate decides PASS.
 """
 
 import math
@@ -24,12 +26,20 @@ import numpy as np
 from .best_response import constrained_best_response, optimal_policy_values
 from .discretization import resolution_for
 from .evaluation import (
+    _discounted_solve,
     evaluate_correlated,
     evaluate_profile,
     induced_mdp,
     induced_mdp_from_marginal,
 )
-from .game import StationaryProfile, _row_faults, _row_product, marginal_excluding, product_strategy
+from .game import (
+    CorrelatedStrategy,
+    StationaryProfile,
+    _row_faults,
+    _row_product,
+    marginal_excluding,
+    product_strategy,
+)
 
 __all__ = [
     "PlayerCertificate",
@@ -57,6 +67,17 @@ REGRET_TOL = 1e-9
 # Fraction of the way to the best responses that search_equilibrium's damped
 # iterate moves.
 DAMPING = 0.5
+# Iterations of each restart after which search_equilibrium tries a Newton
+# finish from its best profile (it also tries one when a restart ends short
+# of its target), and the limits of one try: a residual max-norm that ends
+# it, a number of steps, and the halvings of one step's line search, whose
+# Armijo test asks |F|^2 to fall by a share 2 * ARMIJO * t of itself.
+# A try that stalls ends after one failed line search, so it stays cheap.
+NEWTON_CHECKPOINTS = (4, 8, 16, 32)
+NEWTON_TOL = 1e-13
+NEWTON_STEPS = 40
+NEWTON_HALVINGS = 6
+ARMIJO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -245,7 +266,10 @@ def one_shot_game(game, state, values):
     """One-shot game at a state: payoffs (1-alpha) c_0 + alpha * E[v(next)].
 
     values has shape (N, S): each player's continuation value function.
+    Raises ValueError unless `state` indexes one of the game's states.
     """
+    if not 0 <= state < game.n_states:
+        raise ValueError(f"no state {state}: the game's states are 0 to {game.n_states - 1}")
     values = np.asarray(values, dtype=float)
     if values.shape != (game.n_players, game.n_states):
         raise ValueError(f"values must have shape {(game.n_players, game.n_states)}")
@@ -321,12 +345,18 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The best certificate a search found and its profile.  newton_attempts
+    counts the Newton finishes tried, and newton_adopted those whose profile
+    had a strictly better certificate than the best so far."""
+
     profile: StationaryProfile
     certificate: EquilibriumCertificate
     iterations: int
     restarts_used: int
     converged: bool
     skipped: tuple = field(default_factory=tuple)
+    newton_attempts: int = 0
+    newton_adopted: int = 0
 
 
 def _uniform_profile(game):
@@ -342,8 +372,173 @@ def _random_profile(game, rng):
     return StationaryProfile(tuple(rows))
 
 
+def _fischer_burmeister(a, b):
+    """phi(a, b) = sqrt(a^2 + b^2) - a - b, which is 0 exactly when a >= 0,
+    b >= 0 and a * b = 0, and its partial derivatives; at a = b = 0, its
+    kink, both are taken as 1/sqrt(2) - 1."""
+    r = np.hypot(a, b)
+    at_kink = r == 0.0
+    r_safe = np.where(at_kink, 1.0, r)
+    kink = math.sqrt(0.5) - 1.0
+    return (r - a - b, np.where(at_kink, kink, a / r_safe - 1.0),
+            np.where(at_kink, kink, b / r_safe - 1.0))
+
+
+def _against(table, rows, keep):
+    """A per-state table (S, A_1, ..., A_N, ...) summed over the actions of
+    every player not in `keep`, weighted by that player's row at the state:
+    shape (S, *[A_k for k in keep], ...), the kept axes in keep's order."""
+    letters = "abcdefghijklmnopqrstuvwxy"[:len(rows)]
+    operands = [table] + [rows[k] for k in range(len(rows)) if k not in keep]
+    inputs = ["z" + letters + "..."] + ["z" + letters[k] for k in range(len(rows))
+                                         if k not in keep]
+    output = "z" + "".join(letters[k] for k in keep) + "..."
+    return np.einsum(",".join(inputs) + "->" + output, *operands)
+
+
+class _EquilibriumSystem:
+    """The stationary equilibrium conditions of a game as a square system
+    F(z) = 0 (Filar, Schultz, Thuijsman & Vrieze, Math. Prog. 50, 1991), in
+    the Fischer-Burmeister form (Fischer, Optimization 24, 1992).
+
+    Per player i the unknowns are sigma_i (S x A_i), the normalized
+    Lagrangian values v_i (S) and the multipliers lambda_i (L), laid out in
+    that order, player after player; the equations, in the same layout, are
+
+        phi(sigma_i(s, a), Q_i(s, a) - v_i(s)) = 0,
+        sum_a sigma_i(s, a) - 1 = 0,
+        phi(lambda_il, kappa_il - J_il(sigma)) = 0,
+
+    where Q_i(s, a) = E_{sigma_-i}[(1 - alpha)(c_i^0 + lambda_i . c_i^{1..L})
+    + alpha q . v_i] at s.  At a zero, sigma_i is greedy for its Lagrangian
+    cost at every state, v_i is its Lagrangian value, and the budgets hold
+    with complementary slackness, so sigma_i is a constrained best response
+    (Lagrangian sufficiency) and sigma an exact stationary equilibrium.
+    """
+
+    def __init__(self, game):
+        self.game = game
+        s, self.n_layers = game.n_states, game.n_layers
+        shape = (s,) + game.n_actions
+        self.costs = game.costs.reshape((game.n_players, self.n_layers + 1) + shape)
+        self.kernel = game.transitions.reshape(shape + (s,))
+        self.sigma, self.value, self.lam = [], [], []
+        start = 0
+        for a in game.n_actions:
+            self.sigma.append(start + np.arange(s * a).reshape(s, a))
+            self.value.append(start + s * a + np.arange(s))
+            self.lam.append(start + s * a + s + np.arange(self.n_layers))
+            start += s * a + s + self.n_layers
+        self.size = start
+
+    def point(self, rows, values, multipliers):
+        z = np.empty(self.size)
+        for i, (row, v, lam) in enumerate(zip(rows, values, multipliers)):
+            z[self.sigma[i]], z[self.value[i]], z[self.lam[i]] = row, v, lam
+        return z
+
+    def __call__(self, z, jacobian=False):
+        """F(z), and with `jacobian` also its Jacobian (else None).  Raises
+        RuntimeError when the profile's evaluation fails its residual check."""
+        game, alpha, n_layers = self.game, self.game.discount, self.n_layers
+        s, n = game.n_states, game.n_players
+        rows = [z[idx] for idx in self.sigma]
+        joint = _row_product(rows, s)
+        kernel = np.einsum("sp,spt->st", joint, game.transitions)
+        budget_costs = np.einsum("sp,ilsp->ils", joint, game.costs[:, 1:])
+        # Per-state values of every budget layer, (S, N * L), column i * L + l.
+        layer_values = _discounted_solve(kernel, alpha,
+                                         (1.0 - alpha) * budget_costs.reshape(-1, s).T)
+        budget_excess = game.constraint_bounds - (game.initial @ layer_values).reshape(n, -1)
+        F = np.empty(self.size)
+        jac = np.zeros((self.size, self.size)) if jacobian else None
+        if jacobian:
+            occupation = _discounted_solve(kernel.T, alpha, (1.0 - alpha) * game.initial)
+        for i in range(n):
+            v, lam = z[self.value[i]], z[self.lam[i]]
+            lagrangian = ((1.0 - alpha) * (self.costs[i, 0] + np.tensordot(lam, self.costs[i, 1:], 1))
+                          + alpha * self.kernel @ v)
+            gap = _against(lagrangian, rows, (i,)) - v[:, None]
+            F[self.sigma[i]], d_sigma, d_gap = _fischer_burmeister(rows[i], gap)
+            F[self.value[i]] = rows[i].sum(axis=1) - 1.0
+            F[self.lam[i]], d_lam, d_excess = _fischer_burmeister(lam, budget_excess[i])
+            if not jacobian:
+                continue
+            own, col = self.sigma[i][:, :, None], d_gap[:, :, None]
+            jac[self.sigma[i], self.sigma[i]] = d_sigma
+            for j in range(n):
+                if j != i:
+                    jac[own, self.sigma[j][:, None, :]] = col * _against(lagrangian, rows, (i, j))
+            jac[own, self.value[i]] = col * (alpha * _against(self.kernel, rows, (i,))
+                                             - np.eye(s)[:, None, :])
+            layer_costs = np.moveaxis(self.costs[i, 1:], 0, -1)
+            jac[own, self.lam[i]] = col * (1.0 - alpha) * _against(layer_costs, rows, (i,))
+            jac[self.value[i][:, None], self.sigma[i]] = 1.0
+            jac[self.lam[i], self.lam[i]] = d_lam
+            # Policy gradient: dJ_il / dsigma_j(s, b) = d(s) / (1 - alpha) times
+            # the one-shot table of layer l, with values of that layer, at (s, b).
+            layer_tables = ((1.0 - alpha) * layer_costs
+                            + alpha * self.kernel @ layer_values[:, i * n_layers:(i + 1) * n_layers])
+            for j in range(n):
+                gradient = (_against(layer_tables, rows, (j,))
+                            * (occupation / (1.0 - alpha))[:, None, None])
+                jac[self.lam[i][:, None, None], self.sigma[j][None]] = \
+                    -d_excess[:, None, None] * np.moveaxis(gradient, -1, 0)
+        return F, jac
+
+
+def _newton_proposal(game, profile, responses):
+    """A profile proposed by a semismooth Newton solve of _EquilibriumSystem
+    from `profile` (None if no step was taken), and |F|_inf at the last
+    iterate.
+
+    The start is sigma = the profile's rows, lambda_i = responses[i]'s budget
+    multipliers, and v_i = the per-state Lagrangian value of responses[i]'s
+    strategy in player i's induced MDP, so no LP is solved.  Each step solves
+    J d = -F (by least squares if J is singular) and backtracks on |F|^2 by
+    the Armijo rule, halving up to NEWTON_HALVINGS times.  It stops at
+    |F|_inf <= NEWTON_TOL, after NEWTON_STEPS steps, or at a failed line
+    search.  The proposal is sigma clipped at 0 with its rows renormalized;
+    it is a proposal only, which its certificate accepts or refutes.
+    """
+    system = _EquilibriumSystem(game)
+    values = []
+    for i, br in enumerate(responses):
+        mdp = _induced_mdp(game, profile, i)
+        jx = evaluate_correlated(mdp, CorrelatedStrategy(mdp.n_actions, br.strategy)).Jx[0]
+        values.append(jx[0] + br.multipliers @ jx[1:])
+    z = system.point(profile.rows, values, [br.multipliers for br in responses])
+    F = system(z)[0]
+    taken = 0
+    try:
+        while taken < NEWTON_STEPS and not np.max(np.abs(F)) <= NEWTON_TOL:
+            jac = system(z, jacobian=True)[1]
+            try:
+                step = np.linalg.solve(jac, -F)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(jac, -F, rcond=None)[0]
+            merit, t = F @ F, 1.0
+            for _ in range(NEWTON_HALVINGS + 1):
+                trial = system(z + t * step)[0]
+                if trial @ trial <= (1.0 - 2.0 * ARMIJO * t) * merit:
+                    break
+                t /= 2.0
+            else:
+                break
+            z, F, taken = z + t * step, trial, taken + 1
+    except (RuntimeError, np.linalg.LinAlgError):
+        pass  # an iterate's evaluation failed its residual check: keep the last step
+    residual = float(np.max(np.abs(F)))
+    rows = [np.maximum(z[idx], 0.0) for idx in system.sigma]
+    sums = [row.sum(axis=1, keepdims=True) for row in rows]
+    if not taken or not all(np.all(total > 0.0) and np.all(np.isfinite(total)) for total in sums):
+        return None, residual
+    return StationaryProfile(tuple(row / total for row, total in zip(rows, sums))), residual
+
+
 def search_equilibrium(game, config=SearchConfig(), initial=None):
-    """Damped best-response iteration with seeded random restarts.
+    """Damped best-response iteration with seeded random restarts, finished
+    by a Newton solve of the equilibrium conditions.
 
     Each iteration computes every player's constrained best response; both the
     undamped best-response profile (the candidate) and the damped iterate,
@@ -353,32 +548,63 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
     skip that player's update and are logged in `skipped`.
 
     Certifying a profile solves each player's best-response LP against it, so
-    the damped iterate's certificate already holds the next iteration's best
-    responses and they are reused: only the first iteration of each restart
-    solves its own N LPs.  The candidate's best responses drive no move; it
+    each restart first certifies its starting profile (`initial`, the uniform
+    profile or a seeded random one), whose certificate holds the first
+    iteration's best responses, and each damped iterate's certificate holds
+    the next iteration's.  A search warm-started from a profile that already
+    meets the target thus ends after its N LPs, with no iteration, and never
+    returns a worse profile than the one it started from.  The candidate's
+    best responses drive no move; it
     only matters if its epsilon is below the best so far, so its certificate
     stops, with no further LP, as soon as a budget excess or a player's
     epsilon reaches that best (_certify's `beat`).  An iteration thus solves
     N LPs for the damped iterate plus only those candidate LPs that could
     still beat the best certificate, with the same iterates and certificates
     as certifying every profile in full.
+
+    Newton finish: after the iterations NEWTON_CHECKPOINTS of each restart,
+    and when a restart ends short of the target, the search tries
+    _newton_proposal from its best profile and that profile's best
+    responses, which its certificate already holds, so the try solves no LP.
+    It never tries twice from the same best profile, nor from one against
+    which some player's deviation set is empty.  The proposal is certified
+    like a candidate, and adopted only if its certificate is strictly better
+    than the best; the search ends as soon as the best certificate meets
+    the target.  So the certificate alone decides PASS, and the damped
+    iterates and their LPs are the same as without the finish up to the
+    iteration where the search stops.  `newton_attempts` and
+    `newton_adopted` count the tries and the adopted proposals.
     """
     best_profile = None
     best_cert = None
+    best_responses = None
+    newton_from = None
+    newton_attempts = newton_adopted = 0
     skipped = []
     iterations = 0
     restarts_used = 0
     converged = False
 
     def consider(profile, bounded):
-        nonlocal best_profile, best_cert, converged
+        nonlocal best_profile, best_cert, best_responses, converged
         beat = best_cert.epsilon if bounded and best_cert is not None else math.inf
         cert, responses = _approx_certificate(game, profile, config.target_epsilon, beat=beat)
         if cert is not None and (best_cert is None or cert.epsilon < best_cert.epsilon):
-            best_profile, best_cert = profile, cert
+            best_profile, best_cert, best_responses = profile, cert, responses
         if best_cert.epsilon <= config.target_epsilon:
             converged = True
         return responses
+
+    def finish():
+        nonlocal newton_from, newton_attempts, newton_adopted
+        if best_profile is newton_from or not all(br.feasible for br in best_responses):
+            return
+        newton_from = best_profile
+        newton_attempts += 1
+        proposal = _newton_proposal(game, best_profile, best_responses)[0]
+        if proposal is not None:
+            consider(proposal, bounded=True)
+            newton_adopted += best_profile is proposal
 
     for restart in range(config.restarts):
         restarts_used = restart + 1
@@ -389,12 +615,11 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
         else:
             rng = np.random.default_rng([config.seed, restart])
             profile = _random_profile(game, rng)
-        responses = None
-        for _ in range(config.max_iterations):
+        responses = consider(profile, bounded=False)
+        if converged:
+            break
+        for k in range(1, config.max_iterations + 1):
             iterations += 1
-            if responses is None:
-                responses = [constrained_best_response(_induced_mdp(game, profile, i))
-                             for i in range(game.n_players)]
             moves = []
             for i, br in enumerate(responses):
                 if br.feasible:
@@ -421,6 +646,12 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
             responses = consider(profile, bounded=False)
             if converged or step < 1e-13:
                 break
+            if k in NEWTON_CHECKPOINTS:
+                finish()
+                if converged:
+                    break
+        if not converged:
+            finish()
         if converged:
             break
 
@@ -431,6 +662,8 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
         restarts_used=restarts_used,
         converged=converged,
         skipped=tuple(skipped),
+        newton_attempts=newton_attempts,
+        newton_adopted=newton_adopted,
     )
 
 

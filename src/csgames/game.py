@@ -17,7 +17,7 @@ the density's sign and leaves the rest to validate_game.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,8 +32,6 @@ __all__ = [
     "validate_spec",
     "product_strategy",
     "marginal_excluding",
-    "observed_cost_bound",
-    "renormalize",
 ]
 
 ROW_SUM_TOL = 1e-9
@@ -317,8 +315,7 @@ def validate_game(game):
     strategy rows are, and so is |c| against the declared cost bound.
     Returns a ValidationReport listing every violated invariant with the
     offending location.  Every check is written so that a NaN or infinite
-    entry fails it.  Inputs are never modified or renormalized here; see
-    renormalize() for the explicit repair.
+    entry fails it.  Inputs are never modified or renormalized here.
     """
     issues = []
     if not (0.0 < game.discount < 1.0):
@@ -383,21 +380,3 @@ def marginal_excluding(psi, player):
     tensor = psi.table.reshape((s,) + psi.n_actions)
     return tensor.sum(axis=1 + player).reshape(s, -1)
 
-
-def observed_cost_bound(game):
-    """Largest |c| present in the cost tables; never exceeds the declared bound
-    on a valid game."""
-    return float(np.max(np.abs(game.costs)))
-
-
-def renormalize(game):
-    """Return a copy with transition rows and the initial distribution rescaled
-    to exact probability vectors.  Never applied implicitly."""
-    trans = np.clip(game.transitions, 0.0, None)
-    sums = trans.sum(axis=2, keepdims=True)
-    if np.any(sums <= 0.0):
-        raise ValueError("cannot renormalize a transition row with no mass")
-    init = np.clip(game.initial, 0.0, None)
-    if init.sum() <= 0.0:
-        raise ValueError("cannot renormalize an initial distribution with no mass")
-    return replace(game, transitions=trans / sums, initial=init / init.sum())

@@ -23,7 +23,6 @@ from csgames import (
     optimal_policy_values,
     recover_strategy,
     slater_margin,
-    slater_scan,
 )
 from csgames import best_response, sample_games
 from csgames.best_response import LP_OPTIONS
@@ -210,40 +209,6 @@ def test_slater_margin_unconstrained_is_infinite(trap):
     assert result.margin == np.inf
 
 
-def test_slater_scan_single_player(ctrap):
-    scan = slater_scan(ctrap, 0, [[]])
-    assert scan.margins.shape == (1,)
-    base = slater_margin(induced_mdp(ctrap, 0, []))
-    np.testing.assert_allclose(scan.worst, base.margin, atol=1e-10)
-
-
-def test_slater_scan_decoupled_constant(pair, rng):
-    samples = [[sample_games.random_profile(rng, pair).rows[1]]
-               for _ in range(4)]
-    scan = slater_scan(pair, 0, samples)
-    np.testing.assert_allclose(scan.margins, scan.margins[0], atol=1e-8)
-
-
-def test_slater_scan_vacuous_budget(rng):
-    game = sample_games.random_game(rng, n_players=2, n_states=2, n_layers=1)
-    vacuous = FiniteCSG(
-        n_actions=game.n_actions,
-        costs=np.concatenate([game.costs[:, :1],
-                              np.zeros_like(game.costs[:, 1:])], axis=1),
-        transitions=game.transitions,
-        discount=game.discount,
-        initial=game.initial,
-        constraint_bounds=np.ones((2, 1)),
-        cost_bound=game.cost_bound,
-    )
-    for player in range(2):
-        other = 1 - player
-        samples = [[sample_games.random_profile(rng, vacuous).rows[other]]
-                   for _ in range(3)]
-        scan = slater_scan(vacuous, player, samples)
-        np.testing.assert_allclose(scan.margins, 1.0, atol=1e-9)
-
-
 def test_optimal_policy_values_match_value_iteration(rng):
     for _ in range(8):
         game = sample_games.random_game(rng, n_players=1, n_states=5,
@@ -334,15 +299,18 @@ def test_direct_highs_matches_linprog(monkeypatch):
         if mdp.n_layers:
             slater_margin(mdp)
     statuses = set()
-    for (objective, a_ub, b_ub, a_eq, b_eq, lower), x in lps:
+    for (objective, a_ub, b_ub, a_eq, b_eq, lower), solved in lps:
         budgets = {"A_ub": a_ub, "b_ub": b_ub} if len(b_ub) else {}
         bounds = [(low, None) for low in lower]
         res = linprog(objective, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs",
                       options=LP_OPTIONS, **budgets)
         assert res.status in (0, 2)
-        assert (x is None) == (res.status == 2)
-        if x is not None:
+        assert (solved is None) == (res.status == 2)
+        if solved is not None:
+            x, multipliers = solved
             assert np.array_equal(x, res.x)
+            # The budget rows' multipliers are linprog's marginals, negated.
+            assert np.array_equal(multipliers, np.maximum(-res.ineqlin.marginals, 0.0))
         statuses.add((res.status, lower[-1] == -np.inf))
     assert statuses == {(0, False), (2, False), (0, True)}
 
@@ -558,8 +526,8 @@ def test_reused_solver_matches_a_fresh_one(seed, s, a, n_layers, data, lps):
     assert isinstance(reused[fail_at], str) and "LP solver failure" in reused[fail_at]
     for got, want in zip(reused, fresh):
         assert type(got) is type(want)
-        if isinstance(got, np.ndarray):
-            assert got.tobytes() == want.tobytes()
+        if isinstance(got, tuple):
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
         else:
             assert got == want
 

@@ -66,7 +66,8 @@ def zero_cost_single_player():
 
 def asymmetric_pennies():
     """One state, two players, unique interior mixed equilibrium at
-    (2/3, 1/2); best-response iteration cannot pin it down exactly."""
+    (2/3, 1/2); damped best-response iteration cannot pin it down exactly,
+    and the search's Newton finish does."""
     costs = np.zeros((2, 1, 1, 4))
     costs[0, 0, 0] = [0.0, 1.0, 1.0, 0.0]
     costs[1, 0, 0] = [1.0, 0.0, 0.0, 2.0]
@@ -258,15 +259,31 @@ def test_solve_zero_costs(tmp_path):
 
 
 def test_solve_unreachable_target_exits_1(tmp_path):
+    # No certificate's epsilon is below -1e-3: it is a gap that only rounding
+    # takes below zero.
     game = write_game(tmp_path, asymmetric_pennies())
-    rc = main(["solve", game, "--target-eps", "1e-10", "--restarts", "2",
+    rc = main(["solve", game, "--target-eps=-1e-3", "--restarts", "2",
                "--out-dir", str(tmp_path)])
     assert rc == EXIT_CERTIFIED_FAIL
     # best effort is still written
     cert = read_json(tmp_path, "solve.certificate.json")
-    assert cert["epsilon"] > 1e-10
+    assert cert["epsilon"] > -1e-3
     report = read_json(tmp_path, "solve.report.json")
     assert not report["results"]["achieved"]
+    assert report["results"]["newton_attempts"] >= 1
+
+
+def test_solve_finds_interior_mixed_equilibrium(tmp_path):
+    # Damped best responses circle the mixed equilibrium; the Newton finish
+    # lands on it, and the certificate confirms it.
+    game = write_game(tmp_path, asymmetric_pennies())
+    assert main(["solve", game, "--target-eps", "1e-10", "--restarts", "1",
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    report = read_json(tmp_path, "solve.report.json")["results"]
+    assert report["epsilon"] <= 1e-10
+    assert report["newton_adopted"] >= 1
+    rows = read_json(tmp_path, "solve.strategy.json")["rows"]
+    np.testing.assert_allclose([rows[0][0][0], rows[1][0][0]], [2.0 / 3.0, 0.5], atol=1e-9)
 
 
 def test_best_respond(tmp_path):
@@ -623,9 +640,14 @@ def test_sequence_single_level(tmp_path):
 
 @pytest.mark.parametrize("eps0, n, n_levels", [("1e-12", "2", 0), ("0.05", "6", 1)])
 def test_sequence_stops_early_exits_1(tmp_path, eps0, n, n_levels):
-    # rand2's search certifies about 0.034, so level 0 of 1e-12 fails, and
-    # with 0.05 level 0 passes and level 1 (target 0.025) fails.
-    game = str(GOLDEN_INPUTS / "rand2.game.json")
+    # Layer 1 costs 0.04 everywhere against a budget of 0, so no deviation
+    # meets the budget and every profile's epsilon is its excess 0.04: level
+    # 0 of 1e-12 fails, and with 0.05 level 0 passes and level 1 (target
+    # 0.025) fails, however well the search does.
+    trap = sample_games.constrained_trap_game()
+    costs = trap.costs.copy()
+    costs[:, 1] = 0.04
+    game = write_game(tmp_path, replace(trap, costs=costs, constraint_bounds=[[0.0]]))
     assert main(["correlated-sequence", game, "--eps0", eps0, "--n", n,
                  "--out-dir", str(tmp_path)]) == EXIT_CERTIFIED_FAIL
     results = read_json(tmp_path, "correlated-sequence.report.json")["results"]

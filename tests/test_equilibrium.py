@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from csgames import (
@@ -169,6 +169,14 @@ def test_one_shot_argmin_is_bellman_action(trap):
     assert int(np.argmin(osg.payoffs[0])) == 0
 
 
+@pytest.mark.parametrize("state", [-1, 4])
+def test_one_shot_game_rejects_missing_state(pair, state):
+    # State -1 used to return state 3's game labelled -1, and state 4 failed
+    # with numpy's IndexError.
+    with pytest.raises(ValueError, match=f"no state {state}: the game's states are 0 to 3"):
+        one_shot_game(pair, state, np.zeros((2, 4)))
+
+
 def test_one_shot_nash_matching_pennies():
     payoffs = np.array([
         [1.0, -1.0, -1.0, 1.0],
@@ -261,6 +269,17 @@ def test_search_config_needs_an_iteration(max_iterations):
     # With no iteration no profile is certified, so there is nothing to return.
     with pytest.raises(ValueError, match="max_iterations must be at least 1"):
         SearchConfig(max_iterations=max_iterations)
+
+
+def test_search_keeps_a_warm_start_that_meets_the_target(pair):
+    # The starting profile is certified first: a warm start that already
+    # meets the target is returned as it is, after its N LPs and no
+    # iteration, where the iterations used to replace it by their own.
+    rows = sample_games.trap_profile(0.75, n_states=4).rows[0]
+    nash = StationaryProfile((rows, rows))
+    result = search_equilibrium(pair, SearchConfig(target_epsilon=1e-8), initial=nash)
+    assert result.converged and result.iterations == 0
+    assert result.profile is nash
 
 
 def test_search_zero_costs(rng):
@@ -362,16 +381,22 @@ def lps_needed(cert, beat):
     return len(cert.players)
 
 
-def reference_search(game, config, initial=None):
+def reference_search(game, config, initial=None, newton=True):
     """The search as it was before certificates handed back their best
     responses: 3N LPs per iteration, N of them solved again for the damped
-    iterate, and every profile certified in full.  Returns the result fields
-    and the number of LPs the search needs: N at the start of each restart,
-    plus, for each certified profile, what lps_needed gives with the best
-    epsilon so far as the bound for a candidate and none for a damped
-    iterate."""
-    best = {"profile": None, "cert": None, "converged": False, "lps": 0}
-    skipped, iterations, restarts_used = [], 0, 0
+    iterate, and every profile certified in full.  With `newton`, it tries
+    equilibrium._newton_proposal after the iterations NEWTON_CHECKPOINTS of
+    each restart and when a restart ends short of its target, never twice
+    from the same best profile nor when a player's best response against it
+    is infeasible, and certifies the proposal as a candidate.  Each restart
+    first certifies its starting profile.  Returns the result fields, the
+    number of LPs the search needs (for each certified profile, what
+    lps_needed gives with the best epsilon so far as the bound for a
+    candidate or a proposal, and none for a starting profile or a damped
+    iterate) and the damped iterates in order."""
+    best = {"profile": None, "cert": None, "converged": False, "lps": 0, "newton_from": None,
+            "attempts": 0, "adopted": 0}
+    skipped, iterations, restarts_used, damped = [], 0, 0, []
 
     def consider(profile, bounded):
         cert = verify_approx_equilibrium(game, profile, config.target_epsilon)
@@ -381,6 +406,24 @@ def reference_search(game, config, initial=None):
             best["profile"], best["cert"] = profile, cert
         if best["cert"].epsilon <= config.target_epsilon:
             best["converged"] = True
+
+    def best_responses(profile):
+        return [constrained_best_response(
+            induced_mdp(game, i, [r for j, r in enumerate(profile.rows) if j != i]))
+            for i in range(game.n_players)]
+
+    def finish():
+        if not newton or best["profile"] is best["newton_from"]:
+            return
+        responses = best_responses(best["profile"])
+        if not all(br.feasible for br in responses):
+            return
+        best["newton_from"] = best["profile"]
+        best["attempts"] += 1
+        proposal = equilibrium._newton_proposal(game, best["profile"], responses)[0]
+        if proposal is not None:
+            consider(proposal, bounded=True)
+            best["adopted"] += best["profile"] is proposal
 
     for restart in range(config.restarts):
         restarts_used = restart + 1
@@ -393,12 +436,13 @@ def reference_search(game, config, initial=None):
             rng = np.random.default_rng([config.seed, restart])
             profile = StationaryProfile(tuple(
                 rng.dirichlet(np.ones(a), size=game.n_states) for a in game.n_actions))
-        for _ in range(config.max_iterations):
+        consider(profile, bounded=False)
+        if best["converged"]:
+            break
+        for k in range(1, config.max_iterations + 1):
             iterations += 1
             responses = []
-            for i in range(game.n_players):
-                others = [r for j, r in enumerate(profile.rows) if j != i]
-                br = constrained_best_response(induced_mdp(game, i, others))
+            for i, br in enumerate(best_responses(profile)):
                 if br.feasible:
                     responses.append(br.strategy)
                 else:
@@ -416,17 +460,25 @@ def reference_search(game, config, initial=None):
             step = max(float(np.max(np.abs(new - old)))
                        for new, old in zip(damped_rows, profile.rows))
             profile = StationaryProfile(damped_rows)
+            damped.append(profile)
             consider(profile, bounded=False)
             if best["converged"] or step < 1e-13:
                 break
+            if k in equilibrium.NEWTON_CHECKPOINTS:
+                finish()
+                if best["converged"]:
+                    break
+        if not best["converged"]:
+            finish()
         if best["converged"]:
             break
     return (best["profile"], best["cert"], iterations, restarts_used, best["converged"],
-            tuple(skipped)), best["lps"]
+            tuple(skipped), best["attempts"], best["adopted"]), best["lps"], damped
 
 
 def test_search_matches_reference_with_2n_lps(monkeypatch):
-    # Every LP the search solves is for an induced MDP built just for it.
+    # Every LP the search solves is for an induced MDP built just for it; a
+    # Newton attempt builds one more per player, for its start values.
     calls, built = [], []
 
     def counted(mdp):
@@ -439,7 +491,7 @@ def test_search_matches_reference_with_2n_lps(monkeypatch):
 
     monkeypatch.setattr(equilibrium, "constrained_best_response", counted)
     monkeypatch.setattr(equilibrium, "induced_mdp", counted_mdp)
-    any_skipped = any_converged = False
+    any_skipped = any_converged = any_adopted = any_cut_short = False
     for k in range(10):
         rng = np.random.default_rng([31, k])
         n_players = 1 + k % 3
@@ -448,21 +500,31 @@ def test_search_matches_reference_with_2n_lps(monkeypatch):
             slack=-0.1 if k % 4 == 3 else 0.02)
         config = SearchConfig(restarts=2, max_iterations=5, seed=k,
                               target_epsilon=1e-2 if k % 2 else 1e-8)
-        expected, lps = reference_search(game, config)
+        expected, lps, damped = reference_search(game, config)
+        # The Newton finish leaves the damped iterates as they were, up to
+        # where the search stops.
+        damped_alone = reference_search(game, config, newton=False)[2]
+        assert len(damped) <= len(damped_alone), k
+        for new, old in zip(damped, damped_alone):
+            assert all(np.array_equal(x, y) for x, y in zip(new.rows, old.rows)), k
         calls.clear()
         built.clear()
         result = search_equilibrium(game, config)
-        profile, cert, iterations, restarts_used, converged, skipped = expected
+        profile, cert, iterations, restarts_used, converged, skipped, attempts, adopted = expected
         assert len(result.profile.rows) == len(profile.rows)
         for new, old in zip(result.profile.rows, profile.rows):
             assert np.array_equal(new, old), k
         assert_same_certificate(result.certificate, cert)
-        assert (result.iterations, result.restarts_used, result.converged, result.skipped) \
-            == (iterations, restarts_used, converged, skipped), k
-        assert len(calls) == len(built) == n_players * restarts_used + lps, k
+        assert (result.iterations, result.restarts_used, result.converged, result.skipped,
+                result.newton_attempts, result.newton_adopted) \
+            == (iterations, restarts_used, converged, skipped, attempts, adopted), k
+        assert len(calls) == lps, k
+        assert len(built) == len(calls) + n_players * attempts, k
         any_skipped |= bool(skipped)
         any_converged |= converged
-    assert any_skipped and any_converged
+        any_adopted |= adopted > 0
+        any_cut_short |= len(damped) < len(damped_alone)
+    assert any_skipped and any_converged and any_adopted and any_cut_short
 
 
 @pytest.mark.parametrize("game", [sample_games.decoupled_pair(),
@@ -622,3 +684,61 @@ def test_needed_lp_failure_exits_4(tmp_path, monkeypatch, capsys):
         search_equilibrium(game, config)
     assert main(["solve", path, "--restarts", "1", "--out-dir", str(tmp_path)]) == EXIT_SOLVER
     assert "solver error: LP solver failure: doctored" in capsys.readouterr().err
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_players=st.integers(1, 3), n_states=st.integers(1, 3),
+       n_layers=st.integers(0, 2))
+def test_newton_jacobian_matches_central_differences(seed, n_players, n_states, n_layers):
+    rng = np.random.default_rng(seed)
+    game = sample_games.random_constrained_game(
+        rng, n_players=n_players, n_states=n_states,
+        n_actions=tuple(int(a) for a in rng.integers(1, 4, size=n_players)),
+        n_layers=n_layers, slack=0.0)
+    system = equilibrium._EquilibriumSystem(game)
+    z = system.point(sample_games.random_profile(rng, game).rows,
+                     rng.normal(size=(n_players, n_states)),
+                     rng.uniform(0.0, 2.0, size=(n_players, n_layers)))
+    radii = []
+    fischer_burmeister = equilibrium._fischer_burmeister
+
+    def recorded(a, b):
+        radii.append(np.min(np.hypot(a, b), initial=np.inf))
+        return fischer_burmeister(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equilibrium, "_fischer_burmeister", recorded)
+        jac = system(z, jacobian=True)[1]
+    # Central differences need phi smooth within h of every pair it is given.
+    assume(min(radii) > 1e-3)
+    h = 1e-6
+    numeric = np.column_stack([(system(z + h * e)[0] - system(z - h * e)[0]) / (2.0 * h)
+                               for e in np.eye(system.size)])
+    np.testing.assert_allclose(jac, numeric, rtol=0.0,
+                               atol=1e-7 * max(1.0, float(np.max(np.abs(jac)))))
+
+
+def test_converged_newton_profile_certifies(monkeypatch):
+    # From the best profile of 8 damped iterations, a Newton solve that
+    # reaches |F|_inf <= NEWTON_TOL proposes a profile whose certificate
+    # passes at 1e-8.  Five of these twelve coupled games get there, so the
+    # check is not vacuous.
+    converged = 0
+    for k in range(12):
+        rng = np.random.default_rng([41, k])
+        n_players = 2 + k % 2
+        game = sample_games.random_constrained_game(
+            rng, n_players=n_players, n_states=4 + k % 3, n_actions=(3, 2, 2)[:n_players],
+            n_layers=1 + k % 2, slack=0.05)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(equilibrium, "NEWTON_CHECKPOINTS", ())
+            patch.setattr(equilibrium, "_newton_proposal", lambda *args: (None, math.inf))
+            start = search_equilibrium(game, SearchConfig(restarts=1, max_iterations=8)).profile
+        cert, responses = equilibrium._approx_certificate(game, start, 1e-8)
+        if not all(br.feasible for br in responses):
+            continue
+        proposal, residual = equilibrium._newton_proposal(game, start, responses)
+        if residual <= equilibrium.NEWTON_TOL:
+            converged += 1
+            assert verify_approx_equilibrium(game, proposal, 1e-8).passed, k
+    assert converged >= 4

@@ -9,9 +9,7 @@ from csgames import (
     MarkovStrategy,
     StationaryProfile,
     marginal_excluding,
-    observed_cost_bound,
     product_strategy,
-    renormalize,
     validate_game,
     validate_spec,
 )
@@ -173,30 +171,6 @@ def test_marginal_hand_value():
     np.testing.assert_allclose(marginal_excluding(psi, 0), [[0.4, 0.6]])
 
 
-def test_observed_cost_bound(ctrap):
-    zero = FiniteCSG(
-        n_actions=ctrap.n_actions,
-        costs=np.zeros_like(ctrap.costs),
-        transitions=ctrap.transitions,
-        discount=ctrap.discount,
-        initial=ctrap.initial,
-        constraint_bounds=ctrap.constraint_bounds,
-        cost_bound=ctrap.cost_bound,
-    )
-    assert observed_cost_bound(zero) == 0.0
-    assert observed_cost_bound(ctrap) == 1.0
-    tripled = FiniteCSG(
-        n_actions=ctrap.n_actions,
-        costs=3.0 * ctrap.costs,
-        transitions=ctrap.transitions,
-        discount=ctrap.discount,
-        initial=ctrap.initial,
-        constraint_bounds=ctrap.constraint_bounds,
-        cost_bound=3.0 * ctrap.cost_bound,
-    )
-    assert observed_cost_bound(tripled) == 3.0 * observed_cost_bound(ctrap)
-
-
 def test_profile_rows_must_be_stochastic():
     with pytest.raises(ValueError):
         StationaryProfile((np.array([[0.5, 0.4]]),))
@@ -224,15 +198,6 @@ def test_profile_replace(ctrap):
     new = profile.replace(0, np.tile([0.5, 0.5], (2, 1)))
     np.testing.assert_allclose(new.rows[0][:, 0], 0.5)
     np.testing.assert_allclose(profile.rows[0][0, 0], 0.75)
-
-
-def test_renormalize_fixes_drift(ctrap):
-    trans = ctrap.transitions * 0.999
-    drifted = _with_transitions(ctrap, trans)
-    assert not validate_game(drifted).ok
-    fixed = renormalize(drifted)
-    assert validate_game(fixed).ok
-    np.testing.assert_allclose(fixed.transitions.sum(axis=2), 1.0, atol=1e-15)
 
 
 def test_shape_mismatch_raises(ctrap):

@@ -10,6 +10,9 @@ the inputs directory written as <in> where a document names an input.
 Regenerate only when an output change is intended, and say so:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints one line per case whose outputs changed, with its epsilon and exit
+code before and after, for the list the regeneration's commit gives.
 """
 
 import contextlib
@@ -66,6 +69,8 @@ CASES = {
                        "--n", "2"],
     "sequence-rdec": ["correlated-sequence", "{in}/rdec.game.json", "--eps0", "0.1",
                       "--n", "2"],
+    "sequence-rand3": ["correlated-sequence", "{in}/rand3.game.json", "--eps0", "0.1",
+                       "--n", "3"],
     "verify-rdec-weak": ["verify", "{in}/rdec.game.json", "{in}/rdec.correlated.json",
                          "--concept", "weak-correlated"],
     "discretize-linear-gamma": ["discretize", "{in}/linear.spec.json", "--gamma", "0.3"],
@@ -98,8 +103,8 @@ def write_inputs(directory):
     rand3 = sample_games.random_constrained_game(
         np.random.default_rng([7, 2]), n_players=3, n_states=6, n_actions=(2, 2, 2),
         slack=-0.02)
-    # Coupled random games run the search to its iteration cap; a decoupled
-    # product of two random games converges, so it can carry a sequence.
+    # A decoupled product of two random games, whose search converges
+    # without the Newton finish; rand3, a coupled game, needs it.
     rdec = sample_games.decoupled_product(*(
         sample_games.random_constrained_game(np.random.default_rng([8, 2, k]), n_states=s,
                                              slack=0.05, discount=0.6)
@@ -166,7 +171,21 @@ def test_cli_outputs_match_golden(name, tmp_path):
     assert run_case(name, tmp_path) == expected
 
 
+def outcome(outputs):
+    """A case's epsilon and exit code, as text: the report's epsilon, else
+    its final_epsilon (correlated-sequence), else none."""
+    results = {}
+    for file_name, text in outputs.items():
+        if file_name.endswith(".report.json"):
+            results = json.loads(text)["results"]
+    epsilon = results.get("epsilon", results.get("final_epsilon"))
+    exit_code = json.loads(outputs["run.json"])["exit_code"]
+    return f"epsilon {'none' if epsilon is None else f'{epsilon:.6g}'}, exit {exit_code}"
+
+
 def regenerate():
+    """Rewrite the inputs and every case, and print each case whose outputs
+    changed as `case: old outcome -> new outcome`."""
     write_inputs(INPUTS)
     for name in CASES:
         with tempfile.TemporaryDirectory() as tmp:
@@ -177,6 +196,9 @@ def regenerate():
                 shutil.copy(Path(tmp) / "correlated-sequence.strategy.json",
                             INPUTS / "rdec.correlated.json")
         target = GOLDEN / name
+        old = {path.name: path.read_text() for path in target.iterdir()} if target.is_dir() else {}
+        if outputs != old:
+            print(f"{name}: {outcome(old) if old else 'new case'} -> {outcome(outputs)}")
         shutil.rmtree(target, ignore_errors=True)
         target.mkdir()
         for file_name, text in outputs.items():
