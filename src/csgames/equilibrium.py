@@ -503,6 +503,8 @@ def _newton_proposal(game, profile, responses):
     """
     system = _EquilibriumSystem(game)
     values = []
+    # Through this module's induced_mdp and evaluate_correlated, as every
+    # evaluation of the search, so perfbench's tracer counts them.
     for i, br in enumerate(responses):
         mdp = _induced_mdp(game, profile, i)
         jx = evaluate_correlated(mdp, CorrelatedStrategy(mdp.n_actions, br.strategy)).Jx[0]
@@ -531,7 +533,7 @@ def _newton_proposal(game, profile, responses):
     residual = float(np.max(np.abs(F)))
     rows = [np.maximum(z[idx], 0.0) for idx in system.sigma]
     sums = [row.sum(axis=1, keepdims=True) for row in rows]
-    if not taken or not all(np.all(total > 0.0) and np.all(np.isfinite(total)) for total in sums):
+    if not taken or not all(np.all(total > 0.0) for total in sums):
         return None, residual
     return StationaryProfile(tuple(row / total for row, total in zip(rows, sums))), residual
 
@@ -551,29 +553,25 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
     each restart first certifies its starting profile (`initial`, the uniform
     profile or a seeded random one), whose certificate holds the first
     iteration's best responses, and each damped iterate's certificate holds
-    the next iteration's.  A search warm-started from a profile that already
-    meets the target thus ends after its N LPs, with no iteration, and never
-    returns a worse profile than the one it started from.  The candidate's
-    best responses drive no move; it
-    only matters if its epsilon is below the best so far, so its certificate
-    stops, with no further LP, as soon as a budget excess or a player's
-    epsilon reaches that best (_certify's `beat`).  An iteration thus solves
-    N LPs for the damped iterate plus only those candidate LPs that could
-    still beat the best certificate, with the same iterates and certificates
-    as certifying every profile in full.
+    the next iteration's.  A warm start that already meets the target thus
+    ends the search after its N LPs, with no iteration.  The candidate's best
+    responses drive no move; it only matters if its epsilon is below the best
+    so far, so its certificate stops, with no further LP, as soon as a budget
+    excess or a player's epsilon reaches that best (_certify's `beat`).  An
+    iteration thus solves N LPs for the damped iterate plus only those
+    candidate LPs that could still beat the best certificate, with the same
+    iterates and certificates as certifying every profile in full.
 
     Newton finish: after the iterations NEWTON_CHECKPOINTS of each restart,
     and when a restart ends short of the target, the search tries
-    _newton_proposal from its best profile and that profile's best
-    responses, which its certificate already holds, so the try solves no LP.
-    It never tries twice from the same best profile, nor from one against
-    which some player's deviation set is empty.  The proposal is certified
-    like a candidate, and adopted only if its certificate is strictly better
-    than the best; the search ends as soon as the best certificate meets
-    the target.  So the certificate alone decides PASS, and the damped
-    iterates and their LPs are the same as without the finish up to the
-    iteration where the search stops.  `newton_attempts` and
-    `newton_adopted` count the tries and the adopted proposals.
+    _newton_proposal from its best profile and the best responses its
+    certificate holds, so the try solves no LP.  It never tries twice from
+    the same best profile, nor when some player's deviation set is empty.
+    The proposal is certified like a candidate and adopted only if its
+    certificate is strictly better, so the certificate alone decides PASS;
+    the damped iterates and their LPs are those of the search without the
+    finish, up to the iteration where the search stops.  `newton_attempts`
+    and `newton_adopted` count the tries and the adopted proposals.
     """
     best_profile = None
     best_cert = None

@@ -31,9 +31,6 @@ from csgames.equilibrium import verify_approx_equilibrium
 from csgames.game import CorrelatedStrategy, MarkovStrategy, StationaryProfile, product_strategy
 
 
-GOLDEN_INPUTS = Path(__file__).parent / "data" / "golden" / "inputs"
-
-
 def write(path, payload):
     path.write_text(_dump(payload))
     return str(path)
