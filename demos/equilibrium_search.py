@@ -3,7 +3,8 @@
 The fixture is two independent copies of the constrained trap game, so the
 unique equilibrium is each player playing their own constrained optimum
 q* = 3/4.  The search does not know that: it runs damped best-response
-iteration and certifies candidates with exact LP-based certificates.  The
+iteration, finishes with a Newton solve of the equilibrium conditions, and
+certifies every candidate with exact LP-based certificates.  The
 demo then perturbs one player and reads the failure off the certificate,
 and finishes with the halving-target sequence of correlated strategies.
 """
@@ -30,7 +31,8 @@ def main():
     result = search_equilibrium(game, SearchConfig(seed=0))
     print(f"search: certified epsilon {result.certificate.epsilon:.3e} after "
           f"{result.iterations} iterations "
-          f"({result.restarts_used} restart(s))")
+          f"({result.restarts_used} restart(s)) and {result.newton_attempts} Newton "
+          f"attempt(s), {result.newton_adopted} adopted")
     for i, rows in enumerate(result.profile.rows):
         print(f"  player {i} plays action 0 at state 0 with probability "
               f"{rows[0, 0]:.6f} (optimum 0.75)")
