@@ -36,11 +36,9 @@ def pipeline(workdir):
     print()
 
     game_path = workdir / "pair.game.json"
-    game_path.write_text(_dump(game_to_payload(
-        sample_games.decoupled_pair(), name="decoupled trap pair")))
+    game_path.write_text(_dump(game_to_payload(sample_games.decoupled_pair())))
     spec_path = workdir / "linear.spec.json"
-    spec_path.write_text(_dump(spec_to_payload(
-        sample_games.linear_cost_grid_spec(), name="linear cost grid")))
+    spec_path.write_text(_dump(spec_to_payload(sample_games.linear_cost_grid_spec())))
 
     run(["solve", str(game_path), "--out-dir", str(workdir)])
     run(["verify", str(game_path), str(workdir / "solve.strategy.json"),

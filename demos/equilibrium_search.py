@@ -1,12 +1,16 @@
 """Finding and certifying equilibria of a two-player constrained game.
 
-The fixture is two independent copies of the constrained trap game, so the
-unique equilibrium is each player playing their own constrained optimum
-q* = 3/4.  The search does not know that: it runs damped best-response
-iteration, finishes with a Newton solve of the equilibrium conditions, and
-certifies every candidate with exact LP-based certificates.  The
-demo then perturbs one player and reads the failure off the certificate,
-and finishes with the halving-target sequence of correlated strategies.
+The fixture is two independent copies of the constrained trap game, so in
+every equilibrium each player gets their own constrained optimum value,
+J = (0.4, 0.6): objective 0.4 with the budget 0.6 tight.  The equilibrium
+profile is not unique: q* = 3/4 at every state is one, but a player's row
+may vary with the other player's state as long as their own occupation
+measure is the optimal one.  The search does not know any of this: it runs
+damped best-response iteration, finishes with a Newton solve of the
+equilibrium conditions, and certifies every candidate with exact LP-based
+certificates.  The demo then perturbs one player and reads the failure off
+the certificate, and finishes with the halving-target sequence of
+correlated strategies.
 """
 
 import numpy as np
@@ -33,12 +37,12 @@ def main():
           f"{result.iterations} iterations "
           f"({result.restarts_used} restart(s)) and {result.newton_attempts} Newton "
           f"attempt(s), {result.newton_adopted} adopted")
-    for i, rows in enumerate(result.profile.rows):
-        print(f"  player {i} plays action 0 at state 0 with probability "
-              f"{rows[0, 0]:.6f} (optimum 0.75)")
+    for i, pc in enumerate(result.certificate.players):
+        print(f"  player {i}: J = ({pc.objective:.6f}, {pc.constraint_values[0]:.6f}) "
+              f"(closed form (0.4, 0.6))")
 
     print()
-    print("certificate anatomy at the known optimum:")
+    print("certificate anatomy at q* = 3/4 everywhere:")
     opt = sample_games.trap_profile(0.75, n_states=4).rows[0]
     cert = verify_approx_equilibrium(game, StationaryProfile((opt, opt)), 1e-6)
     for i, pc in enumerate(cert.players):

@@ -132,22 +132,17 @@ def _field(doc, key, path):
     return doc[key]
 
 
-def game_to_payload(game, name=None, extra=None):
+def game_to_payload(game, extra=None):
     payload = {"schema": GAME_SCHEMA, "kind": "finite", "n_states": game.n_states,
                "n_constraint_layers": game.n_layers, **_plain(game)}
-    if name:
-        payload["name"] = name
     if extra:
         payload.update(extra)
     return payload
 
 
-def spec_to_payload(spec, name=None):
-    payload = {"schema": GAME_SCHEMA, "kind": "grid", "n_points": spec.n_points,
-               "n_constraint_layers": spec.game.n_layers, **_plain(spec)}
-    if name:
-        payload["name"] = name
-    return payload
+def spec_to_payload(spec):
+    return {"schema": GAME_SCHEMA, "kind": "grid", "n_points": spec.n_points,
+            "n_constraint_layers": spec.game.n_layers, **_plain(spec)}
 
 
 def strategy_to_payload(strategy):

@@ -27,6 +27,7 @@ from .best_response import constrained_best_response, optimal_policy_values
 from .discretization import resolution_for
 from .evaluation import (
     _discounted_solve,
+    _joint_kernel_costs,
     evaluate_correlated,
     evaluate_profile,
     induced_mdp,
@@ -35,7 +36,6 @@ from .evaluation import (
 from .game import (
     CorrelatedStrategy,
     StationaryProfile,
-    _row_faults,
     _row_product,
     marginal_excluding,
     product_strategy,
@@ -45,7 +45,6 @@ __all__ = [
     "PlayerCertificate",
     "EquilibriumCertificate",
     "StatewiseCertificate",
-    "OneShotGame",
     "ConsistencyReport",
     "SearchConfig",
     "SearchResult",
@@ -56,8 +55,6 @@ __all__ = [
     "verify_weak_correlated",
     "search_equilibrium",
     "correlated_limit_sequence",
-    "one_shot_game",
-    "verify_one_shot_nash",
     "one_shot_consistency",
 ]
 
@@ -121,16 +118,6 @@ class StatewiseCertificate:
     threshold: float
     passed: bool
     concept: str = "statewise"
-
-
-@dataclass(frozen=True)
-class OneShotGame:
-    """Auxiliary one-shot game at a state: current cost plus the discounted
-    continuation values, payoffs[i, p] over joint profiles."""
-
-    state: int
-    n_actions: tuple
-    payoffs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -262,61 +249,25 @@ def verify_weak_correlated(game, psi, tol=GAP_TOL):
                     0.0, tol, tol)[0]
 
 
-def one_shot_game(game, state, values):
-    """One-shot game at a state: payoffs (1-alpha) c_0 + alpha * E[v(next)].
-
-    values has shape (N, S): each player's continuation value function.
-    Raises ValueError unless `state` indexes one of the game's states.
-    """
-    if not 0 <= state < game.n_states:
-        raise ValueError(f"no state {state}: the game's states are 0 to {game.n_states - 1}")
-    values = np.asarray(values, dtype=float)
-    if values.shape != (game.n_players, game.n_states):
-        raise ValueError(f"values must have shape {(game.n_players, game.n_states)}")
-    current = (1.0 - game.discount) * game.costs[:, 0, state, :]
-    future = game.discount * values @ game.transitions[state].T
-    return OneShotGame(state=int(state), n_actions=game.n_actions, payoffs=current + future)
-
-
-def verify_one_shot_nash(osg, mixed):
-    """Check a mixed profile of the one-shot game; regret_i is the payoff drop
-    available to player i by a best pure action, and the check passes when
-    every regret is at most REGRET_TOL.  Each player's mixed action must be
-    a probability vector over its actions, up to ROW_SUM_TOL."""
-    mixed = [np.asarray(m, dtype=float) for m in mixed]
-    if len(mixed) != len(osg.n_actions):
-        raise ValueError("one mixed action per player required")
-    for i, (own, a) in enumerate(zip(mixed, osg.n_actions)):
-        if own.shape != (a,):
-            raise ValueError(f"player {i} mixed action must have shape {(a,)}; got {own.shape}")
-        faults = _row_faults(own[None])
-        if faults:
-            raise ValueError(f"player {i} mixed action {faults[0][1]}")
-    regrets = np.zeros(len(mixed))
-    for i, own in enumerate(mixed):
-        # Player i's payoffs with its actions last, against the others' joint mix.
-        table = np.moveaxis(osg.payoffs[i].reshape(osg.n_actions), i, -1)
-        table = table.reshape(-1, osg.n_actions[i])
-        against = _row_product([m[None] for m in mixed[:i] + mixed[i + 1:]], 1)[0] @ table
-        regrets[i] = float(against @ own) - float(np.min(against))
-    return bool(np.max(regrets) <= REGRET_TOL), regrets
-
-
 def one_shot_consistency(game, profile):
     """Check the per-state one-shot Nash condition of a stationary profile
     against its own continuation values, up to REGRET_TOL.
 
-    An aggregated equilibrium only pins behavior down on states that are
-    charged by the initial distribution, so suboptimal choices can hide on
-    null states; this reports exactly where.
+    Player i's one-shot payoff of a joint action at state s is
+    (1 - alpha) c_i^0 + alpha * E[v_i(next)], with v_i the profile's own
+    objective values; its regret there is sigma_i's expected payoff against
+    the others' rows minus that of its best pure action.  An aggregated
+    equilibrium only pins behavior down on states that are charged by the
+    initial distribution, so suboptimal choices can hide on null states;
+    this reports exactly where.
     """
-    cv = evaluate_profile(game, profile)
-    values = cv.Jx[:, 0, :]
-    regrets = np.zeros((game.n_players, game.n_states))
-    for state in range(game.n_states):
-        osg = one_shot_game(game, state, values)
-        _, reg = verify_one_shot_nash(osg, [r[state] for r in profile.rows])
-        regrets[:, state] = reg
+    values = evaluate_profile(game, profile).Jx[:, 0, :]
+    alpha, shape = game.discount, (game.n_states, *game.n_actions)
+    regrets = np.empty((game.n_players, game.n_states))
+    for i, own in enumerate(profile.rows):
+        payoffs = (1.0 - alpha) * game.costs[i, 0] + alpha * game.transitions @ values[i]
+        q = _against(payoffs.reshape(shape), profile.rows, (i,))
+        regrets[i] = np.sum(own * q, axis=1) - np.min(q, axis=1)
     worst = regrets.max(axis=0)
     flagged = tuple(int(s) for s in np.nonzero(worst > REGRET_TOL)[0])
     return ConsistencyReport(
@@ -443,12 +394,10 @@ class _EquilibriumSystem:
         game, alpha, n_layers = self.game, self.game.discount, self.n_layers
         s, n = game.n_states, game.n_players
         rows = [z[idx] for idx in self.sigma]
-        joint = _row_product(rows, s)
-        kernel = np.einsum("sp,spt->st", joint, game.transitions)
-        budget_costs = np.einsum("sp,ilsp->ils", joint, game.costs[:, 1:])
+        kernel, costs = _joint_kernel_costs(game, _row_product(rows, s))
         # Per-state values of every budget layer, (S, N * L), column i * L + l.
         layer_values = _discounted_solve(kernel, alpha,
-                                         (1.0 - alpha) * budget_costs.reshape(-1, s).T)
+                                         (1.0 - alpha) * costs[:, 1:].reshape(-1, s).T)
         budget_excess = game.constraint_bounds - (game.initial @ layer_values).reshape(n, -1)
         F = np.empty(self.size)
         jac = np.zeros((self.size, self.size)) if jacobian else None

@@ -138,9 +138,6 @@ class FiniteCSG:
     def n_profiles(self):
         return self.transitions.shape[1]
 
-    def profile_index(self, actions):
-        return int(np.ravel_multi_index(tuple(actions), self.n_actions))
-
     def profile_tuple(self, j):
         return tuple(int(k) for k in np.unravel_index(j, self.n_actions))
 
@@ -236,11 +233,6 @@ class StationaryProfile:
     @property
     def n_actions(self):
         return tuple(r.shape[1] for r in self.rows)
-
-    def replace(self, player, row):
-        rows = list(self.rows)
-        rows[player] = row
-        return StationaryProfile(tuple(rows))
 
 
 @dataclass(frozen=True)

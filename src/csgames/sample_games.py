@@ -115,8 +115,10 @@ def decoupled_product(first, second):
 
 def decoupled_pair(discount=0.5, budget=0.6):
     """Two independent copies of the constrained trap game as one two-player
-    game; the same trap optimum, played by each player on their own component,
-    is the unique equilibrium value."""
+    game.  Every equilibrium gives each player the trap's constrained optimum
+    value (J = (0.4, 0.6) at the defaults).  The profile is not unique: the
+    trap optimum q* at every state is one, but a player's row may vary with
+    the other player's state as long as their own occupation is optimal."""
     g = constrained_trap_game(discount, budget)
     return decoupled_product(g, g)
 

@@ -28,7 +28,6 @@ from csgames import (
     mix_occupations,
     occupation_measure,
     one_shot_consistency,
-    one_shot_game,
     product_strategy,
     recover_strategy,
     sample_games,
@@ -339,9 +338,11 @@ def test_shadowed_state_flagging_and_repair():
         check = one_shot_consistency(game, StationaryProfile((repaired,)))
         if not check.flagged:
             break
-        values = evaluate_profile(game, StationaryProfile((repaired,))).Jx[:, 0, :]
+        values = evaluate_profile(game, StationaryProfile((repaired,))).Jx[0, 0]
         for state in check.flagged:
-            best = int(np.argmin(one_shot_game(game, state, values).payoffs[0]))
+            payoffs = ((1.0 - game.discount) * game.costs[0, 0, state]
+                       + game.discount * game.transitions[state] @ values)
+            best = int(np.argmin(payoffs))
             repaired[state] = 0.0
             repaired[state, best] = 1.0
     cert = verify_statewise_equilibrium(game, StationaryProfile((repaired,)), 0.0)

@@ -9,20 +9,17 @@ from hypothesis import strategies as st
 
 from csgames import (
     FiniteCSG,
-    OneShotGame,
     SearchConfig,
     StationaryProfile,
     constrained_best_response,
     correlated_limit_sequence,
     evaluate_profile,
     one_shot_consistency,
-    one_shot_game,
     optimal_policy_values,
     induced_mdp,
     product_strategy,
     search_equilibrium,
     verify_approx_equilibrium,
-    verify_one_shot_nash,
     verify_statewise_equilibrium,
     verify_weak_correlated,
 )
@@ -150,75 +147,108 @@ def test_weak_correlated_product_of_nash(pair):
     assert cert.passed
 
 
-def test_one_shot_zero_values_scales_stage_costs(trap):
-    osg = one_shot_game(trap, 0, np.zeros((1, 2)))
-    np.testing.assert_allclose(
-        osg.payoffs, (1.0 - trap.discount) * trap.costs[:, 0, 0, :], atol=1e-12)
+def self_loop_game(n_actions, objective, discount=0.5):
+    """A one-state game, every joint action looping back to it, with
+    objective costs objective[i, p] and no budget layer."""
+    objective = np.asarray(objective, dtype=float)
+    n, p = objective.shape
+    return FiniteCSG(n_actions=n_actions, costs=objective[:, None, None, :],
+                     transitions=np.ones((1, p, 1)), discount=discount,
+                     initial=np.ones(1), constraint_bounds=np.zeros((n, 0)),
+                     cost_bound=float(np.max(np.abs(objective))))
+
+
+def self_loop_regrets(n_actions, objective, mixed, discount=0.5):
+    game = self_loop_game(n_actions, objective, discount)
+    profile = StationaryProfile(tuple(np.asarray(m, dtype=float)[None] for m in mixed))
+    return one_shot_consistency(game, profile)
+
+
+def test_one_shot_zero_values_scales_stage_costs(rng):
+    # One state: every action has the same continuation value, so each regret
+    # is (1 - alpha) times the stage game's regret.
+    objective = rng.uniform(-1.0, 1.0, size=(2, 6))
+    mixed = [rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(3))]
+    report = self_loop_regrets((2, 3), objective, mixed, discount=0.7)
+    q0 = objective[0].reshape(2, 3) @ mixed[1]
+    q1 = mixed[0] @ objective[1].reshape(2, 3)
+    stage = [mixed[0] @ q0 - q0.min(), mixed[1] @ q1 - q1.min()]
+    np.testing.assert_allclose(report.regrets[:, 0], 0.3 * np.array(stage), rtol=0, atol=1e-12)
 
 
 def test_one_shot_constant_values_shift(trap):
-    osg0 = one_shot_game(trap, 0, np.zeros((1, 2)))
-    osg1 = one_shot_game(trap, 0, np.ones((1, 2)))
-    np.testing.assert_allclose(osg1.payoffs, osg0.payoffs + trap.discount,
-                               atol=1e-12)
+    # A constant added to every objective cost shifts every value by it and
+    # leaves the regrets unchanged.
+    shifted = replace(trap, costs=trap.costs + 0.5, cost_bound=1.5)
+    profile = sample_games.trap_profile(0.3)
+    report = one_shot_consistency(trap, profile)
+    assert report.flagged == (0,)
+    np.testing.assert_allclose(one_shot_consistency(shifted, profile).regrets,
+                               report.regrets, rtol=0, atol=1e-12)
 
 
-def test_one_shot_argmin_is_bellman_action(trap):
-    values, _ = optimal_policy_values(induced_mdp(trap, 0, []))
-    osg = one_shot_game(trap, 0, values[None, :])
-    assert int(np.argmin(osg.payoffs[0])) == 0
-
-
-@pytest.mark.parametrize("state", [-1, 4])
-def test_one_shot_game_rejects_missing_state(pair, state):
-    # State -1 used to return state 3's game labelled -1, and state 4 failed
-    # with numpy's IndexError.
-    with pytest.raises(ValueError, match=f"no state {state}: the game's states are 0 to 3"):
-        one_shot_game(pair, state, np.zeros((2, 4)))
+def test_one_shot_argmin_is_bellman_action():
+    # Only the Bellman-optimal action escapes a flag.
+    game = self_loop_game((3,), [[0.4, -0.2, 0.9]])
+    _, policy = optimal_policy_values(induced_mdp(game, 0, []))
+    assert one_shot_consistency(game, StationaryProfile((policy,))).flagged == ()
+    assert int(np.argmax(policy[0])) == 1
+    for action in (0, 2):
+        report = one_shot_consistency(game, StationaryProfile((np.eye(3)[[action]],)))
+        assert report.flagged == (0,)
 
 
 def test_one_shot_nash_matching_pennies():
-    payoffs = np.array([
+    payoffs = [
         [1.0, -1.0, -1.0, 1.0],
         [-1.0, 1.0, 1.0, -1.0],
-    ])
-    osg = OneShotGame(state=0, n_actions=(2, 2), payoffs=payoffs)
-    half = [np.array([0.5, 0.5]), np.array([0.5, 0.5])]
-    ok, regrets = verify_one_shot_nash(osg, half)
-    assert ok
-    np.testing.assert_allclose(regrets, 0.0, atol=1e-12)
+    ]
+    report = self_loop_regrets((2, 2), payoffs, [[0.5, 0.5], [0.5, 0.5]])
+    assert report.flagged == ()
+    np.testing.assert_allclose(report.regrets, 0.0, atol=1e-12)
 
 
 def test_one_shot_nash_dominated_action():
-    # action 1 of player 0 dominates action 0 by exactly 0.3
-    payoffs = np.array([
+    # action 1 of player 0 dominates action 0 by exactly 0.3 a stage
+    payoffs = [
         [0.5, 0.5, 0.2, 0.2],
         [0.0, 0.0, 0.0, 0.0],
-    ])
-    osg = OneShotGame(state=0, n_actions=(2, 2), payoffs=payoffs)
-    pure = [np.array([1.0, 0.0]), np.array([0.5, 0.5])]
-    ok, regrets = verify_one_shot_nash(osg, pure)
-    assert not ok
-    np.testing.assert_allclose(regrets[0], 0.3, atol=1e-12)
+    ]
+    report = self_loop_regrets((2, 2), payoffs, [[1.0, 0.0], [0.5, 0.5]], discount=0.5)
+    assert report.flagged == (0,)
+    np.testing.assert_allclose(report.regrets[0], (1.0 - 0.5) * 0.3, atol=1e-12)
 
 
 def test_one_shot_nash_single_action():
-    osg = OneShotGame(state=0, n_actions=(1, 1), payoffs=np.array([[2.0], [3.0]]))
-    ok, regrets = verify_one_shot_nash(osg, [np.ones(1), np.ones(1)])
-    assert ok
-    np.testing.assert_allclose(regrets, 0.0, atol=1e-15)
+    report = self_loop_regrets((1, 1), [[2.0], [3.0]], [[1.0], [1.0]])
+    assert report.flagged == ()
+    np.testing.assert_allclose(report.regrets, 0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("mixed, message", [
-    ([[0.7, 0.7], [0.5, 0.5]], "player 0 mixed action sums to 1.3999999999999999"),
-    ([[0.5, 0.5], [1.0, math.nan]], "player 1 mixed action sums to nan"),
-    ([[1.0], [0.5, 0.5]], r"player 0 mixed action must have shape \(2,\)"),
-    ([[0.5, 0.5]], "one mixed action per player required"),
-], ids=["sum", "nan", "length", "count"])
-def test_one_shot_nash_rejects_non_distributions(pair, mixed, message):
-    osg = one_shot_game(pair, 0, np.zeros((2, 4)))
-    with pytest.raises(ValueError, match=message):
-        verify_one_shot_nash(osg, mixed)
+@pytest.mark.parametrize("n_players", [2, 3])
+def test_consistency_regrets_match_induced_mdps(n_players):
+    # Each player's Q_i = (1 - alpha) c_i + alpha P_i J_i in its induced MDP,
+    # regret sigma_i . Q_i - min Q_i, against the profile's own values J_i.
+    rng = np.random.default_rng([17, n_players])
+    for _ in range(10):
+        game = sample_games.random_game(rng, n_players=n_players, n_states=4)
+        # At state 0 no action matters, so no regret is positive there.
+        costs, transitions = game.costs.copy(), game.transitions.copy()
+        costs[:, :, 0], transitions[0] = costs[:, :, 0, :1], transitions[0, :1]
+        game = replace(game, costs=costs, transitions=transitions)
+        profile = sample_games.random_profile(rng, game)
+        rows = list(profile.rows)
+        report = one_shot_consistency(game, profile)
+        values = evaluate_profile(game, profile).Jx[:, 0, :]
+        alpha, expected = game.discount, np.empty((n_players, game.n_states))
+        for i in range(n_players):
+            mdp = induced_mdp(game, i, rows[:i] + rows[i + 1:])
+            q = (1.0 - alpha) * mdp.costs[0, 0] + alpha * mdp.transitions @ values[i]
+            expected[i] = np.sum(rows[i] * q, axis=1) - np.min(q, axis=1)
+        np.testing.assert_allclose(report.regrets, expected, rtol=0, atol=1e-12)
+        worst = expected.max(axis=0)
+        assert report.flagged == tuple(np.nonzero(worst > equilibrium.REGRET_TOL)[0])
+        assert 0 not in report.flagged
 
 
 def test_consistency_single_player_optimum(trap):

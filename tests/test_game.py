@@ -119,7 +119,7 @@ def test_profile_index_round_trip():
     game = sample_games.random_game(np.random.default_rng(3), n_players=3,
                                     n_states=2, n_actions=(2, 3, 2))
     for m in range(game.n_profiles):
-        assert game.profile_index(game.profile_tuple(m)) == m
+        assert np.ravel_multi_index(game.profile_tuple(m), game.n_actions) == m
     # row-major: last player's action varies fastest
     assert game.profile_tuple(0) == (0, 0, 0)
     assert game.profile_tuple(1) == (0, 0, 1)
@@ -191,13 +191,6 @@ def test_strategies_require_distributions(bad):
                   lambda: MarkovStrategy(0, (good, table), good)):
         with pytest.raises(ValueError):
             build()
-
-
-def test_profile_replace(ctrap):
-    profile = sample_games.trap_profile(0.75)
-    new = profile.replace(0, np.tile([0.5, 0.5], (2, 1)))
-    np.testing.assert_allclose(new.rows[0][:, 0], 0.5)
-    np.testing.assert_allclose(profile.rows[0][0, 0], 0.75)
 
 
 def test_shape_mismatch_raises(ctrap):
