@@ -15,7 +15,6 @@ import numpy as np
 
 from csgames import (
     constrained_best_response,
-    feasibility,
     induced_mdp,
     sample_games,
     slater_margin,
@@ -46,13 +45,11 @@ def main():
     print("occupation measure; at kappa = 0.6 the mix is q* = 3/4 with the")
     print("budget exactly tight.")
 
-    feasible, witness = feasibility(base)
-    print()
-    print(f"feasibility oracle at kappa = 0.6: {feasible}, witness row at "
-          f"state 0 = {np.round(witness[0], 4)}")
     result = constrained_best_response(base)
+    print()
+    print(f"best response at kappa = 0.6: {result.status}, witness row at "
+          f"state 0 = {np.round(result.strategy[0], 4)}")
     print("LP residuals:", {k: f"{v:.2e}" for k, v in result.residuals.items()})
-    print(f"occupation mass = {result.occupation.mass:.12f} (should be 1)")
 
 
 if __name__ == "__main__":

@@ -9,11 +9,12 @@ It satisfies the flow balance
 and every layer cost is the linear functional sum theta * c.  Minimizing the
 objective layer over this polytope subject to the budget rows is the
 constrained best response; the optimal policy is recovered by disintegration.
-One LP builder, `_occupation_lp`, sets up and checks this program for the
-best response, the feasibility test and the Slater margin.  It hands each LP
-to HiGHS directly, through scipy's bundled `_highspy` module: each thread
-keeps one solver (`_solver`), set up once with the options built at import
-from LP_OPTIONS and with every presolve rule on except the
+Whether any strategy meets the budgets is the best response's `feasible`, and
+its strategy is then a witness.  One LP builder, `_occupation_lp`, sets up
+and checks this program for the best response and the Slater margin.  It
+hands each LP to HiGHS directly, through scipy's bundled `_highspy` module:
+each thread keeps one solver (`_solver`), set up once with the options built
+at import from LP_OPTIONS and with every presolve rule on except the
 dependent-equations search (DEPENDENT_EQUATIONS), which cannot remove a row
 of an occupation LP; `_solve` gives the proof.  Each LP goes to that solver
 as plain arrays in compressed-column form, and passing a model drops the
@@ -36,13 +37,11 @@ from .evaluation import _discounted_solve, evaluate_policy
 from .game import _frozen_array
 
 __all__ = [
-    "OccupationMeasure",
     "BestResponseResult",
     "SlaterResult",
     "occupation_measure",
     "recover_strategy",
     "constrained_best_response",
-    "feasibility",
     "slater_margin",
     "optimal_policy_values",
 ]
@@ -98,23 +97,6 @@ def _solver():
 
 
 @dataclass(frozen=True)
-class OccupationMeasure:
-    """Normalized state-action occupation measure, table shape (S, A)."""
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "table", _frozen_array(self.table))
-
-    @property
-    def mass(self):
-        return float(self.table.sum())
-
-    def state_masses(self):
-        return self.table.sum(axis=1)
-
-
-@dataclass(frozen=True)
 class BestResponseResult:
     """A constrained best response.  multipliers holds the budget rows'
     Lagrange multipliers lambda >= 0, read from the LP's duals (NaN when no
@@ -123,7 +105,6 @@ class BestResponseResult:
     status: str
     value: float
     layer_values: np.ndarray
-    occupation: OccupationMeasure
     strategy: np.ndarray
     multipliers: np.ndarray
     residuals: dict = field(default_factory=dict)
@@ -154,18 +135,18 @@ def _dims(mdp):
 
 def occupation_measure(mdp, policy):
     """Occupation measure of a stationary policy, by the transposed
-    discounted solve."""
+    discounted solve, as a read-only (S, A) array."""
     _dims(mdp)
     policy = np.asarray(policy, dtype=float)
     kernel = np.einsum("sa,sat->st", policy, mdp.transitions)
     masses = _discounted_solve(kernel.T, mdp.discount, (1.0 - mdp.discount) * mdp.initial)
-    return OccupationMeasure(masses[:, None] * policy)
+    return _frozen_array(masses[:, None] * policy)
 
 
 def recover_strategy(occupation):
-    """Disintegrate an occupation measure into a policy; states whose mass is
-    at most 1e-12 get the uniform row."""
-    table = occupation.table if isinstance(occupation, OccupationMeasure) else np.asarray(occupation)
+    """Disintegrate an (S, A) occupation measure into a policy; states whose
+    mass is at most 1e-12 get the uniform row."""
+    table = np.asarray(occupation)
     masses = table.sum(axis=1)
     n_actions = table.shape[1]
     policy = np.full_like(table, 1.0 / n_actions)
@@ -279,34 +260,24 @@ def _solve(objective, a_ub, b_ub, a_eq, b_eq, lower):
 
 def constrained_best_response(mdp):
     """Minimize the objective layer over occupation measures meeting the
-    budget rows.  Returns status 'infeasible' when no strategy meets them."""
+    budget rows.  Returns status 'infeasible' (`feasible` False) when no
+    strategy meets them; otherwise `strategy` is a feasible witness."""
     (s, a), layers = _dims(mdp), mdp.n_layers + 1
     costs = mdp.costs[0].reshape(layers, s * a)
     lp = _occupation_lp(mdp, costs[0])
     if lp is None:
         return BestResponseResult("infeasible", math.nan, np.full(layers, math.nan),
-                                  OccupationMeasure(np.zeros((s, a))), np.full((s, a), math.nan),
-                                  np.full(layers - 1, math.nan))
+                                  np.full((s, a), math.nan), np.full(layers - 1, math.nan))
     x, theta, residuals, multipliers = lp
     layer_values = costs @ x
     return BestResponseResult(
         status="optimal",
         value=float(layer_values[0]),
         layer_values=layer_values,
-        occupation=OccupationMeasure(theta),
         strategy=recover_strategy(theta),
         multipliers=multipliers,
         residuals=residuals,
     )
-
-
-def feasibility(mdp):
-    """Is any strategy within the budgets?  Returns (bool, witness policy or None)."""
-    s, a = _dims(mdp)
-    lp = _occupation_lp(mdp, np.zeros(s * a))
-    if lp is None:
-        return False, None
-    return True, recover_strategy(lp[1])
 
 
 def slater_margin(mdp):

@@ -402,7 +402,7 @@ def cmd_transform(args):
     return {
         "eta_omega": wg.eta_omega,
         "c0": wg.c0,
-        "beta": wg.beta,
+        "beta": beta,
         "discount": wg.game.discount,
         "value_scale": wg.value_scale,
     }, {

@@ -230,7 +230,6 @@ def lift_strategy(partition, profile):
 class ApproximationReport:
     max_deviation: float
     certified_error: float
-    per_strategy: np.ndarray
 
     @property
     def within_bound(self):
@@ -258,9 +257,7 @@ def verify_approximation_bound(spec, partition, strategies):
             a = evaluate_markov_profile(original, heads, tail)
             b = evaluate_markov_profile(surrogate, heads, tail)
         deviations.append(float(np.max(np.abs(a.Jx - b.Jx))))
-    per_strategy = np.asarray(deviations, dtype=float)
     return ApproximationReport(
-        max_deviation=float(per_strategy.max()) if per_strategy.size else 0.0,
+        max_deviation=float(np.max(deviations, initial=0.0)),
         certified_error=error_bound(partition.resolution, original.discount, original.cost_bound),
-        per_strategy=per_strategy,
     )

@@ -223,10 +223,6 @@ class StationaryProfile:
         object.__setattr__(self, "rows", rows)
 
     @property
-    def n_players(self):
-        return len(self.rows)
-
-    @property
     def n_states(self):
         return self.rows[0].shape[0]
 
@@ -257,10 +253,6 @@ class MarkovStrategy:
         object.__setattr__(self, "player", int(self.player))
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "tail", tail)
-
-    @property
-    def horizon(self):
-        return len(self.head)
 
 
 @dataclass(frozen=True)

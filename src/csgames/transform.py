@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .best_response import OccupationMeasure
 from .evaluation import evaluate_policy, evaluate_profile, induced_mdp
 from .game import FiniteCSG, MarkovStrategy, StationaryProfile, _frozen_array
 
@@ -85,9 +84,8 @@ def caratheodory_reduce(values, weights):
             # Affinely independent support: already a basic solution.  This is
             # guaranteed once support <= d + 1, often earlier.
             break
+        # z sums to 0, so some entry is positive.
         z = null[:, 0]
-        if np.max(z) <= _PIVOT_EPS:
-            z = -z
         movable = z > _PIVOT_EPS
         ratios = np.where(movable, beta[support] / np.where(movable, z, 1.0), math.inf)
         step = float(np.min(ratios))
@@ -195,16 +193,15 @@ def markov_replacement(game, partition, player, others, strategy, horizon):
 
 
 def mix_occupations(first, second, weight):
-    """Convex combination of two occupation measures on the same MDP; the
-    discounted costs mix with the same weight since they are linear in the
-    measure."""
+    """Convex combination of two (S, A) occupation measures on the same MDP,
+    as a read-only array; the discounted costs mix with the same weight since
+    they are linear in the measure."""
     if not 0.0 <= weight <= 1.0:
         raise ValueError("weight must lie in [0, 1]")
-    a = first.table if isinstance(first, OccupationMeasure) else np.asarray(first, dtype=float)
-    b = second.table if isinstance(second, OccupationMeasure) else np.asarray(second, dtype=float)
+    a, b = np.asarray(first, dtype=float), np.asarray(second, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"occupation shapes differ: {a.shape} vs {b.shape}")
-    return OccupationMeasure(weight * a + (1.0 - weight) * b)
+    return _frozen_array(weight * a + (1.0 - weight) * b)
 
 
 def mixing_weight(epsilon, drift, slack):
@@ -227,15 +224,10 @@ class WesselsGame:
     profile on `game` gives value_scale times its cost in the original game.
     """
 
-    omega: np.ndarray
-    beta: float
     game: FiniteCSG
     eta_omega: float
     c0: float
     value_scale: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega", _frozen_array(self.omega))
 
 
 def wessels_transform(game, omega, beta):
@@ -299,8 +291,6 @@ def wessels_transform(game, omega, beta):
         cost_bound=c0,
     )
     return WesselsGame(
-        omega=omega,
-        beta=beta,
         game=transformed,
         eta_omega=eta_omega,
         c0=c0,

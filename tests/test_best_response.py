@@ -17,7 +17,6 @@ from csgames import (
     constrained_best_response,
     evaluate_policy,
     evaluate_profile,
-    feasibility,
     induced_mdp,
     occupation_measure,
     optimal_policy_values,
@@ -54,7 +53,8 @@ def test_occupation_absorbing_point_mass():
     )
     mdp = induced_mdp(game, 0, [])
     theta = occupation_measure(mdp, np.ones((1, 1)))
-    np.testing.assert_allclose(theta.table, [[1.0]], atol=1e-14)
+    np.testing.assert_allclose(theta, [[1.0]], atol=1e-14)
+    assert not theta.flags.writeable
 
 
 def test_occupation_symmetric_chain():
@@ -73,7 +73,7 @@ def test_occupation_symmetric_chain():
     )
     mdp = induced_mdp(game, 0, [])
     theta = occupation_measure(mdp, np.full((2, 2), 0.5))
-    np.testing.assert_allclose(theta.table, 0.25, atol=1e-14)
+    np.testing.assert_allclose(theta, 0.25, atol=1e-14)
 
 
 def test_occupation_mass_and_costs(rng):
@@ -83,8 +83,8 @@ def test_occupation_mass_and_costs(rng):
         profile = sample_games.random_profile(rng, game)
         mdp = induced_mdp(game, 0, [])
         theta = occupation_measure(mdp, profile.rows[0])
-        assert abs(theta.mass - 1.0) <= 1e-10
-        values = mdp.costs[0].reshape(2, -1) @ theta.table.reshape(-1)
+        assert abs(theta.sum() - 1.0) <= 1e-10
+        values = mdp.costs[0].reshape(2, -1) @ theta.reshape(-1)
         np.testing.assert_allclose(values, evaluate_profile(game, profile).J[0],
                                    atol=1e-10)
 
@@ -108,8 +108,8 @@ def test_recover_round_trip(rng):
         profile = sample_games.random_profile(rng, game)
         mdp = induced_mdp(game, 0, [])
         theta = occupation_measure(mdp, profile.rows[0])
-        sigma = recover_strategy(theta.table)
-        visited = theta.state_masses() > 1e-9
+        sigma = recover_strategy(theta)
+        visited = theta.sum(axis=1) > 1e-9
         np.testing.assert_allclose(sigma[visited], profile.rows[0][visited],
                                    atol=1e-9)
 
@@ -162,15 +162,14 @@ def test_lp_never_beaten_by_strategy_grid(rng):
 
 def test_feasibility_cases(ctrap):
     mdp = induced_mdp(ctrap, 0, [])
-    ok, witness = feasibility(mdp)
-    assert ok
-    j = evaluate_profile(ctrap, StationaryProfile((witness,))).J[0]
+    result = constrained_best_response(mdp)
+    assert result.feasible
+    j = evaluate_profile(ctrap, StationaryProfile((result.strategy,))).J[0]
     assert j[1] <= ctrap.constraint_bounds[0, 0] + 1e-9
-    always, _ = feasibility(replace(mdp, constraint_bounds=[[1.0]]))
-    assert always
-    impossible, none = feasibility(replace(mdp, constraint_bounds=[[-0.1]]))
-    assert not impossible
-    assert none is None
+    assert constrained_best_response(replace(mdp, constraint_bounds=[[1.0]])).feasible
+    impossible = constrained_best_response(replace(mdp, constraint_bounds=[[-0.1]]))
+    assert not impossible.feasible
+    assert np.isnan(impossible.strategy).all()
 
 
 def test_slater_margin_trap(ctrap):
@@ -228,8 +227,8 @@ def test_flow_residuals_reported(ctrap):
 
 def test_feasibility_best_response_and_slater_agree(rng):
     # Budgets sit a random slack away from a random witness's costs, often
-    # below anything a strategy can reach; the feasibility test, the best
-    # response and the Slater margin must agree on whether they can be met.
+    # below anything a strategy can reach; the best response and the Slater
+    # margin must agree on whether they can be met.
     seen = set()
     for _ in range(30):
         n_players = int(rng.integers(1, 3))
@@ -239,8 +238,7 @@ def test_feasibility_best_response_and_slater_agree(rng):
             n_layers=int(rng.integers(1, 3)), slack=float(rng.uniform(-0.4, 0.1)))
         others = sample_games.random_profile(rng, game).rows[1:]
         mdp = induced_mdp(game, 0, others)
-        feasible = feasibility(mdp)[0]
-        assert constrained_best_response(mdp).feasible == feasible
+        feasible = constrained_best_response(mdp).feasible
         assert (slater_margin(mdp).margin >= -1e-9) == feasible
         seen.add(feasible)
     assert seen == {True, False}
@@ -261,7 +259,7 @@ def test_multi_player_game_is_refused(pair):
     # A two-player game's joint profiles are not one player's actions; the
     # oracles take induced MDPs, one-player games, only.
     policy = np.full((pair.n_states, pair.n_profiles), 1.0 / pair.n_profiles)
-    calls = [constrained_best_response, feasibility, slater_margin, optimal_policy_values,
+    calls = [constrained_best_response, slater_margin, optimal_policy_values,
              lambda game: occupation_measure(game, policy)]
     for call in calls:
         with pytest.raises(ValueError, match="expected a one-player game"):
@@ -295,7 +293,6 @@ def test_direct_highs_matches_linprog(monkeypatch):
                                                          (a,), 2, slack=0.05))
     for mdp in mdps:
         constrained_best_response(mdp)
-        feasibility(mdp)
         if mdp.n_layers:
             slater_margin(mdp)
     statuses = set()
@@ -461,7 +458,6 @@ def test_best_respond_on_doctored_optimum_exits_4(ctrap, tmp_path, monkeypatch, 
 
 LP_KINDS = {
     "best response": constrained_best_response,
-    "feasibility": feasibility,
     "slater": slater_margin,
 }
 

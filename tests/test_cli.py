@@ -165,6 +165,38 @@ def test_unreadable_game_exits_2(tmp_path, capsys, case, message):
     assert not out.exists()
 
 
+def test_discount_of_one_exits_3(tmp_path, capsys):
+    # A game loads with any discount; validation refuses one outside (0, 1).
+    doc = game_to_payload(sample_games.trap_game())
+    doc["discount"] = 1.0
+    game = write(tmp_path / "game.json", doc)
+    strat = write_profile(tmp_path, sample_games.trap_profile(0.75))
+    out = tmp_path / "out"
+    assert main(["evaluate", game, strat, "--out-dir", str(out)]) == EXIT_VALIDATION
+    assert "discount must lie in (0, 1); got 1.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    ("verify", "expected kind 'finite', found 'grid'"),
+    ("discretize", "expected kind 'grid', found 'finite'"),
+])
+def test_wrong_kind_of_game_exits_2(tmp_path, capsys, command, message):
+    # verify takes a finite game and discretize a grid spec; each refuses
+    # the other kind as a parse error.
+    strat = write_profile(tmp_path, sample_games.trap_profile(0.75))
+    argv = {
+        "verify": ["verify", write(tmp_path / "spec.json",
+                                   spec_to_payload(sample_games.linear_cost_grid_spec())), strat],
+        "discretize": ["discretize", write_game(tmp_path, sample_games.trap_game()),
+                       "--gamma", "0.5"],
+    }[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == EXIT_PARSE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_rows_exit_3(tmp_path):
     strat = write_profile(tmp_path, sample_games.trap_profile(0.75))
     # Non-finite entries must fail validation too, although every comparison

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -356,3 +357,26 @@ def test_build_partition_matches_reference(rng, tmp_path, monkeypatch):
     assert main(["discretize", str(path), "--gamma", "0.3",
                  "--out-dir", str(tmp_path / "out")]) == EXIT_OK
     assert len(calls) == 1
+
+
+def _halves():
+    """Two cells over four grid points."""
+    return Partition(resolution=1.0, cells=(np.array([0, 1]), np.array([2, 3])),
+                     representatives=np.array([0, 2]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: resolution_for(0.1, 1.0, 1.0), "discount must lie in (0, 1)"),
+    (lambda: Partition(resolution=1.0, cells=(np.array([0, 1]),), representatives=np.array([0, 1])),
+     "one representative per cell required"),
+    (lambda: Partition(resolution=1.0, cells=(np.array([0, 2]),), representatives=np.array([0])),
+     "cell member index out of range"),
+    (lambda: check_partition(flat_spec(n_points=7), _halves()),
+     "partition covers 4 points, spec has 7"),
+    (lambda: lift_strategy(_halves(), StationaryProfile((np.full((3, 2), 0.5),))),
+     "profile has 3 states, partition 2 cells"),
+], ids=["resolution-discount", "representative-count", "member-range", "partition-size",
+        "lift-size"])
+def test_partition_guards(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

@@ -672,12 +672,17 @@ def failing_on(keys):
     return doctored
 
 
+def coupled_game():
+    """A two-player constrained game whose search with one restart prunes
+    candidate LPs and converges through an adopted Newton step."""
+    return sample_games.random_constrained_game(
+        np.random.default_rng(6), n_players=2, n_states=2, n_actions=(2, 3), slack=0.0)
+
+
 def pruning_search_game(tmp_path):
-    """A game written to disk whose `solve --restarts 1` prunes candidate LPs
-    and converges, read back as the CLI reads it, and the search's config."""
-    rng = np.random.default_rng(6)
-    game = sample_games.random_constrained_game(
-        rng, n_players=2, n_states=2, n_actions=(2, 3), slack=0.0)
+    """coupled_game written to disk, read back as the CLI reads it, and the
+    search's config."""
+    game = coupled_game()
     path = tmp_path / "game.json"
     path.write_text(json.dumps(game_to_payload(game)))
     return str(path), load_game(str(path))[0], SearchConfig(restarts=1)
@@ -772,3 +777,86 @@ def test_converged_newton_profile_certifies(monkeypatch):
             converged += 1
             assert verify_approx_equilibrium(game, proposal, 1e-8).passed, k
     assert converged >= 4
+
+
+def assert_certificate_of_profile(game, result, config):
+    """The search's certificate is its profile's own, as certified afresh."""
+    cert, _ = equilibrium._approx_certificate(game, result.profile, config.target_epsilon)
+    assert_same_certificate(result.certificate, cert)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_singular_newton_system_falls_back_to_least_squares(monkeypatch):
+    # When the Newton system cannot be solved, the step is its least-squares
+    # solution, and the search goes on to the same converged certificate.
+    game, config = coupled_game(), SearchConfig(restarts=1)
+    lstsq, least_squares = np.linalg.lstsq, []
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    def recorded(*args, **kwargs):
+        least_squares.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium.np.linalg, "solve", singular)
+    monkeypatch.setattr(equilibrium.np.linalg, "lstsq", recorded)
+    result = search_equilibrium(game, config)
+    assert least_squares
+    assert (result.newton_attempts, result.newton_adopted, result.converged) == (1, 1, True)
+    assert_certificate_of_profile(game, result, config)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_failed_newton_evaluation_keeps_the_last_step(monkeypatch):
+    # An iterate whose evaluation fails ends the Newton try, which proposes
+    # its last accepted iterate: here, the one-step proposal, bit for bit.
+    game = coupled_game()
+    profile = equilibrium._uniform_profile(game)
+    responses = equilibrium._approx_certificate(game, profile, 1e-8)[1]
+    solve, calls = equilibrium._discounted_solve, []
+
+    def failing_after(limit):
+        def doctored(*args):
+            calls.append(args)
+            if len(calls) > limit:
+                raise RuntimeError("policy evaluation residual: doctored")
+            return solve(*args)
+        return doctored
+
+    monkeypatch.setattr(equilibrium, "_discounted_solve", failing_after(math.inf))
+    monkeypatch.setattr(equilibrium, "NEWTON_STEPS", 1)
+    one_step, _ = equilibrium._newton_proposal(game, profile, responses)
+    monkeypatch.setattr(equilibrium, "NEWTON_STEPS", 40)
+    first_step_calls, calls[:] = len(calls), []
+    monkeypatch.setattr(equilibrium, "_discounted_solve", failing_after(first_step_calls))
+    kept, _ = equilibrium._newton_proposal(game, profile, responses)
+    assert len(calls) == first_step_calls + 1
+    for x, y in zip(kept.rows, one_step.rows):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_search_survives_failed_newton_evaluations(monkeypatch):
+    # Every Newton try fails after its first evaluation, so none proposes a
+    # profile; the search still counts each try and returns the certificate
+    # of its best damped or candidate profile.
+    game, config = coupled_game(), SearchConfig(restarts=1)
+    solve, propose, calls = equilibrium._discounted_solve, equilibrium._newton_proposal, []
+
+    def doctored(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise RuntimeError("policy evaluation residual: doctored")
+        return solve(*args)
+
+    def proposal(*args):
+        calls.clear()
+        return propose(*args)
+
+    monkeypatch.setattr(equilibrium, "_discounted_solve", doctored)
+    monkeypatch.setattr(equilibrium, "_newton_proposal", proposal)
+    result = search_equilibrium(game, config)
+    assert result.newton_attempts >= 1
+    assert result.newton_adopted == 0
+    assert_certificate_of_profile(game, result, config)

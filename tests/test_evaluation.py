@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -9,6 +10,7 @@ from csgames import (
     FiniteCSG,
     StationaryProfile,
     evaluate_correlated,
+    evaluate_markov,
     evaluate_markov_profile,
     evaluate_policy,
     evaluate_profile,
@@ -344,6 +346,28 @@ def test_simulation_horizon_bounds_tail():
     assert alpha ** horizon * b <= 1e-6
     # minimal for the safety-factor target tol * (1 - alpha)
     assert alpha ** (horizon - 1) * b > 1e-6 * (1.0 - alpha)
+
+
+def test_simulation_horizon_is_one_when_one_step_suffices():
+    # Without costs there is nothing to truncate, and a tolerance of the
+    # whole cost range over (1 - alpha) admits any one-step tail; the second
+    # holds for an infinite tolerance too, whose log the general formula
+    # cannot take.
+    assert simulation_horizon(1e-6, 0.5, 0.0) == 1
+    for tol in (2.0, np.inf):
+        assert simulation_horizon(tol, 0.5, 1.0) == 1
+        assert 0.5 ** 1 * 1.0 <= tol
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: evaluate_markov(sample_games.trap_game(), [], np.full((2, 2), 0.5)),
+     "strategy must be a MarkovStrategy"),
+    (lambda: induced_mdp_from_marginal(sample_games.decoupled_pair(), 0, np.ones((4, 1))),
+     "marginal must have shape (4, 2); got (4, 1)"),
+], ids=["not-markov", "marginal-shape"])
+def test_evaluation_guards(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -204,3 +205,46 @@ def test_shape_mismatch_raises(ctrap):
             constraint_bounds=ctrap.constraint_bounds,
             cost_bound=ctrap.cost_bound,
         )
+
+
+def _grid_spec():
+    return sample_games.random_continuous_spec(np.random.default_rng(0), n_points=9, n_players=2,
+                                               n_actions=(2, 2))
+
+
+_HALF = np.full((2, 2), 0.5)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: replace(sample_games.constrained_trap_game(), n_actions=()),
+     "n_actions must list a positive count per player"),
+    (lambda: replace(sample_games.constrained_trap_game(), initial=np.full(3, 1 / 3)),
+     "initial must have shape (2,); got (3,)"),
+    (lambda: replace(sample_games.constrained_trap_game(), constraint_bounds=np.zeros((1, 2))),
+     "constraint_bounds must have shape (1, 1); got (1, 2)"),
+    (lambda: replace(_grid_spec(), points=np.linspace(0.0, 1.0, 8)),
+     "points and weights disagree on grid size"),
+    (lambda: replace(_grid_spec(), density=np.ones((9, 1, 9))),
+     "density must have shape (9, 4, 9); got (9, 1, 9)"),
+    (lambda: StationaryProfile(()), "profile needs at least one player"),
+    (lambda: StationaryProfile((_HALF, np.full((3, 2), 0.5))),
+     "player 1 rows must be (S, A_i); got (3, 2)"),
+    (lambda: MarkovStrategy(0, (), np.full(2, 0.5)), "tail must be an (S, A_i) array"),
+    (lambda: MarkovStrategy(0, (np.full((3, 2), 0.5),), _HALF),
+     "head step 0 has shape (3, 2), tail (2, 2)"),
+    (lambda: CorrelatedStrategy((2, 2), _HALF), "table must be (S, 4); got (2, 2)"),
+    (lambda: sample_games.decoupled_product(sample_games.decoupled_pair(),
+                                            sample_games.trap_game()),
+     "decoupled_product takes two single-player games"),
+    (lambda: sample_games.decoupled_product(sample_games.trap_game(),
+                                            replace(sample_games.trap_game(), discount=0.25)),
+     "factors must share the discount"),
+    (lambda: sample_games.decoupled_product(sample_games.trap_game(),
+                                            sample_games.constrained_trap_game()),
+     "factors must share the number of constraint layers"),
+], ids=["no-players", "initial-shape", "bounds-shape", "points-weights", "density-shape",
+        "empty-profile", "profile-rows", "tail-ndim", "head-shape", "correlated-table",
+        "product-players", "product-discount", "product-layers"])
+def test_constructors_reject_bad_shapes(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

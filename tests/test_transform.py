@@ -1,9 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from csgames import (
     FiniteCSG,
-    OccupationMeasure,
     Partition,
     StationaryProfile,
     caratheodory_reduce,
@@ -132,6 +133,18 @@ def test_cellwise_match_point_mass_copies():
     np.testing.assert_allclose(f[1], strategy[1], atol=1e-12)
 
 
+def test_cellwise_match_massless_cell_is_uniform():
+    # A cell the distribution does not reach has no integral to keep: its
+    # members play the uniform row, and the other cell is matched as usual.
+    partition = Partition(resolution=1.0, cells=(np.array([0, 1]), np.array([2, 3])),
+                          representatives=np.array([0, 2]))
+    strategy = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5], [0.0, 0.0, 1.0]])
+    payoffs = np.tile([0.0, 1.0, 2.0], (1, 4, 1))
+    f = cellwise_match(partition, payoffs, np.array([0.25, 0.75, 0.0, 0.0]), strategy)
+    np.testing.assert_array_equal(f[2:], np.full((2, 3), 1.0 / 3.0))
+    np.testing.assert_allclose(f[:2], np.tile([0.25, 0.75, 0.0], (2, 1)), atol=1e-12)
+
+
 def test_cellwise_match_preserves_integrals(rng):
     for _ in range(20):
         n_states, n_actions, d = 5, 3, 2
@@ -211,12 +224,12 @@ def test_replacement_rejects_non_constant_game(rng, ctrap):
 
 
 def test_mix_occupations_endpoints_and_average():
-    a = OccupationMeasure(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    b = OccupationMeasure(np.array([[0.0, 0.0], [0.0, 1.0]]))
-    np.testing.assert_allclose(mix_occupations(a, b, 1.0).table, a.table)
-    np.testing.assert_allclose(mix_occupations(a, b, 0.0).table, b.table)
-    np.testing.assert_allclose(mix_occupations(a, b, 0.5).table,
-                               0.5 * (a.table + b.table))
+    a = np.array([[1.0, 0.0], [0.0, 0.0]])
+    b = np.array([[0.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_allclose(mix_occupations(a, b, 1.0), a)
+    np.testing.assert_allclose(mix_occupations(a, b, 0.0), b)
+    np.testing.assert_allclose(mix_occupations(a, b, 0.5), 0.5 * (a + b))
+    assert not mix_occupations(a, b, 0.5).flags.writeable
 
 
 def test_mix_trap_constraint_cost(ctrap):
@@ -224,7 +237,7 @@ def test_mix_trap_constraint_cost(ctrap):
     theta1 = occupation_measure(mdp, sample_games.trap_profile(0.0).rows[0])
     theta2 = occupation_measure(mdp, sample_games.trap_profile(1.0).rows[0])
     mixed = mix_occupations(theta2, theta1, 0.5)
-    sigma = recover_strategy(mixed.table)
+    sigma = recover_strategy(mixed)
     j = evaluate_profile(ctrap, StationaryProfile((sigma,))).J[0]
     assert abs(j[1] - 0.5) <= 1e-10
 
@@ -241,7 +254,7 @@ def test_mixed_occupation_costs_are_linear(rng):
     jb = evaluate_profile(game, StationaryProfile((pb,))).J[0]
     for xi in (0.0, 0.25, 0.6, 1.0):
         mixed = mix_occupations(ta, tb, xi)
-        sigma = recover_strategy(mixed.table)
+        sigma = recover_strategy(mixed)
         j = evaluate_profile(game, StationaryProfile((sigma,))).J[0]
         np.testing.assert_allclose(j, xi * ja + (1.0 - xi) * jb, atol=1e-9)
 
@@ -370,3 +383,32 @@ def test_wessels_zero_costs(rng):
                                    sample_games.trap_profile(0.5))
     assert report.passed
     assert report.max_error <= 1e-14
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: caratheodory_reduce(np.zeros(3), np.full(3, 1 / 3)),
+     "values must be (K, d) with one weight per row"),
+    (lambda: caratheodory_reduce(np.zeros((3, 1)), np.full(2, 0.5)),
+     "values must be (K, d) with one weight per row"),
+    (lambda: caratheodory_reduce(np.zeros((2, 1)), np.array([0.5, 0.6])),
+     "weights must be a probability vector"),
+    (lambda: cellwise_match(two_state_cell(), np.zeros((2, 2)), np.full(2, 0.5),
+                            np.full((2, 2), 0.5)),
+     "payoffs must be (d, S, A) over the partition's grid"),
+    (lambda: cellwise_match(two_state_cell(), np.zeros((1, 3, 2)), np.full(2, 0.5),
+                            np.full((2, 2), 0.5)),
+     "payoffs must be (d, S, A) over the partition's grid"),
+    (lambda: markov_replacement(sample_games.constrained_trap_game(), two_state_cell(), 0, [],
+                                np.full((2, 2), 0.5), -1),
+     "horizon must be nonnegative"),
+    (lambda: mix_occupations(np.zeros((2, 2)), np.zeros((2, 2)), 1.5),
+     "weight must lie in [0, 1]"),
+    (lambda: mix_occupations(np.zeros((2, 2)), np.zeros((2, 3)), 0.5),
+     "occupation shapes differ: (2, 2) vs (2, 3)"),
+    (lambda: wessels_transform(sample_games.constrained_trap_game(), np.ones(3), 1.5),
+     "omega must have shape (2,)"),
+], ids=["values-ndim", "weights-count", "weights-sum", "payoffs-ndim", "payoffs-grid",
+        "horizon", "mix-weight", "mix-shapes", "omega-shape"])
+def test_surgery_guards(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
