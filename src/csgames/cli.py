@@ -536,7 +536,9 @@ def main(argv=None):
         # Ahead of ValueError, which LinAlgError subclasses.
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ValidationFailure, ValueError) as exc:
+    except (ValidationFailure, ValueError, MemoryError) as exc:
+        # MemoryError: an input too large to hold, such as the per-trajectory
+        # totals of `simulate --trajectories 10000000000000`.
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -10,7 +10,11 @@ since the kernel under a fixed joint strategy does not depend on them.
 exact sampler, `_count_below`: a branchless binary search for the first CDF
 entry >= u.  It only compares, so on the non-decreasing rows `_rows_cdf`
 builds it picks the same index as counting the entries below u, in
-ceil(log2 width) rounds instead of O(width) work per draw.
+ceil(log2 width) rounds instead of O(width) work per draw.  Trajectories
+run in chunks whose uniforms fit in SIMULATE_BLOCK_BYTES.  Each chunk runs in
+`_simulate_chunk`, whose block of uniforms and step buffers die when it
+returns, so one block is alive at a time; its step loop writes into those
+buffers and allocates nothing per step but a small weighted cost table.
 
 The constrained MDP one player faces against fixed opponents (`induced_mdp`)
 is a one-player FiniteCSG, so every game function applies to it; its budgets
@@ -50,8 +54,11 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-10
 # Largest block of uniforms simulate draws at once: a chunk holds at most as
-# many trajectories as fit their 1 + 2H draws in it (and at least one).
-SIMULATE_BLOCK_BYTES = 64 * 2**20
+# many trajectories as fit their 1 + 2H draws in it (and at least one).  At
+# H = 153 that is about 8,500 rows.  On a 30-state game (2-core x86-64 VM)
+# 8,192-row blocks ran as fast as 16,384-row ones, and 4,096 rows about 10%
+# slower.
+SIMULATE_BLOCK_BYTES = 20 * 2**20
 
 
 @dataclass(frozen=True)
@@ -233,7 +240,7 @@ def _rows_cdf(table):
     return cdf
 
 
-def _count_below(cdf, rows, u):
+def _count_below(cdf, rows, u, out=None, scratch=None):
     """First index k with cdf[rows, k] >= u, clipped to width - 1.
 
     A branchless binary search over each flattened row: ceil(log2 width)
@@ -241,17 +248,66 @@ def _count_below(cdf, rows, u):
     it is at least pos + half exactly when the entry at pos + half - 1 is
     below u.  On non-decreasing rows this is the count of entries below u,
     clipped to width - 1, and it never reads the last entry.
+
+    `simulate` passes `out` (an intp array shaped like rows, which receives
+    the answer) and `scratch` from `_search_scratch`, so the search
+    allocates nothing.
     """
     width = cdf.shape[1]
     flat = cdf.ravel()
-    base = rows * width
-    pos = base.copy()
+    base, idx, vals, below = _search_scratch(len(rows)) if scratch is None else scratch
+    np.multiply(rows, width, out=base)
+    pos = np.empty_like(base) if out is None else out
+    np.copyto(pos, base)
     n = width
     while n > 1:
         half = n // 2
-        pos += half * (flat[pos + (half - 1)] < u)
+        np.add(pos, half - 1, out=idx)
+        # Every index is inside flat; "clip" only spares the copy of `out`
+        # that take makes in its default "raise" mode.
+        np.take(flat, idx, out=vals, mode="clip")
+        np.less(vals, u, out=below)
+        pos += np.multiply(below, half, out=idx)
         n -= half
-    return pos - base
+    return np.subtract(pos, base, out=pos)
+
+
+def _search_scratch(size):
+    """Work arrays for `_count_below` on `size` draws: row offsets and
+    gather indices, gathered CDF entries and their comparisons."""
+    return (np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp),
+            np.empty(size), np.empty(size, dtype=bool))
+
+
+def _simulate_chunk(rng, acc, horizon, discount, n_profiles, cdfs, ctab):
+    """Add the discounted costs of acc.shape[0] trajectories to the zeroed
+    `acc`, drawing their uniforms from rng as one block.
+
+    The block and every step buffer are made here and die when this
+    returns, so `simulate` holds one block at a time.
+    """
+    initial_cdf, action_cdf, state_cdf = cdfs
+    size = acc.shape[0]
+    u = rng.random((size, 1 + 2 * horizon))
+    scratch = _search_scratch(size)
+    state = _count_below(initial_cdf, np.zeros(size, dtype=np.intp), u[:, 0], scratch=scratch)
+    action = np.empty(size, dtype=np.intp)
+    sa = np.empty(size, dtype=np.intp)
+    cols = np.empty((2, size))
+    cost = np.empty_like(acc)
+    weight = 1.0 - discount
+    for t in range(horizon):
+        # One contiguous copy of the step's two columns: the search reads
+        # u once per round, and a strided read costs about twice as much.
+        np.copyto(cols, u[:, 1 + 2 * t:3 + 2 * t].T)
+        _count_below(action_cdf, state, cols[0], out=action, scratch=scratch)
+        np.multiply(state, n_profiles, out=sa)
+        sa += action
+        # The same products as weight * ctab[sa], entry for entry; every sa
+        # is a row of ctab, so "clip" changes nothing.
+        acc += np.take(weight * ctab, sa, axis=0, out=cost, mode="clip")
+        _count_below(state_cdf, sa, cols[1], out=state, scratch=scratch)
+        weight *= discount
 
 
 def simulate(game, psi, n_trajectories=1000, tol=1e-6, seed=0, chunk=16384):
@@ -267,7 +323,9 @@ def simulate(game, psi, n_trajectories=1000, tol=1e-6, seed=0, chunk=16384):
     The returned radii are standard errors of the per-trajectory discounted
     sums; the truncation bias bound is reported separately.  A chunk holds at
     most `chunk` trajectories, fewer when their uniforms would take more than
-    SIMULATE_BLOCK_BYTES.
+    SIMULATE_BLOCK_BYTES.  Chunks run one after another, and a chunk's
+    uniforms and step buffers are freed before the next chunk draws, so one
+    block is alive at a time.
     """
     _check_psi(game, psi)
     if n_trajectories < 2:
@@ -275,34 +333,17 @@ def simulate(game, psi, n_trajectories=1000, tol=1e-6, seed=0, chunk=16384):
     if chunk < 1:
         raise ValueError(f"chunk must be at least 1; got {chunk}")
     horizon = simulation_horizon(tol, game.discount, game.cost_bound)
-    action_cdf = _rows_cdf(psi.table)
-    state_cdf = _rows_cdf(game.transitions)
-    initial_cdf = _rows_cdf(game.initial)
+    cdfs = (_rows_cdf(game.initial), _rows_cdf(psi.table), _rows_cdf(game.transitions))
     n, layers = game.n_players, game.n_layers + 1
     # (S*P, N, L+1) cost lookup, indexed by sa = state * P + action like the
-    # rows of state_cdf, so one fancy-index per step covers every cost.
+    # rows of state_cdf, so one gather per step covers every cost.
     ctab = np.moveaxis(game.costs, (0, 1), (2, 3)).reshape(-1, n, layers)
-    draws_per_traj = 1 + 2 * horizon
-    chunk = max(1, min(chunk, SIMULATE_BLOCK_BYTES // (8 * draws_per_traj)))
+    chunk = max(1, min(chunk, SIMULATE_BLOCK_BYTES // (8 * (1 + 2 * horizon))))
     rng = np.random.Generator(np.random.Philox(key=seed))
-    totals = np.empty((n_trajectories, n, layers))
-    start = 0
-    while start < n_trajectories:
-        size = min(chunk, n_trajectories - start)
-        u = rng.random((size, draws_per_traj))
-        state = _count_below(initial_cdf, np.zeros(size, dtype=np.intp), u[:, 0])
-        acc = np.zeros((size, n, layers))
-        weight = 1.0 - game.discount
-        for t in range(horizon):
-            # One contiguous copy of the step's two columns: the search reads
-            # u once per round, and a strided read costs about twice as much.
-            u_action, u_state = u[:, 1 + 2 * t:3 + 2 * t].T.copy()
-            sa = state * game.n_profiles + _count_below(action_cdf, state, u_action)
-            acc += weight * ctab[sa]
-            state = _count_below(state_cdf, sa, u_state)
-            weight *= game.discount
-        totals[start:start + size] = acc
-        start += size
+    totals = np.zeros((n_trajectories, n, layers))
+    for start in range(0, n_trajectories, chunk):
+        _simulate_chunk(rng, totals[start:start + chunk], horizon, game.discount,
+                        game.n_profiles, cdfs, ctab)
     estimates = totals.mean(axis=0)
     radii = totals.std(axis=0, ddof=1) / math.sqrt(n_trajectories)
     bias = game.discount ** horizon * game.cost_bound

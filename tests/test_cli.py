@@ -509,6 +509,20 @@ def test_simulate_rejects_non_positive_tol(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_simulate_too_many_trajectories_exits_3(tmp_path, capsys):
+    # 10^13 trajectories need 291 TiB of totals, more than any address space
+    # holds, so the allocation is refused at once and touches no memory.
+    # Uncaught, numpy's MemoryError gave a traceback and exit 1, the code
+    # for a certificate that was not met.
+    game = write_game(tmp_path, sample_games.decoupled_pair())
+    strat = write_profile(tmp_path, pair_profile())
+    out = tmp_path / "out"
+    assert main(["simulate", game, strat, "--trajectories", "10000000000000",
+                 "--out-dir", str(out)]) == EXIT_VALIDATION
+    assert "validation error: Unable to allocate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 @pytest.mark.parametrize("flag", ["--gamma", "--epsilon"])
 def test_discretize_rejects_non_positive_threshold(tmp_path, capsys, flag, value):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -233,6 +234,26 @@ def test_simulate_caps_each_block_of_uniforms(ctrap, monkeypatch):
     assert shapes == [(7, draws), (7, draws), (6, draws)]
 
 
+def test_simulate_keeps_one_block_of_uniforms_alive(ctrap, monkeypatch):
+    # A chunk's uniforms must be freed before the next chunk draws its own.
+    # Otherwise the peak holds two blocks (2.15 blocks measured when the
+    # previous block stayed bound until the next one was allocated).
+    psi = product_strategy(sample_games.trap_profile(0.75))
+    draws = 1 + 2 * simulation_horizon(1e-6, ctrap.discount, ctrap.cost_bound)
+    assert draws == 43
+    block = 8 * draws * 2000
+    monkeypatch.setattr(evaluation, "SIMULATE_BLOCK_BYTES", block)
+    n_trajectories = 10_000
+    tracemalloc.start()
+    try:
+        simulate(ctrap, psi, n_trajectories=n_trajectories, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    totals = 8 * n_trajectories * ctrap.n_players * (ctrap.n_layers + 1)
+    assert peak - totals < 1.5 * block
+
+
 @pytest.mark.parametrize("chunk", [0, -4])
 def test_simulate_rejects_empty_chunks(ctrap, chunk):
     # With chunk 0 no trajectory is ever drawn and the loop never ends.
@@ -260,8 +281,16 @@ def test_count_below_is_the_counting_rule(seed, width, zero_frac):
     u = rng.random(400) * (1.1 * cdf.max() + 0.1)
     u[:50] = 0.0
     u[50:200] = cdf[rows[50:200], rng.integers(0, width, size=150)]
-    got = evaluation._count_below(cdf, rows, u)
-    np.testing.assert_array_equal(got, counting_rule(cdf[rows], u))
+    want = counting_rule(cdf[rows], u)
+    np.testing.assert_array_equal(evaluation._count_below(cdf, rows, u), want)
+    # The form simulate calls: the answer in `out`, work in reused scratch
+    # arrays that hold another search's leftovers.
+    scratch = evaluation._search_scratch(rows.size)
+    evaluation._count_below(cdf, rows[::-1].copy(), u[::-1], scratch=scratch)
+    out = np.full(rows.size, -1, dtype=np.intp)
+    got = evaluation._count_below(cdf, rows, u, out=out, scratch=scratch)
+    assert got is out
+    np.testing.assert_array_equal(out, want)
 
 
 def test_count_below_skips_entries_without_mass():
