@@ -146,13 +146,10 @@ def occupation_measure(mdp, policy):
 def recover_strategy(occupation):
     """Disintegrate an (S, A) occupation measure into a policy; states whose
     mass is at most 1e-12 get the uniform row."""
-    table = np.asarray(occupation)
-    masses = table.sum(axis=1)
-    n_actions = table.shape[1]
-    policy = np.full_like(table, 1.0 / n_actions)
-    covered = masses > 1e-12
-    policy[covered] = table[covered] / masses[covered, None]
-    return policy
+    table = np.asarray(occupation, dtype=float)
+    masses = table.sum(axis=1, keepdims=True)
+    policy = np.full_like(table, 1.0 / table.shape[1])
+    return np.divide(table, masses, out=policy, where=masses > 1e-12)
 
 
 def _occupation_lp(mdp, objective, epigraph=False):
@@ -169,7 +166,8 @@ def _occupation_lp(mdp, objective, epigraph=False):
     (s, a), n_layers = _dims(mdp), mdp.n_layers
     # Column (s, a) of flow row s' is [s' == s] - alpha q(s' | s, a).
     flow = np.multiply(-mdp.discount, mdp.transitions.reshape(s * a, s).T, order="C")
-    flow[np.arange(s * a) // a, np.arange(s * a)] += 1.0
+    diagonal = np.einsum("ssa->sa", flow.reshape(s, s, a))  # a writeable view of flow
+    diagonal += 1.0
     b_eq = (1.0 - mdp.discount) * mdp.initial
     a_ub, b_ub = mdp.costs[0, 1:].reshape(n_layers, s * a), mdp.constraint_bounds[0]
     a_eq, lower = flow, np.zeros(s * a)
@@ -183,7 +181,7 @@ def _occupation_lp(mdp, objective, epigraph=False):
     x, multipliers = solved
     occ = x[:s * a]
     residuals = {
-        "flow_balance": float(np.max(np.abs(flow @ occ - b_eq))),
+        "flow_balance": float(np.abs(flow @ occ - b_eq).max()),
         "mass": abs(float(occ.sum()) - 1.0),
         "negativity": max(0.0, -float(occ.min())) if occ.size else 0.0,
     }
@@ -223,21 +221,28 @@ def _solve(objective, a_ub, b_ub, a_eq, b_eq, lower):
     Turning a presolve rule off never changes the LP, and this one has no
     row to remove, so skipping it changes the solve time and not the answer.
     """
-    columns = np.vstack([a_ub, a_eq]).T
-    nonzero = columns != 0
-    n_ub, (n_cols, n_rows) = len(b_ub), columns.shape
+    n_ub, (n_eq, n_cols) = len(b_ub), a_eq.shape
+    n_rows = n_ub + n_eq
+    columns = np.empty((n_cols, n_rows))
+    columns[:, :n_ub] = a_ub.T
+    columns[:, n_ub:] = a_eq.T
     # The compressed-column form of the matrix, as scipy.sparse.csc_array
-    # builds it; HiGHS takes the column starts without the closing one.
-    start = np.zeros(n_cols, dtype=np.int32)
-    np.cumsum(nonzero.sum(axis=1)[:-1], out=start[1:])
-    index = np.nonzero(nonzero)[1].astype(np.int32)
-    value = columns[nonzero]
+    # builds it.  The flat positions of the nonzeros in `columns`, the matrix
+    # column by column, give each one's row, and the first position at or
+    # past a column's start is where its entries start; HiGHS takes no
+    # closing start.
+    nonzero = np.flatnonzero(columns)
+    start = np.searchsorted(nonzero, np.arange(0, n_cols * n_rows, n_rows)).astype(np.int32)
+    index = (nonzero % n_rows).astype(np.int32)
+    value = columns.ravel()[nonzero]
+    row_upper = np.concatenate([b_ub, b_eq])
+    row_lower = row_upper.copy()
+    row_lower[:n_ub] = -np.inf
     highs = _solver()
     # The integrality array must hold one kContinuous per column: HiGHS reads
     # num_col entries from it, however short it is.
     if (highs.passModel(n_cols, n_rows, value.size, _COLWISE, _MINIMIZE, 0.0, objective, lower,
-                        np.full(n_cols, np.inf), np.concatenate([np.full(n_ub, -np.inf), b_eq]),
-                        np.concatenate([b_ub, b_eq]), start, index, value,
+                        np.full(n_cols, np.inf), row_lower, row_upper, start, index, value,
                         np.zeros(n_cols, dtype=np.int32)) == _h.HighsStatus.kError
             or highs.run() == _h.HighsStatus.kError):
         raise _failure(highs)
@@ -249,10 +254,11 @@ def _solve(objective, a_ub, b_ub, a_eq, b_eq, lower):
     solution = highs.getSolution()
     x, row_value = np.array(solution.col_value), np.array(solution.row_value)
     multipliers = np.maximum(-np.array(solution.row_dual[:n_ub]), 0.0)
-    slack = b_ub - row_value[:n_ub]
-    con = b_eq - row_value[n_ub:]
-    if (np.isnan(x).any() or np.isnan(row_value).any() or (x < lower - SOLUTION_TOL).any()
-            or (slack < -SOLUTION_TOL).any() or (np.abs(con) > SOLUTION_TOL).any()):
+    # The budget rows' slack, then the flow rows' residual; each test below
+    # is written so that a NaN fails it.
+    gap = row_upper - row_value
+    if not ((x >= lower - SOLUTION_TOL).all() and (gap[:n_ub] >= -SOLUTION_TOL).all()
+            and (np.abs(gap[n_ub:]) <= SOLUTION_TOL).all()):
         raise RuntimeError(f"LP solution breaks a bound or constraint by more than "
                            f"{SOLUTION_TOL:.1e} although HiGHS reported it optimal")
     return x, multipliers

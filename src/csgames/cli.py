@@ -15,6 +15,7 @@ byte-identical for identical inputs and seed, except for the timing block.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -440,7 +441,12 @@ def cmd_correlated_sequence(args):
     }, EXIT_OK if seq.completed and final.passed else EXIT_CERTIFIED_FAIL
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on the first call and returned by every
+    later one: a build costs more than many commands' work.  So the cmd_*
+    functions its set_defaults(func=...) names are bound at that first build.
+    """
     parser = argparse.ArgumentParser(
         prog="csgames",
         description="Constrained discounted stochastic games: evaluate, verify, "

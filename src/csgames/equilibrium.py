@@ -18,6 +18,7 @@ may finish with a semismooth Newton solve of the equilibrium conditions
 (_newton_proposal), but only a profile's certificate decides PASS.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -325,26 +326,34 @@ def _random_profile(game, rng):
 
 def _fischer_burmeister(a, b):
     """phi(a, b) = sqrt(a^2 + b^2) - a - b, which is 0 exactly when a >= 0,
-    b >= 0 and a * b = 0, and its partial derivatives; at a = b = 0, its
-    kink, both are taken as 1/sqrt(2) - 1."""
+    b >= 0 and a * b = 0."""
+    return np.hypot(a, b) - a - b
+
+
+def _fischer_burmeister_slopes(a, b):
+    """The partial derivatives of phi in a and in b; at a = b = 0, its kink,
+    both are taken as 1/sqrt(2) - 1."""
     r = np.hypot(a, b)
     at_kink = r == 0.0
     r_safe = np.where(at_kink, 1.0, r)
     kink = math.sqrt(0.5) - 1.0
-    return (r - a - b, np.where(at_kink, kink, a / r_safe - 1.0),
-            np.where(at_kink, kink, b / r_safe - 1.0))
+    return np.where(at_kink, kink, a / r_safe - 1.0), np.where(at_kink, kink, b / r_safe - 1.0)
+
+
+@functools.cache
+def _against_subscripts(n, keep):
+    """The einsum subscripts of _against for n players and the kept ones."""
+    letters = "abcdefghijklmnopqrstuvwxy"[:n]
+    inputs = ["z" + letters + "..."] + ["z" + letters[k] for k in range(n) if k not in keep]
+    return ",".join(inputs) + "->z" + "".join(letters[k] for k in keep) + "..."
 
 
 def _against(table, rows, keep):
     """A per-state table (S, A_1, ..., A_N, ...) summed over the actions of
     every player not in `keep`, weighted by that player's row at the state:
     shape (S, *[A_k for k in keep], ...), the kept axes in keep's order."""
-    letters = "abcdefghijklmnopqrstuvwxy"[:len(rows)]
-    operands = [table] + [rows[k] for k in range(len(rows)) if k not in keep]
-    inputs = ["z" + letters + "..."] + ["z" + letters[k] for k in range(len(rows))
-                                         if k not in keep]
-    output = "z" + "".join(letters[k] for k in keep) + "..."
-    return np.einsum(",".join(inputs) + "->" + output, *operands)
+    operands = [rows[k] for k in range(len(rows)) if k not in keep]
+    return np.einsum(_against_subscripts(len(rows), keep), table, *operands)
 
 
 class _EquilibriumSystem:
@@ -365,27 +374,45 @@ class _EquilibriumSystem:
     cost at every state, v_i is its Lagrangian value, and the budgets hold
     with complementary slackness, so sigma_i is a constrained best response
     (Lagrangian sufficiency) and sigma an exact stationary equilibrium.
+
+    Each player's unknowns are contiguous, so they are read and written as
+    slices of z.  Everything that does not depend on z is computed once, in
+    __init__, with the same operations, and so the same bits, as computing
+    it on every call.
     """
 
     def __init__(self, game):
         self.game = game
-        s, self.n_layers = game.n_states, game.n_layers
+        s, self.n_layers, alpha = game.n_states, game.n_layers, game.discount
         shape = (s,) + game.n_actions
         self.costs = game.costs.reshape((game.n_players, self.n_layers + 1) + shape)
         self.kernel = game.transitions.reshape(shape + (s,))
-        self.sigma, self.value, self.lam = [], [], []
+        self.alpha_kernel = alpha * self.kernel
+        # Per player: the budget layers as an (L, S * P) matrix, and as an
+        # (S, A_1, ..., A_N, L) table, plain and weighted by 1 - alpha.
+        self.layer_matrix = [c[1:].reshape(self.n_layers, c[0].size) for c in self.costs]
+        self.layer_costs = [np.moveaxis(c[1:], 0, -1) for c in self.costs]
+        self.weighted_layer_costs = [(1.0 - alpha) * c for c in self.layer_costs]
+        self.eye = np.eye(s)[:, None, :]
+        # Per player, the slices of z that hold sigma_i (and its shape), v_i
+        # and lambda_i.
+        self.blocks = []
         start = 0
         for a in game.n_actions:
-            self.sigma.append(start + np.arange(s * a).reshape(s, a))
-            self.value.append(start + s * a + np.arange(s))
-            self.lam.append(start + s * a + s + np.arange(self.n_layers))
-            start += s * a + s + self.n_layers
+            mid, end = start + s * a, start + s * a + s
+            self.blocks.append((slice(start, mid), (s, a), slice(mid, end),
+                                slice(end, end + self.n_layers)))
+            start = end + self.n_layers
         self.size = start
+
+    def rows(self, z):
+        """The profile part of z, as one (S, A_i) view of z per player."""
+        return [z[sigma].reshape(shape) for sigma, shape, _, _ in self.blocks]
 
     def point(self, rows, values, multipliers):
         z = np.empty(self.size)
-        for i, (row, v, lam) in enumerate(zip(rows, values, multipliers)):
-            z[self.sigma[i]], z[self.value[i]], z[self.lam[i]] = row, v, lam
+        for (sigma, _, value, lam), row, v, mult in zip(self.blocks, rows, values, multipliers):
+            z[sigma], z[value], z[lam] = np.ravel(row), v, mult
         return z
 
     def __call__(self, z, jacobian=False):
@@ -393,7 +420,7 @@ class _EquilibriumSystem:
         RuntimeError when the profile's evaluation fails its residual check."""
         game, alpha, n_layers = self.game, self.game.discount, self.n_layers
         s, n = game.n_states, game.n_players
-        rows = [z[idx] for idx in self.sigma]
+        rows = self.rows(z)
         kernel, costs = _joint_kernel_costs(game, _row_product(rows, s))
         # Per-state values of every budget layer, (S, N * L), column i * L + l.
         layer_values = _discounted_solve(kernel, alpha,
@@ -403,35 +430,40 @@ class _EquilibriumSystem:
         jac = np.zeros((self.size, self.size)) if jacobian else None
         if jacobian:
             occupation = _discounted_solve(kernel.T, alpha, (1.0 - alpha) * game.initial)
-        for i in range(n):
-            v, lam = z[self.value[i]], z[self.lam[i]]
-            lagrangian = ((1.0 - alpha) * (self.costs[i, 0] + np.tensordot(lam, self.costs[i, 1:], 1))
-                          + alpha * self.kernel @ v)
+            weights = (occupation / (1.0 - alpha))[:, None, None]
+            # The positions of the unknowns in z, laid out like them.
+            index = np.arange(self.size)
+            sigma_at = self.rows(index)
+        for i, (sigma, _, value, lam_slice) in enumerate(self.blocks):
+            v, lam = z[value], z[lam_slice]
+            # lambda_i . c_i^{1..L}, as np.tensordot(lam, costs[i, 1:], 1) computes it.
+            penalty = np.dot(lam[None], self.layer_matrix[i]).reshape(self.costs.shape[2:])
+            lagrangian = (1.0 - alpha) * (self.costs[i, 0] + penalty) + self.alpha_kernel @ v
             gap = _against(lagrangian, rows, (i,)) - v[:, None]
-            F[self.sigma[i]], d_sigma, d_gap = _fischer_burmeister(rows[i], gap)
-            F[self.value[i]] = rows[i].sum(axis=1) - 1.0
-            F[self.lam[i]], d_lam, d_excess = _fischer_burmeister(lam, budget_excess[i])
+            F[sigma] = _fischer_burmeister(rows[i], gap).ravel()
+            F[value] = rows[i].sum(axis=1) - 1.0
+            F[lam_slice] = _fischer_burmeister(lam, budget_excess[i])
             if not jacobian:
                 continue
-            own, col = self.sigma[i][:, :, None], d_gap[:, :, None]
-            jac[self.sigma[i], self.sigma[i]] = d_sigma
+            d_sigma, d_gap = _fischer_burmeister_slopes(rows[i], gap)
+            d_lam, d_excess = _fischer_burmeister_slopes(lam, budget_excess[i])
+            value_at, lam_at = index[value], index[lam_slice]
+            own, col = sigma_at[i][:, :, None], d_gap[:, :, None]
+            jac[sigma_at[i], sigma_at[i]] = d_sigma
             for j in range(n):
                 if j != i:
-                    jac[own, self.sigma[j][:, None, :]] = col * _against(lagrangian, rows, (i, j))
-            jac[own, self.value[i]] = col * (alpha * _against(self.kernel, rows, (i,))
-                                             - np.eye(s)[:, None, :])
-            layer_costs = np.moveaxis(self.costs[i, 1:], 0, -1)
-            jac[own, self.lam[i]] = col * (1.0 - alpha) * _against(layer_costs, rows, (i,))
-            jac[self.value[i][:, None], self.sigma[i]] = 1.0
-            jac[self.lam[i], self.lam[i]] = d_lam
+                    jac[own, sigma_at[j][:, None, :]] = col * _against(lagrangian, rows, (i, j))
+            jac[own, value_at] = col * (alpha * _against(self.kernel, rows, (i,)) - self.eye)
+            jac[own, lam_at] = col * (1.0 - alpha) * _against(self.layer_costs[i], rows, (i,))
+            jac[value_at[:, None], sigma_at[i]] = 1.0
+            jac[lam_at, lam_at] = d_lam
             # Policy gradient: dJ_il / dsigma_j(s, b) = d(s) / (1 - alpha) times
             # the one-shot table of layer l, with values of that layer, at (s, b).
-            layer_tables = ((1.0 - alpha) * layer_costs
-                            + alpha * self.kernel @ layer_values[:, i * n_layers:(i + 1) * n_layers])
+            layer_tables = (self.weighted_layer_costs[i]
+                            + self.alpha_kernel @ layer_values[:, i * n_layers:(i + 1) * n_layers])
             for j in range(n):
-                gradient = (_against(layer_tables, rows, (j,))
-                            * (occupation / (1.0 - alpha))[:, None, None])
-                jac[self.lam[i][:, None, None], self.sigma[j][None]] = \
+                gradient = _against(layer_tables, rows, (j,)) * weights
+                jac[lam_at[:, None, None], sigma_at[j][None]] = \
                     -d_excess[:, None, None] * np.moveaxis(gradient, -1, 0)
         return F, jac
 
@@ -480,7 +512,7 @@ def _newton_proposal(game, profile, responses):
     except (RuntimeError, np.linalg.LinAlgError):
         pass  # an iterate's evaluation failed its residual check: keep the last step
     residual = float(np.max(np.abs(F)))
-    rows = [np.maximum(z[idx], 0.0) for idx in system.sigma]
+    rows = [np.maximum(row, 0.0) for row in system.rows(z)]
     sums = [row.sum(axis=1, keepdims=True) for row in rows]
     if not taken or not all(np.all(total > 0.0) for total in sums):
         return None, residual

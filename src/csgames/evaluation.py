@@ -3,8 +3,12 @@
 All evaluators return normalized values J = (1 - alpha) E[sum alpha^(t-1) c].
 Every exact evaluation, and the occupation measure of best_response, goes
 through one LU solve of (I - alpha * K) x = b in `_discounted_solve`, checked
-against RESIDUAL_TOL.  One factorization serves all players and cost layers,
-since the kernel under a fixed joint strategy does not depend on them.
+against RESIDUAL_TOL.  The solve calls LAPACK's getrf and getrs directly, the
+routines scipy.linalg.lu_factor and lu_solve wrap, so it gives their answers
+bit for bit without their per-call checks; an inf or NaN in the system
+reaches the residual, so non-finite input raises RuntimeError.  One
+factorization serves all players and cost layers, since the kernel under a
+fixed joint strategy does not depend on them.
 
 `simulate` samples every step by inverse transform over row CDFs with one
 exact sampler, `_count_below`: a branchless binary search for the first CDF
@@ -22,10 +26,12 @@ are overridden with dataclasses.replace(mdp, constraint_bounds=[[...]]).
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import LinAlgWarning
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .game import (
     CorrelatedStrategy,
@@ -59,6 +65,9 @@ RESIDUAL_TOL = 1e-10
 # 8,192-row blocks ran as fast as 16,384-row ones, and 4,096 rows about 10%
 # slower.
 SIMULATE_BLOCK_BYTES = 20 * 2**20
+# LAPACK's LU factorization and solve for float64, looked up once: the
+# scipy.linalg wrappers around them cost several times a small solve.
+_GETRF, _GETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -102,13 +111,21 @@ def _joint_kernel_costs(game, table):
 def _discounted_solve(kernel, discount, rhs):
     """Solve (I - discount * kernel) x = rhs by one LU factorization.
 
-    rhs may hold several right-hand sides as columns.  Raises RuntimeError if
-    the solve residual exceeds RESIDUAL_TOL or is NaN (a sign of a malformed
-    kernel).
+    LAPACK's getrf and getrs, the routines scipy.linalg.lu_factor and
+    lu_solve call, do the work, so x is theirs bit for bit; an exactly zero
+    pivot warns LinAlgWarning as lu_factor does.  rhs may hold several
+    right-hand sides as columns.  Raises RuntimeError if the solve residual
+    exceeds RESIDUAL_TOL or is NaN (a sign of a malformed kernel).  Non-finite
+    input raises it too, unless rhs has no entry to check: an inf or NaN in
+    the system or in rhs makes the residual inf or NaN.
     """
     a_mat = np.eye(kernel.shape[0]) - discount * kernel
-    x = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a_mat), rhs)
-    residual = np.max(np.abs(a_mat @ x - rhs)) if x.size else 0.0
+    lu, piv, info = _GETRF(a_mat)
+    if info > 0:
+        warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
+                      LinAlgWarning, stacklevel=2)
+    x = _GETRS(lu, piv, rhs)[0]
+    residual = np.abs(a_mat @ x - rhs).max() if x.size else 0.0
     if not residual <= RESIDUAL_TOL:
         raise RuntimeError(f"policy evaluation residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
     return x
@@ -174,10 +191,14 @@ def induced_mdp_from_marginal(game, player, marginal):
     if marginal.shape != (s, p_minus):
         raise ValueError(f"marginal must have shape {(s, p_minus)}; got {marginal.shape}")
     # Reshape profile axes, move the player's axis last, contract the rest.
+    # The axis orders are np.moveaxis's, without its per-call argument checks.
+    others = [k for k in range(game.n_players) if k != player]
     cost_t = game.costs[player].reshape((game.n_layers + 1, s) + game.n_actions)
-    cost_t = np.moveaxis(cost_t, 2 + player, -1).reshape(game.n_layers + 1, s, p_minus, a_i)
+    cost_t = cost_t.transpose([0, 1] + [2 + k for k in others] + [2 + player])
+    cost_t = cost_t.reshape(game.n_layers + 1, s, p_minus, a_i)
     trans_t = game.transitions.reshape((s,) + game.n_actions + (s,))
-    trans_t = np.moveaxis(trans_t, 1 + player, -2).reshape(s, p_minus, a_i, s)
+    trans_t = trans_t.transpose([0] + [1 + k for k in others] + [1 + player, 1 + game.n_players])
+    trans_t = trans_t.reshape(s, p_minus, a_i, s)
     costs = np.einsum("sm,lsma->lsa", marginal, cost_t)
     kernel = np.einsum("sm,smat->sat", marginal, trans_t)
     return FiniteCSG((a_i,), costs[None], kernel, game.discount, game.initial,

@@ -836,6 +836,24 @@ def test_failed_newton_evaluation_keeps_the_last_step(monkeypatch):
         assert np.array_equal(x, y)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_newton_trial_point_keeps_the_last_step(monkeypatch):
+    # A step so long that the trial profile's product of rows overflows
+    # makes that trial's evaluation fail with RuntimeError, like a residual
+    # failure; the try keeps its last step instead of raising out of the
+    # search, which the CLI would report as a validation error.
+    game = coupled_game()
+    profile = equilibrium._uniform_profile(game)
+    responses = equilibrium._approx_certificate(game, profile, 1e-8)[1]
+    solve = np.linalg.solve
+    monkeypatch.setattr(equilibrium.np.linalg, "solve", lambda *args: 1e300 * solve(*args))
+    proposal, residual = equilibrium._newton_proposal(game, profile, responses)
+    # No step was taken, so the residual is the starting point's.
+    monkeypatch.setattr(equilibrium, "NEWTON_STEPS", 0)
+    assert (proposal, residual) == equilibrium._newton_proposal(game, profile, responses)
+    assert proposal is None and math.isfinite(residual)
+
+
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_search_survives_failed_newton_evaluations(monkeypatch):
     # Every Newton try fails after its first evaluation, so none proposes a

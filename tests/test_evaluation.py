@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,6 +103,42 @@ def test_linear_solve_matches_truncated_sum(rng):
         horizon = simulation_horizon(1e-12, game.discount, game.cost_bound)
         approx = truncated_value(game, psi, horizon)
         np.testing.assert_allclose(exact, approx, atol=1e-10)
+
+
+@pytest.mark.parametrize("s", [1, 2, 8, 25, 120])
+def test_discounted_solve_matches_scipy_lu_bit_for_bit(s):
+    # The solve calls LAPACK's getrf and getrs itself; scipy's lu_factor and
+    # lu_solve wrap the same routines, so they must give the same bits, for
+    # one right-hand side and for several, and for the transposed kernel the
+    # occupation measure solves with.
+    rng = np.random.default_rng([20, s])
+    kernel = rng.random((s, s))
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    for k in (kernel, kernel.T):
+        factors = scipy.linalg.lu_factor(np.eye(s) - 0.95 * k)
+        for rhs in (rng.normal(size=s), rng.normal(size=(s, 3))):
+            x = evaluation._discounted_solve(k, 0.95, rhs)
+            assert x.shape == rhs.shape
+            assert np.array_equal(x, scipy.linalg.lu_solve(factors, rhs))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_discounted_solve_refuses_singular_and_non_finite_systems():
+    # discount * kernel = I makes every pivot exactly zero: LAPACK reports
+    # it, the solve warns as lu_factor does, and the residual check refuses
+    # the answer.  An inf or NaN in the kernel or the right-hand side raises
+    # the same RuntimeError, not scipy's ValueError for non-finite input.
+    with pytest.warns(scipy.linalg.LinAlgWarning, match="exactly zero"):
+        with pytest.raises(RuntimeError, match="residual"):
+            evaluation._discounted_solve(2.0 * np.eye(3), 0.5, np.ones(3))
+    kernel = np.full((3, 3), 1.0 / 3.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = kernel.copy()
+        broken[1, 2] = bad
+        with pytest.raises(RuntimeError, match="residual"):
+            evaluation._discounted_solve(broken, 0.9, np.ones((3, 2)))
+        with pytest.raises(RuntimeError, match="residual"):
+            evaluation._discounted_solve(kernel, 0.9, np.array([1.0, bad, 1.0]))
 
 
 def test_profile_equals_correlated_product(rng):

@@ -15,6 +15,7 @@ It prints one line per case whose outputs changed, with its epsilon and exit
 code before and after, for the list the regeneration's commit gives.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -25,8 +26,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from csgames import sample_games
-from csgames.cli import _dump, game_to_payload, main, spec_to_payload, strategy_to_payload
+from csgames import cli, sample_games
+from csgames.cli import (EXIT_PARSE, _dump, game_to_payload, main, spec_to_payload,
+                         strategy_to_payload)
 from csgames.game import MarkovStrategy, StationaryProfile
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -165,10 +167,39 @@ def run_case(name, out_dir):
     return outputs
 
 
+def golden(name):
+    """The committed outputs of a case, by file name."""
+    return {path.name: path.read_text() for path in (GOLDEN / name).iterdir()}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_outputs_match_golden(name, tmp_path):
-    expected = {path.name: path.read_text() for path in (GOLDEN / name).iterdir()}
-    assert run_case(name, tmp_path) == expected
+    assert run_case(name, tmp_path) == golden(name)
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch, capsys):
+    # main builds its argument parser once per process.  A usage error leaves
+    # it fit for the next commands, whose outputs still match their cases.
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["solve"])
+        assert exc.value.code == EXIT_PARSE
+        assert "required: game" in capsys.readouterr().err
+        for name in ("solve-pair", "verify-rand2", "simulate-ctrap"):
+            assert run_case(name, tmp_path / name) == golden(name)
+    finally:
+        cli.build_parser.cache_clear()
+    # The root parser and each command's subparser, each built once.
+    assert built.count("csgames") == 1
+    assert sorted(built) == sorted(set(built)) and len(built) == 9
 
 
 def outcome(outputs):
