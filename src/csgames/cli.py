@@ -10,8 +10,11 @@ Documents are JSON with explicit shapes.  Their keys are the field names of
 the dataclass they hold, next to a schema tag and a few derived sizes, so one
 encoder writes them and one constructor reads them.  Floats are serialized
 with Python's shortest round-trip representation, so write-read-write is
-byte-stable.  All randomness derives from --seed (default 0).  Reports are
-byte-identical for identical inputs and seed, except for the timing block.
+byte-stable.  Every document is byte for byte what json.dumps(payload,
+indent=2, sort_keys=True) writes, with numpy values and dataclasses in their
+_plain form; _dump only writes number lists faster.  All randomness derives
+from --seed (default 0).  Reports are byte-identical for identical inputs
+and seed, except for the timing block.
 """
 
 import argparse
@@ -22,6 +25,7 @@ import math
 import sys
 import time
 from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -91,8 +95,49 @@ def _plain(value):
     return value
 
 
+# The repr of each entry of a list whose entries all have one of these types.
+_NUMBER_REPRS = {float: float.__repr__, int: int.__repr__}
+
+
+def _encode(value, indent):
+    """JSON text of `value` as json.dumps(value, indent=2, sort_keys=True,
+    default=_plain) writes it nested at `indent`.
+
+    Only the document's skeleton is walked here: nonempty dicts with string
+    keys, nonempty lists and tuples, and, through _plain, numpy values and
+    dataclasses.  A list whose entries are all finite floats or all ints
+    (bools excluded) is written in one join of their reprs, which is what
+    json writes for each of them.  Every other value, NaN and infinities
+    among them, is json.dumps's own text; its newlines are all structural,
+    since json escapes them in strings, so indenting it is a replace.
+    """
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)) and value:
+        kinds = set(map(type, value))
+        number = _NUMBER_REPRS.get(kinds.pop()) if len(kinds) == 1 else None
+        if number is int.__repr__ or number and all(map(math.isfinite, value)):
+            items = map(number, value)
+        else:
+            items = (_encode(v, inner) for v in value)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(value, dict) and value and all(type(k) is str for k in value):
+        items = (f"{encode_basestring_ascii(k)}: {_encode(v, inner)}"
+                 for k, v in sorted(value.items()))
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if isinstance(value, (str, int, float)) or value is None:
+        return json.dumps(value)  # a scalar's text has no indent
+    if isinstance(value, (np.ndarray, np.generic)) or is_dataclass(value):
+        return _encode(_plain(value), indent)
+    text = json.dumps(value, indent=2, sort_keys=True, default=_plain)
+    return text.replace("\n", "\n" + indent)
+
+
 def _dump(payload):
-    return json.dumps(payload, indent=2, sort_keys=True, default=_plain) + "\n"
+    """The JSON document of `payload` with a final newline, byte for byte
+    json.dumps(payload, indent=2, sort_keys=True, default=_plain) + "\\n";
+    _encode writes number lists a list at a time, where json.dumps's indented
+    encoder, written in Python, takes them an entry at a time."""
+    return _encode(payload, "") + "\n"
 
 
 def _write(path, payload):

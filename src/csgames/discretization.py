@@ -9,8 +9,13 @@ The density distance is the L1 distance between kernel rows, which equals
 the density difference integrated against the quadrature weights.
 A member must be strictly within gamma of its representative; the greedy
 build_partition meets that by construction and surrogate_game checks it once
-(check_partition) before collapsing each cell to its representative.  The
-surrogate game's discounted costs differ from the original by at most
+(check_partition) before collapsing each cell to its representative.
+build_partition computes cost distances first and density distances only
+where the cost test passes: a point that fails it cannot join, so its density
+distance is never read, and every one that is read is computed as it always
+was, so the partition is the one full distance rows would give.
+
+The surrogate game's discounted costs differ from the original by at most
 
     error_bound(gamma) = gamma * (1 - alpha + b * alpha) / (1 - alpha)
 
@@ -109,14 +114,25 @@ class DiscretizedGame:
     certified_error: float
 
 
-def _distances(game, rep, points=slice(None)):
-    """Cost and density distances of grid `points` to `rep`.  The cost
-    distance sums over layers the max-over-profiles absolute difference and
-    maximizes over players; the density distance is the L1 distance between
-    kernel rows, maximized over profiles."""
+def _cost_distances(game, rep, points):
+    """Cost distances of grid `points` to `rep`: the max-over-profiles
+    absolute difference, summed over layers and maximized over players."""
     costs = np.abs(game.costs[:, :, points, :] - game.costs[:, :, rep:rep + 1, :])
-    rows = np.abs(game.transitions[points] - game.transitions[rep:rep + 1])
-    return costs.max(axis=3).sum(axis=1).max(axis=0), rows.sum(axis=2).max(axis=1)
+    return costs.max(axis=3).sum(axis=1).max(axis=0)
+
+
+def _density_distances(game, rep, points):
+    """Density distances of grid `points` (an index array or a slice) to
+    `rep`: the L1 distance between kernel rows, maximized over profiles.
+    Gathered rows are a copy, so they are differenced and made absolute in
+    place; the values are those of abs(rows - row of rep) either way."""
+    if isinstance(points, slice):
+        rows = game.transitions[points] - game.transitions[rep]
+    else:
+        rows = game.transitions[points]
+        rows -= game.transitions[rep]
+    np.abs(rows, out=rows)
+    return rows.sum(axis=2).max(axis=1)
 
 
 def _require_within(k, cell, distances, resolution):
@@ -139,25 +155,37 @@ def build_partition(spec, resolution):
     check_partition applies, so the partition meets it by construction; a
     new representative must pass it against itself, which fails only on a
     NaN row and raises ValueError.
+
+    Cells fill as they open: a new representative m takes every later point
+    that no earlier cell took and that it accepts, which is where first fit
+    puts it, since cells open in index order.  m computes cost distances to
+    the later points first, and density distances only for itself and the
+    untaken points whose cost distance is below `resolution`; no other point
+    can join.  Each is computed as check_partition computes it, so the
+    partition is the one full distance rows would give.
     """
     if not resolution > 0.0:
         raise ValueError("resolution must be positive")
     game = spec.game
-    members = []
-    rows = []
-    for m in range(game.n_states):
-        for cell, (cost, density) in zip(members, rows):
-            if cost[m - cell[0]] < resolution and density[m - cell[0]] < resolution:
-                cell.append(m)
-                break
-        else:
-            # Only later points can join the new cell: distances from m on.
-            cost, density = _distances(game, m, slice(m, None))
-            _require_within(len(members), [m], (cost[:1], density[:1]), resolution)
-            members.append([m])
-            rows.append((cost, density))
-    return Partition(resolution=resolution, cells=tuple(members),
-                     representatives=[cell[0] for cell in members])
+    n = game.n_states
+    cell_of = np.full(n, -1)
+    representatives = []
+    for m in range(n):
+        if cell_of[m] >= 0:
+            continue
+        k = len(representatives)
+        cost = _cost_distances(game, m, slice(m, None))
+        # Offsets from m; 0 (m itself) is among them unless m's own cost row
+        # is NaN, which _require_within reports before the density.
+        near = np.flatnonzero((cost < resolution) & (cell_of[m:] < 0))
+        density = np.full(n - m, np.inf)
+        density[near] = _density_distances(
+            game, m, slice(m, None) if near.size == n - m else m + near)
+        _require_within(k, [m], (cost[:1], density[:1]), resolution)
+        cell_of[m + near[density[near] < resolution]] = k
+        representatives.append(m)
+    cells = tuple(np.flatnonzero(cell_of == k) for k in range(len(representatives)))
+    return Partition(resolution=resolution, cells=cells, representatives=representatives)
 
 
 def check_partition(spec, partition):
@@ -169,8 +197,10 @@ def check_partition(spec, partition):
         raise ValueError(
             f"partition covers {partition.n_points} points, spec has {spec.n_points}"
         )
+    game = spec.game
     for k, (cell, rep) in enumerate(zip(partition.cells, partition.representatives)):
-        _require_within(k, cell, _distances(spec.game, int(rep), cell), partition.resolution)
+        distances = (_cost_distances(game, rep, cell), _density_distances(game, rep, cell))
+        _require_within(k, cell, distances, partition.resolution)
 
 
 def surrogate_game(spec, partition):

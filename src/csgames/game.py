@@ -348,8 +348,19 @@ def _row_product(rows, n_states):
 
 
 def product_strategy(profile):
-    """Joint per-state profile distribution of independent stationary strategies."""
-    return CorrelatedStrategy(profile.n_actions, _row_product(profile.rows, profile.n_states))
+    """Joint per-state profile distribution of independent stationary strategies.
+
+    The profile's rows passed validation, so the product is built without
+    CorrelatedStrategy's row check: N rows each within ROW_SUM_TOL of 1 make
+    a product row within about N * ROW_SUM_TOL of 1, which that check would
+    refuse for a profile the loaders accept.
+    """
+    table = _row_product(profile.rows, profile.n_states)
+    table.setflags(write=False)
+    psi = object.__new__(CorrelatedStrategy)
+    object.__setattr__(psi, "n_actions", profile.n_actions)
+    object.__setattr__(psi, "table", table)
+    return psi
 
 
 def marginal_excluding(psi, player):

@@ -1,11 +1,14 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from csgames import (
     FiniteCSG,
@@ -21,6 +24,7 @@ from csgames.cli import (
     EXIT_SOLVER,
     EXIT_VALIDATION,
     _dump,
+    _plain,
     certificate_to_payload,
     game_to_payload,
     main,
@@ -264,6 +268,19 @@ def test_verify_single_action_game_all_concepts(tmp_path):
                            ("weak-correlated", corr)):
         assert main(["verify", game, strat, "--concept", concept,
                      "--epsilon", "0", "--out-dir", str(tmp_path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command, code", [("evaluate", EXIT_OK), ("simulate", EXIT_OK),
+                                           ("verify", EXIT_CERTIFIED_FAIL)])
+def test_profile_rows_at_the_tolerance_are_accepted(tmp_path, capsys, command, code):
+    # Rows summing to 1 + 0.9e-9 load; their product rows sum to about
+    # 1 + 1.8e-9, which must not make the command refuse the profile.
+    game = write_game(tmp_path, sample_games.decoupled_pair())
+    rows = np.tile([0.5, 0.5 + 0.9e-9], (4, 1))
+    strat = write_profile(tmp_path, StationaryProfile((rows, rows)))
+    extra = ["--trajectories", "100"] if command == "simulate" else []
+    assert main([command, game, strat, *extra, "--out-dir", str(tmp_path)]) == code
+    assert "error" not in capsys.readouterr().err
 
 
 def test_wrong_strategy_class_exits_3(tmp_path):
@@ -736,3 +753,37 @@ def test_document_round_trip_is_byte_stable(tmp_path):
         write(path, payload)
         raw = path.read_bytes()
         assert _dump(json.loads(raw)).encode() == raw, name
+
+
+@dataclass
+class Pair:
+    first: object
+    second: object
+
+
+_FLOATS = (st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, 1.7976931348623157e308])
+           | st.floats(allow_nan=False, allow_infinity=False))
+_INTS = st.sampled_from([2**64, -2**70, -1, 0]) | st.integers()
+_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf])
+_TEXT = st.sampled_from(["", "\x00", '"', "\\", 'a"b\\c\nd', "\u2028", "\u00e9"]) | st.text(max_size=6)
+_LEAVES = (st.none() | st.booleans() | _INTS | _FLOATS | _SPECIAL | _TEXT
+           | _FLOATS.map(np.float64) | _INTS.filter(lambda i: -2**63 <= i < 2**63).map(np.int64)
+           | st.booleans().map(np.bool_) | st.floats(width=32).map(np.float32))
+_NUMBER_LISTS = (st.lists(_FLOATS, min_size=1) | st.lists(_INTS, min_size=1)
+                 | st.lists(_FLOATS | _SPECIAL, min_size=1) | st.lists(_FLOATS | _INTS, min_size=1)
+                 | st.lists(_INTS | st.booleans(), min_size=1))
+_ARRAYS = hnp.arrays(st.sampled_from([np.float64, np.int64, np.bool_, np.float32]),
+                     hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
+_PAYLOADS = st.recursive(
+    _LEAVES | _NUMBER_LISTS | _ARRAYS,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_TEXT, children, max_size=4)
+                      | st.dictionaries(_INTS, children, max_size=2)
+                      | st.builds(Pair, children, children)),
+    max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(payload=_PAYLOADS)
+def test_dump_is_json_dumps_byte_for_byte(payload):
+    assert _dump(payload) == json.dumps(payload, indent=2, sort_keys=True, default=_plain) + "\n"

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csgames import discretization
 from csgames import (
@@ -358,6 +360,91 @@ def test_build_partition_matches_reference(rng, tmp_path, monkeypatch):
                  "--out-dir", str(tmp_path / "out")]) == EXIT_OK
     assert len(calls) == 1
 
+
+
+def first_fit_reference(spec, resolution):
+    """build_partition's first-fit loop before its distances were pruned:
+    from each new representative, full cost and density distances to every
+    later point.  Returns the cells as lists of grid indices."""
+    def distances(game, rep, points):
+        costs = np.abs(game.costs[:, :, points, :] - game.costs[:, :, rep:rep + 1, :])
+        rows = np.abs(game.transitions[points] - game.transitions[rep:rep + 1])
+        return costs.max(axis=3).sum(axis=1).max(axis=0), rows.sum(axis=2).max(axis=1)
+
+    game = spec.game
+    members = []
+    rows = []
+    for m in range(game.n_states):
+        for cell, (cost, density) in zip(members, rows):
+            if cost[m - cell[0]] < resolution and density[m - cell[0]] < resolution:
+                cell.append(m)
+                break
+        else:
+            cost, density = distances(game, m, slice(m, None))
+            discretization._require_within(len(members), [m], (cost[:1], density[:1]),
+                                           resolution)
+            members.append([m])
+            rows.append((cost, density))
+    return members
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_points=st.sampled_from(range(1, 13)),
+       n_actions=st.sampled_from([(1,), (2,), (3,), (2, 2)]), n_layers=st.integers(0, 2),
+       constant_costs=st.booleans(), nan=st.sampled_from([None, None, "cost", "kernel"]),
+       resolution=st.sampled_from([0.25, 0.5, 0.75, 1.0]) | st.floats(1e-3, 2.0))
+def test_pruned_partition_is_the_first_fit_partition(seed, n_points, n_actions, n_layers,
+                                                     constant_costs, nan, resolution):
+    # Points copy one of three rows, some entries moved by a step.  Costs are
+    # multiples of 1/4 and kernel entries of 1/8, so distances land exactly
+    # on the resolutions that are multiples of 1/4, where a point must not
+    # join.  A NaN cost or kernel entry must raise the reference's error.
+    rng = np.random.default_rng(seed)
+    n, p = len(n_actions), int(np.prod(n_actions))
+    source = rng.integers(0, 3, size=n_points)
+    costs = rng.integers(0, 5, size=(n, n_layers + 1, 3, p))[:, :, source] / 4
+    costs += rng.integers(-1, 2, size=costs.shape) * (rng.random(costs.shape) < 0.2) / 4
+    if constant_costs:
+        costs[...] = 0.5
+    density = rng.integers(0, 4, size=(3, p, n_points))[source].astype(float)
+    density += rng.integers(-1, 2, size=density.shape) * (rng.random(density.shape) < 0.2)
+    if nan == "cost":
+        costs[tuple(rng.integers(0, k) for k in costs.shape)] = np.nan
+    elif nan == "kernel":
+        density[tuple(rng.integers(0, k) for k in density.shape)] = np.nan
+    spec = ContinuousGameSpec(
+        n_actions=n_actions, points=np.arange(n_points), weights=np.full(n_points, 0.125),
+        density=density, costs=costs, discount=0.5, initial=np.full(n_points, 1 / n_points),
+        constraint_bounds=np.zeros((n, n_layers)), cost_bound=2.0)
+    try:
+        want = first_fit_reference(spec, resolution)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            build_partition(spec, resolution)
+        return
+    got = build_partition(spec, resolution)
+    assert np.array_equal(got.representatives, [cell[0] for cell in want])
+    assert len(got.cells) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got.cells, want))
+
+
+@pytest.mark.parametrize("field", ["costs", "density"])
+def test_points_at_exactly_the_resolution_do_not_join(field):
+    # Point 1 is exactly 0.25 from point 0 in one distance and 0 in the
+    # other; point 2 is 0.125 from point 1 and 0.375 from point 0.
+    costs = np.zeros((1, 1, 3, 1))
+    density = np.ones((3, 1, 3))
+    if field == "costs":
+        costs[0, 0, :, 0] = [0.0, 0.25, 0.375]
+    else:
+        density[:, 0, 0] += [0.0, 2.0, 3.0]  # weights of 1/8: kernel steps of 1/4 and 1/8
+    spec = ContinuousGameSpec(
+        n_actions=(1,), points=np.arange(3), weights=np.full(3, 0.125), density=density,
+        costs=costs, discount=0.5, initial=np.full(3, 1 / 3),
+        constraint_bounds=np.zeros((1, 0)), cost_bound=1.0)
+    partition = build_partition(spec, 0.25)
+    assert [c.tolist() for c in partition.cells] == [[0], [1, 2]]
+    assert partition.representatives.tolist() == [0, 1]
 
 def _halves():
     """Two cells over four grid points."""

@@ -152,6 +152,20 @@ def test_profile_equals_correlated_product(rng):
         np.testing.assert_allclose(a.Jx, b.Jx, atol=1e-12)
 
 
+
+def test_product_of_rows_at_the_tolerance_evaluates(pair):
+    # Each row sums to 1 + 0.9e-9, inside ROW_SUM_TOL, so the profile is
+    # valid; its product rows sum to about 1 + 1.8e-9, and product_strategy
+    # must not refuse them by CorrelatedStrategy's row check.
+    rows = np.tile([0.5, 0.5 + 0.9e-9], (pair.n_states, 1))
+    profile = StationaryProfile((rows, rows))
+    psi = product_strategy(profile)
+    assert abs(psi.table.sum(axis=1)[0] - 1.0) > 1e-9
+    assert psi.n_actions == (2, 2) and not psi.table.flags.writeable
+    np.testing.assert_array_equal(psi.table, np.einsum("sa,sb->sab", rows, rows).reshape(-1, 4))
+    exact = evaluate_profile(pair, StationaryProfile((np.full_like(rows, 0.5),) * 2))
+    np.testing.assert_allclose(evaluate_profile(pair, profile).Jx, exact.Jx, rtol=0, atol=1e-8)
+
 def test_markov_head_equal_tail_is_stationary(ctrap, rng):
     tail = sample_games.trap_profile(0.6)
     heads = [tail] * 5
