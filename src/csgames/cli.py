@@ -192,10 +192,12 @@ def spec_to_payload(spec):
 
 
 def strategy_to_payload(strategy):
-    if type(strategy) not in _CLASS_NAMES:
+    """A strategy's document; a subclass is written as its document class."""
+    cls = next((c for c in type(strategy).__mro__ if c in _CLASS_NAMES), None)
+    if cls is None:
         raise TypeError(f"cannot serialize strategy of type {type(strategy)!r}")
-    return {"schema": STRATEGY_SCHEMA, "class": _CLASS_NAMES[type(strategy)],
-            **_plain(strategy)}
+    return {"schema": STRATEGY_SCHEMA, "class": _CLASS_NAMES[cls],
+            **{f.name: _plain(getattr(strategy, f.name)) for f in fields(cls)}}
 
 
 def certificate_to_payload(cert):

@@ -83,13 +83,16 @@ class Partition:
         members = np.concatenate(cells) if cells else np.array([], dtype=int)
         if n_points == 0 or np.unique(members).size != n_points:
             raise ValueError("cells must disjointly cover the grid")
-        cell_of = np.full(n_points, -1, dtype=int)
-        for k, c in enumerate(cells):
-            if np.any(c < 0) or np.any(c >= n_points):
-                raise ValueError("cell member index out of range")
-            if reps[k] not in c:
-                raise ValueError(f"representative of cell {k} is not a member")
-            cell_of[c] = k
+        owner = np.repeat(np.arange(len(cells)), [c.size for c in cells])
+        out_of_range = np.bincount(owner[(members < 0) | (members >= n_points)],
+                                   minlength=len(cells)) > 0
+        no_rep = np.bincount(owner[members == reps[owner]], minlength=len(cells)) == 0
+        if np.any(out_of_range | no_rep):
+            k = int(np.argmax(out_of_range | no_rep))
+            raise ValueError("cell member index out of range" if out_of_range[k]
+                             else f"representative of cell {k} is not a member")
+        cell_of = np.empty(n_points, dtype=int)
+        cell_of[members] = owner
         cell_of.setflags(write=False)
         object.__setattr__(self, "resolution", float(self.resolution))
         object.__setattr__(self, "cells", cells)

@@ -37,6 +37,7 @@ from .evaluation import (
 from .game import (
     CorrelatedStrategy,
     StationaryProfile,
+    _derived,
     _row_product,
     marginal_excluding,
     product_strategy,
@@ -312,16 +313,7 @@ class SearchResult:
 
 
 def _uniform_profile(game):
-    return StationaryProfile(tuple(
-        np.full((game.n_states, a), 1.0 / a) for a in game.n_actions
-    ))
-
-
-def _random_profile(game, rng):
-    rows = []
-    for a in game.n_actions:
-        rows.append(rng.dirichlet(np.ones(a), size=game.n_states))
-    return StationaryProfile(tuple(rows))
+    return StationaryProfile(tuple(np.full((game.n_states, a), 1.0 / a) for a in game.n_actions))
 
 
 def _fischer_burmeister(a, b):
@@ -554,92 +546,78 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
     finish, up to the iteration where the search stops.  `newton_attempts`
     and `newton_adopted` count the tries and the adopted proposals.
     """
-    best_profile = None
-    best_cert = None
-    best_responses = None
+    best = None  # (profile, certificate, responses) of the best certificate so far
     newton_from = None
     newton_attempts = newton_adopted = 0
     skipped = []
-    iterations = 0
-    restarts_used = 0
-    converged = False
+    iterations = restarts_used = 0
+
+    def converged():
+        return best[1].epsilon <= config.target_epsilon
 
     def consider(profile, bounded):
-        nonlocal best_profile, best_cert, best_responses, converged
-        beat = best_cert.epsilon if bounded and best_cert is not None else math.inf
+        nonlocal best
+        beat = best[1].epsilon if bounded else math.inf
         cert, responses = _approx_certificate(game, profile, config.target_epsilon, beat=beat)
-        if cert is not None and (best_cert is None or cert.epsilon < best_cert.epsilon):
-            best_profile, best_cert, best_responses = profile, cert, responses
-        if best_cert.epsilon <= config.target_epsilon:
-            converged = True
+        if cert is not None and (best is None or cert.epsilon < best[1].epsilon):
+            best = (profile, cert, responses)
         return responses
 
     def finish():
+        """Try a Newton finish from the best profile; True once converged."""
         nonlocal newton_from, newton_attempts, newton_adopted
-        if best_profile is newton_from or not all(br.feasible for br in best_responses):
-            return
-        newton_from = best_profile
+        profile, _, responses = best
+        if profile is newton_from or not all(br.feasible for br in responses):
+            return False
+        newton_from = profile
         newton_attempts += 1
-        proposal = _newton_proposal(game, best_profile, best_responses)[0]
+        proposal = _newton_proposal(game, profile, responses)[0]
         if proposal is not None:
             consider(proposal, bounded=True)
-            newton_adopted += best_profile is proposal
+            newton_adopted += best[0] is proposal
+        return converged()
 
     for restart in range(config.restarts):
         restarts_used = restart + 1
-        if restart == 0 and initial is not None:
-            profile = initial
-        elif restart == 0:
-            profile = _uniform_profile(game)
+        if restart == 0:
+            profile = _uniform_profile(game) if initial is None else initial
         else:
             rng = np.random.default_rng([config.seed, restart])
-            profile = _random_profile(game, rng)
+            profile = StationaryProfile(tuple(rng.dirichlet(np.ones(a), size=game.n_states)
+                                              for a in game.n_actions))
         responses = consider(profile, bounded=False)
-        if converged:
+        if converged():
             break
         for k in range(1, config.max_iterations + 1):
             iterations += 1
-            moves = []
-            for i, br in enumerate(responses):
-                if br.feasible:
-                    moves.append(br.strategy)
-                else:
-                    moves.append(None)
-                    skipped.append((restart, iterations, i))
-            candidate_rows = tuple(
-                move if move is not None else row
-                for move, row in zip(moves, profile.rows)
-            )
-            consider(StationaryProfile(candidate_rows), bounded=True)
-            if converged:
+            skipped += [(restart, iterations, i) for i, br in enumerate(responses)
+                        if not br.feasible]
+            # Best responses and damped rows are derived distributions.
+            consider(_derived(StationaryProfile, rows=tuple(
+                br.strategy if br.feasible else row
+                for br, row in zip(responses, profile.rows))), bounded=True)
+            if converged():
                 break
             damped_rows = tuple(
-                row if move is None else (1.0 - DAMPING) * row + DAMPING * move
-                for move, row in zip(moves, profile.rows)
-            )
-            step = max(
-                float(np.max(np.abs(new - old)))
-                for new, old in zip(damped_rows, profile.rows)
-            )
-            profile = StationaryProfile(damped_rows)
+                (1.0 - DAMPING) * row + DAMPING * br.strategy if br.feasible else row
+                for br, row in zip(responses, profile.rows))
+            step = max(float(np.max(np.abs(new - old)))
+                       for new, old in zip(damped_rows, profile.rows))
+            profile = _derived(StationaryProfile, rows=damped_rows)
             responses = consider(profile, bounded=False)
-            if converged or step < 1e-13:
+            if converged() or step < 1e-13:
                 break
-            if k in NEWTON_CHECKPOINTS:
-                finish()
-                if converged:
-                    break
-        if not converged:
-            finish()
-        if converged:
+            if k in NEWTON_CHECKPOINTS and finish():
+                break
+        if converged() or finish():
             break
 
     return SearchResult(
-        profile=best_profile,
-        certificate=best_cert,
+        profile=best[0],
+        certificate=best[1],
         iterations=iterations,
         restarts_used=restarts_used,
-        converged=converged,
+        converged=converged(),
         skipped=tuple(skipped),
         newton_attempts=newton_attempts,
         newton_adopted=newton_adopted,
@@ -684,7 +662,7 @@ def correlated_limit_sequence(game, epsilon0, n_levels, config=SearchConfig()):
     warm = None
     completed = True
     for n in range(n_levels + 1):
-        eps_n = epsilon0 / 2.0 ** n
+        eps_n = math.ldexp(epsilon0, -n)
         target = min(eps_n, config.target_epsilon)
         found = search_equilibrium(game, replace(config, target_epsilon=target), initial=warm)
         cert = _certificate("approximate", found.certificate.players, eps_n,

@@ -38,6 +38,7 @@ from .game import (
     FiniteCSG,
     MarkovStrategy,
     StationaryProfile,
+    _derived,
     _frozen_array,
     _require_player,
     _row_product,
@@ -201,8 +202,9 @@ def induced_mdp_from_marginal(game, player, marginal):
     trans_t = trans_t.reshape(s, p_minus, a_i, s)
     costs = np.einsum("sm,lsma->lsa", marginal, cost_t)
     kernel = np.einsum("sm,smat->sat", marginal, trans_t)
-    return FiniteCSG((a_i,), costs[None], kernel, game.discount, game.initial,
-                     game.constraint_bounds[player:player + 1], game.cost_bound)
+    return _derived(FiniteCSG, n_actions=(a_i,), costs=costs[None], transitions=kernel,
+                    discount=game.discount, initial=game.initial, cost_bound=game.cost_bound,
+                    constraint_bounds=game.constraint_bounds[player:player + 1])
 
 
 def induced_mdp(game, player, others):

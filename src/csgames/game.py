@@ -14,6 +14,10 @@ FiniteCSG is the one game type.  A ContinuousGameSpec is a grid game, a
 FiniteCSG over grid points, plus the points and the quadrature weights the
 transition density is taken against; validate_spec checks the weights and
 the density's sign and leaves the rest to validate_game.
+
+Validation happens once, at the boundary: public constructors, and so the
+loaders and dataclasses.replace, copy, freeze and check their input.  Objects
+derived from validated ones (induced MDPs, search iterates) use `_derived`.
 """
 
 import math
@@ -41,6 +45,19 @@ def _frozen_array(x, dtype=float):
     a = np.array(x, dtype=dtype)
     a.setflags(write=False)
     return a
+
+
+def _derived(cls, **fields):
+    """A `cls` holding `fields` as given, without __post_init__, for values
+    derived from validated objects in the types and shapes its constructor
+    gives; arrays, alone or in a tuple, are frozen in place."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                item.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _row_faults(table):
@@ -350,17 +367,13 @@ def _row_product(rows, n_states):
 def product_strategy(profile):
     """Joint per-state profile distribution of independent stationary strategies.
 
-    The profile's rows passed validation, so the product is built without
-    CorrelatedStrategy's row check: N rows each within ROW_SUM_TOL of 1 make
-    a product row within about N * ROW_SUM_TOL of 1, which that check would
-    refuse for a profile the loaders accept.
+    Derived from validated rows, it is built by `_derived` (see the module
+    docstring), without CorrelatedStrategy's row check: N rows each within
+    ROW_SUM_TOL of 1 make a product row within about N * ROW_SUM_TOL of 1,
+    which that check would refuse for a profile the loaders accept.
     """
-    table = _row_product(profile.rows, profile.n_states)
-    table.setflags(write=False)
-    psi = object.__new__(CorrelatedStrategy)
-    object.__setattr__(psi, "n_actions", profile.n_actions)
-    object.__setattr__(psi, "table", table)
-    return psi
+    return _derived(CorrelatedStrategy, n_actions=profile.n_actions,
+                    table=_row_product(profile.rows, profile.n_states))
 
 
 def marginal_excluding(psi, player):

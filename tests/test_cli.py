@@ -12,7 +12,9 @@ from hypothesis.extra import numpy as hnp
 
 from csgames import (
     FiniteCSG,
+    evaluate_markov,
     evaluate_profile,
+    markov_replacement,
     sample_games,
     validate_spec,
     wessels_cost_relation,
@@ -27,6 +29,7 @@ from csgames.cli import (
     _plain,
     certificate_to_payload,
     game_to_payload,
+    load_strategy,
     main,
     spec_to_payload,
     strategy_to_payload,
@@ -688,6 +691,31 @@ def test_sequence_monotone_targets(tmp_path):
     targets = [lvl["epsilon_target"] for lvl in report["results"]["levels"]]
     np.testing.assert_allclose(targets, [0.2, 0.1, 0.05, 0.025], atol=1e-15)
     assert report["results"]["final_passed"]
+
+
+def test_sequence_past_2_to_the_1024_exits_0(tmp_path):
+    game = write_game(tmp_path, sample_games.decoupled_pair())
+    assert main(["correlated-sequence", game, "--eps0", "0.1", "--n", "1030",
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    levels = read_json(tmp_path, "correlated-sequence.report.json")["results"]["levels"]
+    assert len(levels) == 1031
+    assert levels[-1]["epsilon_target"] == math.ldexp(0.1, -1030)
+
+
+def test_markov_replacement_is_written_as_its_markov_strategy(tmp_path):
+    rng = np.random.default_rng(7)
+    one, partition = sample_games.random_cell_constant_game(rng, n_cells=3)
+    strategy = rng.dirichlet(np.ones(one.n_actions[0]), size=one.n_states)
+    replacement = markov_replacement(one, partition, 0, [], strategy, horizon=3)
+    payload = strategy_to_payload(replacement)
+    assert payload == strategy_to_payload(
+        MarkovStrategy(replacement.player, replacement.head, replacement.tail))
+    path = write(tmp_path / "markov.json", payload)
+    assert _dump(strategy_to_payload(load_strategy(path))) == Path(path).read_text()
+    assert main(["evaluate", write_game(tmp_path, one), path,
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert read_json(tmp_path, "evaluate.report.json")["results"]["values"] \
+        == evaluate_markov(one, [], replacement).J.tolist()
 
 
 def test_sequence_single_level(tmp_path):

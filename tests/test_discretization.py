@@ -458,12 +458,23 @@ def _halves():
      "one representative per cell required"),
     (lambda: Partition(resolution=1.0, cells=(np.array([0, 2]),), representatives=np.array([0])),
      "cell member index out of range"),
+    (lambda: Partition(resolution=1.0, cells=(np.array([0, 1]), np.array([2, 3])),
+                       representatives=np.array([0, 1])),
+     "representative of cell 1 is not a member"),
+    (lambda: Partition(resolution=1.0, cells=(np.array([0, 1]), np.array([2, 7]),
+                                              np.array([4, 5])),
+                       representatives=np.array([2, 2, 0])),
+     "representative of cell 0 is not a member"),
+    (lambda: Partition(resolution=1.0, cells=(np.array([0, 1]), np.array([2, 7]),
+                                              np.array([4, 5])),
+                       representatives=np.array([0, 4, 0])),
+     "cell member index out of range"),
     (lambda: check_partition(flat_spec(n_points=7), _halves()),
      "partition covers 4 points, spec has 7"),
     (lambda: lift_strategy(_halves(), StationaryProfile((np.full((3, 2), 0.5),))),
      "profile has 3 states, partition 2 cells"),
-], ids=["resolution-discount", "representative-count", "member-range", "partition-size",
-        "lift-size"])
+], ids=["resolution-discount", "representative-count", "member-range", "representative-member",
+        "first-failing-cell", "range-before-membership", "partition-size", "lift-size"])
 def test_partition_guards(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()

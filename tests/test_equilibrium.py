@@ -339,6 +339,15 @@ def test_sequence_single_level(pair):
     assert seq.levels[0].epsilon_target == 0.2
 
 
+def test_sequence_targets_below_2_to_the_minus_1024(pair):
+    # 2.0 ** 1024 overflows a float; a target is epsilon0 scaled by 2^-n,
+    # and past n = 1023 it is a subnormal.
+    seq = correlated_limit_sequence(pair, 0.1, 1030)
+    assert seq.completed and len(seq.levels) == 1031
+    assert seq.levels[1023].epsilon_target == 0.1 / 2.0 ** 1023
+    assert seq.levels[-1].epsilon_target == math.ldexp(0.1, -1030) > 0.0
+
+
 def test_certificate_epsilon_decomposition(ctrap):
     cert = verify_approx_equilibrium(ctrap, sample_games.trap_profile(0.5), 1.0)
     pc = cert.players[0]

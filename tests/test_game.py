@@ -1,20 +1,25 @@
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csgames import (
     CorrelatedStrategy,
     FiniteCSG,
     MarkovStrategy,
+    SearchConfig,
     StationaryProfile,
+    induced_mdp,
     marginal_excluding,
     product_strategy,
+    search_equilibrium,
     validate_game,
     validate_spec,
 )
-from csgames import sample_games
+from csgames import equilibrium, sample_games
 
 
 def _with_transitions(game, transitions):
@@ -248,3 +253,51 @@ _HALF = np.full((2, 2), 0.5)
 def test_constructors_reject_bad_shapes(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+def _leaves(obj):
+    """The field values of a dataclass, with tuples flattened."""
+    return [item for f in fields(obj) for value in [getattr(obj, f.name)]
+            for item in (value if isinstance(value, tuple) else (value,))]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_players=st.integers(1, 3),
+       n_states=st.integers(1, 3), n_layers=st.integers(0, 2))
+def test_derived_objects_are_what_the_public_constructors_build(seed, n_players, n_states,
+                                                                n_layers):
+    # Induced MDPs, product strategies and the search's iterates skip
+    # validation; each must be read-only and rebuild through its public
+    # constructor unchanged.
+    rng = np.random.default_rng(seed)
+    game = sample_games.random_constrained_game(
+        rng, n_players=n_players, n_states=n_states,
+        n_actions=tuple(int(a) for a in rng.integers(1, 4, size=n_players)),
+        n_layers=n_layers)
+    profile = sample_games.random_profile(rng, game)
+    considered = []
+    certify = equilibrium._approx_certificate
+
+    def recorded(game, profile, *args, **kwargs):
+        considered.append(profile)
+        return certify(game, profile, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equilibrium, "_approx_certificate", recorded)
+        found = search_equilibrium(game, SearchConfig(restarts=1, max_iterations=3)).profile
+    mdps = [induced_mdp(game, i, profile.rows[:i] + profile.rows[i + 1:])
+            for i in range(n_players)]
+    assert any(found is p for p in considered)
+    for obj in [*mdps, product_strategy(profile), product_strategy(found), *considered]:
+        leaves = _leaves(obj)
+        assert not any(a.flags.writeable for a in leaves if isinstance(a, np.ndarray))
+        rebuilt = _leaves(type(obj)(**{f.name: getattr(obj, f.name) for f in fields(obj)}))
+        assert len(rebuilt) == len(leaves)
+        for new, old in zip(rebuilt, leaves):
+            assert type(new) is type(old)
+            if isinstance(old, np.ndarray):
+                assert new.dtype == old.dtype and np.array_equal(new, old)
+            else:
+                assert new == old
+    for mdp in mdps:
+        assert validate_game(mdp).ok, validate_game(mdp)
