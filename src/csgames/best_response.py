@@ -18,7 +18,9 @@ at import from LP_OPTIONS and with every presolve rule on except the
 dependent-equations search (DEPENDENT_EQUATIONS), which cannot remove a row
 of an occupation LP; `_solve` gives the proof.  Each LP goes to that solver
 as plain arrays in compressed-column form, and passing a model drops the
-previous basis, so every LP is solved from scratch as on a new solver.
+previous basis, so every LP is solved from scratch as on a new solver.  A
+solver holds its last model, so one that solved an LP above
+_LARGE_LP_ENTRIES matrix entries is dropped, whatever the outcome.
 
 Every function here takes the MDP as a one-player FiniteCSG, such as
 `induced_mdp` returns; to solve under other budgets, pass
@@ -54,6 +56,10 @@ LP_OPTIONS = {
 }
 # HiGHS's presolve_rule_off bit for rule 10, kPresolveRuleDependentEquations.
 DEPENDENT_EQUATIONS = 1 << 10
+# Above this many matrix entries an LP's solver is not kept: it would hold
+# the model and factorization, about 6 MB after an S=120, A=6 LP, while a new
+# solver costs about 0.1 ms and an LP of 10,080 entries about 9 ms.
+_LARGE_LP_ENTRIES = 10_000
 _COLWISE = int(_h.MatrixFormat.kColwise)
 _MINIMIZE = int(_h.ObjSense.kMinimize)
 
@@ -82,9 +88,10 @@ def _failure(highs):
 
 
 def _solver():
-    """This thread's HiGHS solver.  The thread's first LP makes it and sets
-    _HIGHS_OPTIONS and presolve_rule_off on it; if HiGHS refuses either, it
-    raises RuntimeError and keeps nothing."""
+    """This thread's HiGHS solver.  The thread's first LP, and the first after
+    an LP above _LARGE_LP_ENTRIES, makes it and sets _HIGHS_OPTIONS and
+    presolve_rule_off on it; if HiGHS refuses either, it raises RuntimeError
+    and keeps nothing."""
     highs = getattr(_local, "highs", None)
     if highs is None:
         highs = _h._Highs()
@@ -239,6 +246,8 @@ def _solve(objective, a_ub, b_ub, a_eq, b_eq, lower):
     row_lower = row_upper.copy()
     row_lower[:n_ub] = -np.inf
     highs = _solver()
+    if value.size > _LARGE_LP_ENTRIES:
+        _local.highs = None  # the solver, and this LP's model, die with `highs`
     # The integrality array must hold one kContinuous per column: HiGHS reads
     # num_col entries from it, however short it is.
     if (highs.passModel(n_cols, n_rows, value.size, _COLWISE, _MINIMIZE, 0.0, objective, lower,

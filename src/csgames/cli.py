@@ -175,7 +175,7 @@ def _load_json(path):
 def _field(doc, key, path):
     if key not in doc:
         raise ParseError(f"{path}: missing field {key!r}")
-    return doc[key]
+    return doc.pop(key)
 
 
 def game_to_payload(game, extra=None):
@@ -206,19 +206,22 @@ def certificate_to_payload(cert):
 
 def _load(path, schema, tag, classes):
     """Parse a document of `schema` whose `tag` entry names one of `classes`,
-    and build that dataclass from the document fields of the same names."""
+    and build that dataclass from the document fields of the same names,
+    which leave the document: a game's nested lists of floats die as soon as
+    the constructor has copied them.  Returns the dataclass and the rest."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     if doc.get("schema") != schema:
         raise ParseError(f"{path}: expected schema {schema!r}, found {doc.get('schema')!r}")
-    cls = classes.get(doc.get(tag))
+    name = doc.get(tag)
+    cls = classes.get(name) if isinstance(name, str) else None
     if cls is None:
         raise ParseError(f"{path}: expected {tag} {' or '.join(map(repr, classes))}, "
-                         f"found {doc.get(tag)!r}")
+                         f"found {name!r}")
     try:
         return cls(**{f.name: _field(doc, f.name, path) for f in fields(cls)}), doc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(Infinity) overflows
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -229,7 +232,9 @@ def _require_valid(report, path):
 
 def load_game(path):
     """Parse and validate a finite game document; parse errors and validation
-    errors are distinguished for the exit-code contract."""
+    errors are distinguished for the exit-code contract.  Returns the game and
+    the document's entries that are not its fields, such as a transform
+    block."""
     game, doc = _load(path, GAME_SCHEMA, "kind", {"finite": FiniteCSG})
     _require_valid(validate_game(game), path)
     return game, doc

@@ -652,12 +652,14 @@ def correlated_limit_sequence(game, epsilon0, n_levels, config=SearchConfig()):
     which solves no LP, since only the threshold differs.  The last product is
     re-verified as a weak correlated equilibrium and its residual reported.
     The sequence stops early (completed=False) if some level's target cannot
-    be certified.
+    be certified, and raises ValueError up front if the last target is 0.0.
     """
     if not epsilon0 > 0.0:
         raise ValueError(f"epsilon0 must be positive; got {epsilon0}")
     if n_levels < 0:
         raise ValueError(f"n_levels must be nonnegative; got {n_levels}")
+    if math.ldexp(epsilon0, -n_levels) == 0.0:
+        raise ValueError(f"epsilon0 / 2^{n_levels} underflows to 0 for epsilon0 = {epsilon0!r}")
     levels = []
     warm = None
     completed = True

@@ -195,6 +195,8 @@ class ContinuousGameSpec:
         pts = _frozen_array(self.points)
         w = _frozen_array(self.weights)
         dens = _frozen_array(self.density)
+        if w.ndim == 0 or pts.ndim == 0:
+            raise ValueError("points and weights must be arrays over the grid")
         m = w.shape[0]
         if pts.shape[0] != m:
             raise ValueError("points and weights disagree on grid size")
@@ -232,9 +234,9 @@ class StationaryProfile:
         rows = tuple(_frozen_array(r) for r in self.rows)
         if not rows:
             raise ValueError("profile needs at least one player")
-        s = rows[0].shape[0]
         for i, r in enumerate(rows):
-            if r.ndim != 2 or r.shape[0] != s:
+            # rows[0] has passed the rank test by the time it is indexed.
+            if r.ndim != 2 or r.shape[0] != rows[0].shape[0]:
                 raise ValueError(f"player {i} rows must be (S, A_i); got {r.shape}")
             _require_distributions(r, f"player {i}")
         object.__setattr__(self, "rows", rows)

@@ -468,15 +468,19 @@ LP_KINDS = {
        lps=st.lists(st.tuples(st.sampled_from(sorted(LP_KINDS)), st.booleans()),
                     min_size=2, max_size=10))
 def test_reused_solver_matches_a_fresh_one(seed, s, a, n_layers, data, lps):
-    # Each thread keeps one solver for all its LPs.  Passing it a model drops
+    # Each thread keeps one solver for its LPs.  Passing it a model drops
     # the previous basis, so it must give what a new solver per LP gives, bit
     # for bit, infeasible LPs and a failed run() along the way included.  As
     # in a search, the LPs share a shape, so a kept basis would fit the next.
+    # One LP is above _LARGE_LP_ENTRIES (S=60, A=6: about 22k entries): its
+    # solver is dropped whatever the outcome, and the next LP makes another.
     rng = np.random.default_rng(seed)
+    large_at = data.draw(st.integers(0, len(lps) - 1), label="large_at")
     mdps = []
-    for kind, infeasible in lps:
-        mdp = sample_games.random_game(rng, n_players=1, n_states=s, n_actions=(a,),
-                                       n_layers=n_layers)
+    for k, (kind, infeasible) in enumerate(lps):
+        n_states, n_actions = (60, 6) if k == large_at else (s, a)
+        mdp = sample_games.random_game(rng, n_players=1, n_states=n_states,
+                                       n_actions=(n_actions,), n_layers=n_layers)
         if infeasible:
             # Costs lie in [-1, 1], so no strategy meets a budget of -2.
             mdp = replace(mdp, constraint_bounds=np.full((1, n_layers), -2.0))
@@ -505,15 +509,19 @@ def test_reused_solver_matches_a_fresh_one(seed, s, a, n_layers, data, lps):
                           SimpleNamespace(**{**vars(_core), "_Highs": FailOnce}))
             patch.setattr(best_response, "_solve", recording)
             patch.setattr(best_response, "_local", threading.local())
-            for call, mdp in mdps:
+            for k, (call, mdp) in enumerate(mdps):
                 if fresh:
                     patch.setattr(best_response, "_local", threading.local())
                 try:
                     call(mdp)
                 except RuntimeError as error:
                     results.append(str(error))
+                kept = getattr(best_response._local, "highs", None)
+                assert (kept is None) == (k == large_at)
         assert len(runs) == len(mdps)
-        assert len({id(highs) for highs in runs}) == (len(mdps) if fresh else 1)
+        # `runs` holds every solver, so no two share an id.
+        made = len(mdps) if fresh else 1 + (large_at < len(mdps) - 1)
+        assert len({id(highs) for highs in runs}) == made
         return results
 
     reused, fresh = solve_all(fresh=False), solve_all(fresh=True)

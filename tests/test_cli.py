@@ -1,7 +1,7 @@
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from csgames import (
+    ContinuousGameSpec,
     FiniteCSG,
     evaluate_markov,
     evaluate_profile,
@@ -29,6 +30,8 @@ from csgames.cli import (
     _plain,
     certificate_to_payload,
     game_to_payload,
+    load_game,
+    load_spec,
     load_strategy,
     main,
     spec_to_payload,
@@ -170,6 +173,55 @@ def test_unreadable_game_exits_2(tmp_path, capsys, case, message):
     assert main(["evaluate", game, strat, "--out-dir", str(out)]) == EXIT_PARSE
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("document, key, value", [
+    ("game", "kind", []),
+    ("game", "kind", {}),
+    ("game", "n_actions", [math.inf]),
+    ("strategy", "class", []),
+    ("strategy", "rows", [1, 2]),
+    ("spec", "kind", {}),
+    ("spec", "points", None),
+    ("spec", "points", 0),
+    ("spec", "points", 2.5),
+    ("spec", "weights", None),
+    ("spec", "weights", 0),
+    ("spec", "weights", 2.5),
+], ids=["game-kind-list", "game-kind-object", "game-n_actions-inf", "strategy-class-list",
+        "strategy-rows-scalars", "spec-kind-object", "spec-points-null", "spec-points-0",
+        "spec-points-2.5", "spec-weights-null", "spec-weights-0", "spec-weights-2.5"])
+def test_malformed_document_exits_2(tmp_path, capsys, document, key, value):
+    # Each of these escaped main as a TypeError (an unhashable tag), an
+    # IndexError (a shape read before the rank was checked) or an
+    # OverflowError (an action count of Infinity, which json reads).
+    docs = {"game": game_to_payload(sample_games.trap_game()),
+            "strategy": strategy_to_payload(sample_games.trap_profile(0.75)),
+            "spec": spec_to_payload(sample_games.linear_cost_grid_spec())}
+    docs[document][key] = value
+    paths = {name: write(tmp_path / f"{name}.json", doc) for name, doc in docs.items()}
+    argv = (["discretize", paths["spec"], "--gamma", "0.5"] if document == "spec"
+            else ["evaluate", paths["game"], paths["strategy"]])
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("parse error: ")
+    assert not out.exists()
+
+
+def test_loaders_return_the_document_without_its_fields(tmp_path):
+    # The fields leave the document as the loader builds its dataclass; the
+    # entries that are not fields, such as a transform block, stay.
+    block = {"omega": [1.0, 2.0], "beta": 0.5}
+    game_doc = game_to_payload(sample_games.trap_game(), extra={"transform": block})
+    spec_doc = spec_to_payload(sample_games.linear_cost_grid_spec())
+    _, rest = load_game(write(tmp_path / "game.json", game_doc))
+    assert rest == {key: game_doc[key] for key in ("schema", "kind", "n_states",
+                                                   "n_constraint_layers", "transform")}
+    assert not rest.keys() & {f.name for f in fields(FiniteCSG)}
+    _, rest = load_spec(write(tmp_path / "spec.json", spec_doc))
+    assert rest == {key: spec_doc[key] for key in ("schema", "kind", "n_points",
+                                                   "n_constraint_layers")}
+    assert not rest.keys() & {f.name for f in fields(ContinuousGameSpec)}
 
 
 def test_discount_of_one_exits_3(tmp_path, capsys):
@@ -681,6 +733,21 @@ def test_spec_shape_error_names_spec_fields(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "grid spec: costs must have shape (N, L+1, 11, 2)" in err
     assert "transitions must have shape (10, 2, 10); got (11, 2, 11)" in err
+
+
+def test_sequence_target_underflow_exits_3(tmp_path, capsys):
+    # With --n 1 the last target, 5e-324 / 2, is 0.0; with --n 0 it is
+    # 5e-324 itself, which the decoupled pair reaches.
+    game = write_game(tmp_path, sample_games.decoupled_pair())
+    out = tmp_path / "out"
+    assert main(["correlated-sequence", game, "--eps0", "5e-324", "--n", "1",
+                 "--out-dir", str(out)]) == EXIT_VALIDATION
+    assert "underflows to 0" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["correlated-sequence", game, "--eps0", "5e-324", "--n", "0",
+                 "--out-dir", str(out)]) == EXIT_OK
+    levels = read_json(out, "correlated-sequence.report.json")["results"]["levels"]
+    assert [level["epsilon_target"] for level in levels] == [5e-324]
 
 
 def test_sequence_monotone_targets(tmp_path):

@@ -405,6 +405,14 @@ def test_sequence_rejects_negative_level_count(pair):
         correlated_limit_sequence(pair, 0.2, -1)
 
 
+@pytest.mark.parametrize("epsilon0, n_levels", [(5e-324, 1), (0.1, 1075)])
+def test_sequence_rejects_a_last_target_that_underflows(pair, epsilon0, n_levels):
+    # 5e-324 / 2 rounds to 0.0, and so does 0.1 / 2^n from n = 1072 on, so
+    # the last level would target 0.0 and not epsilon0 / 2^n_levels.
+    with pytest.raises(ValueError, match="underflows to 0"):
+        correlated_limit_sequence(pair, epsilon0, n_levels)
+
+
 def lps_needed(cert, beat):
     """The LPs a certificate costs when it stops once a part reaches `beat`:
     none if a budget excess does, else one per player up to and including the
