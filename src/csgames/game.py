@@ -21,6 +21,7 @@ derived from validated ones (induced MDPs, search iterates) use `_derived`.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +82,21 @@ def _require_distributions(table, what):
         raise ValueError(f"{what} row (state {s}) {fault}")
 
 
+def _integer(value, what):
+    """value as an int when it is a Python or numpy integer, not a bool;
+    anything else, such as 2.9 or "2", raises ValueError naming `what`."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return int(operator.index(value))
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer; got {value!r}")
+
+
+def _counts(n_actions):
+    return tuple(_integer(a, "n_actions entry") for a in n_actions)
+
+
 def _require_player(player, n_players, what="no player"):
     """Raise ValueError unless `player` indexes one of n_players players."""
     if not 0 <= player < n_players:
@@ -111,7 +127,7 @@ class FiniteCSG:
     cost_bound: float
 
     def __post_init__(self):
-        object.__setattr__(self, "n_actions", tuple(int(a) for a in self.n_actions))
+        object.__setattr__(self, "n_actions", _counts(self.n_actions))
         if len(self.n_actions) == 0 or any(a < 1 for a in self.n_actions):
             raise ValueError("n_actions must list a positive count per player")
         costs = _frozen_array(self.costs)
@@ -191,7 +207,7 @@ class ContinuousGameSpec:
     cost_bound: float
 
     def __post_init__(self):
-        object.__setattr__(self, "n_actions", tuple(int(a) for a in self.n_actions))
+        object.__setattr__(self, "n_actions", _counts(self.n_actions))
         pts = _frozen_array(self.points)
         w = _frozen_array(self.weights)
         dens = _frozen_array(self.density)
@@ -269,7 +285,7 @@ class MarkovStrategy:
             if h.shape != tail.shape:
                 raise ValueError(f"head step {t} has shape {h.shape}, tail {tail.shape}")
             _require_distributions(h, f"head step {t}")
-        object.__setattr__(self, "player", int(self.player))
+        object.__setattr__(self, "player", _integer(self.player, "player"))
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "tail", tail)
 
@@ -282,7 +298,7 @@ class CorrelatedStrategy:
     table: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n_actions", tuple(int(a) for a in self.n_actions))
+        object.__setattr__(self, "n_actions", _counts(self.n_actions))
         table = _frozen_array(self.table)
         p = int(np.prod(self.n_actions))
         if table.ndim != 2 or table.shape[1] != p:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .evaluation import evaluate_policy, evaluate_profile, induced_mdp
 from .game import FiniteCSG, MarkovStrategy, StationaryProfile, _frozen_array
@@ -65,6 +64,8 @@ def caratheodory_reduce(values, weights):
     degenerate.  Deterministic; raises RuntimeError if the reduced mean drifts
     beyond CARATHEODORY_TOL or the drift is NaN.
     """
+    from scipy.linalg import null_space  # importing scipy.linalg takes 0.2-0.3 s
+
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if values.ndim != 2 or weights.shape != (values.shape[0],):
@@ -79,7 +80,7 @@ def caratheodory_reduce(values, weights):
         if support.size <= 1:
             break
         moment = np.vstack([values[support].T, np.ones(support.size)])
-        null = scipy.linalg.null_space(moment)
+        null = null_space(moment)
         if null.shape[1] == 0:
             # Affinely independent support: already a basic solution.  This is
             # guaranteed once support <= d + 1, often earlier.

@@ -208,6 +208,38 @@ def test_malformed_document_exits_2(tmp_path, capsys, document, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["fraction", "float", "string", "bool"])
+@pytest.mark.parametrize("document, key", [
+    ("game", "n_actions"), ("spec", "n_actions"), ("correlated", "n_actions"),
+    ("markov", "player")])
+def test_integer_fields_refuse_non_integers_exit_2(tmp_path, capsys, document, key, kind):
+    # These fields went through int(): n_actions [2.9] or ["2"] loaded as
+    # [2], and `evaluate` exited 0.
+    profile = sample_games.trap_profile(0.75)
+    docs = {"game": game_to_payload(sample_games.constrained_trap_game()),
+            "spec": spec_to_payload(sample_games.linear_cost_grid_spec()),
+            "correlated": strategy_to_payload(product_strategy(profile)),
+            "markov": strategy_to_payload(MarkovStrategy(0, profile.rows, profile.rows[0]))}
+    doc = docs[document]
+    valid = doc[key][0] if key == "n_actions" else doc[key]
+    bad = {"fraction": valid + 0.9, "float": float(valid), "string": str(valid),
+           "bool": bool(valid)}[kind]
+    if key == "n_actions":
+        doc[key][0] = bad
+    else:
+        doc[key] = bad
+    paths = {name: write(tmp_path / f"{name}.json", d) for name, d in docs.items()}
+    if document == "spec":
+        argv = ["discretize", paths["spec"], "--gamma", "0.5"]
+    else:
+        argv = ["evaluate", paths["game"], paths["markov" if document == "markov" else "correlated"]]
+    out = tmp_path / "out"
+    assert main(argv + ["--out-dir", str(out)]) == EXIT_PARSE
+    what = "n_actions entry" if key == "n_actions" else "player"
+    assert f"{what} must be an integer; got {bad!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_loaders_return_the_document_without_its_fields(tmp_path):
     # The fields leave the document as the loader builds its dataclass; the
     # entries that are not fields, such as a transform block, stay.

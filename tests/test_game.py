@@ -255,6 +255,17 @@ def test_constructors_reject_bad_shapes(build, message):
         build()
 
 
+def test_integer_fields_take_numpy_integers_as_ints(ctrap):
+    game = replace(ctrap, n_actions=np.array([2]))
+    psi = CorrelatedStrategy((np.int32(2),), _HALF)
+    markov = MarkovStrategy(np.int64(0), (), _HALF)
+    for value in (*game.n_actions, *psi.n_actions, markov.player):
+        assert type(value) is int
+    assert (game.n_actions, psi.n_actions, markov.player) == ((2,), (2,), 0)
+    with pytest.raises(ValueError, match=re.escape("n_actions entry must be an integer")):
+        CorrelatedStrategy((np.bool_(True), 2), _HALF)
+
+
 def _leaves(obj):
     """The field values of a dataclass, with tuples flattened."""
     return [item for f in fields(obj) for value in [getattr(obj, f.name)]
