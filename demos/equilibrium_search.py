@@ -20,6 +20,7 @@ from csgames import (
     StationaryProfile,
     correlated_limit_sequence,
     evaluate_profile,
+    product_strategy,
     sample_games,
     search_equilibrium,
     verify_approx_equilibrium,
@@ -70,7 +71,7 @@ def main():
         print(f"  n = {level.index}: target {level.epsilon_target:.4f}, "
               f"certified {level.certificate.epsilon:.2e}, partition "
               f"resolution {level.resolution:.4f}")
-    final = verify_weak_correlated(game, seq.levels[-1].correlated)
+    final = verify_weak_correlated(game, product_strategy(seq.levels[-1].profile))
     print(f"  final product strategy is weak correlated: passed = "
           f"{final.passed}, epsilon = {final.epsilon:.2e}")
 

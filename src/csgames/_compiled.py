@@ -4,9 +4,9 @@ csgames calls two of scipy's extension modules and nothing else of scipy on
 its hot paths: HiGHS (`scipy.optimize._highspy._core`) and LAPACK
 (`scipy.linalg._flapack`).  Importing either through its package runs the
 package's `__init__`, and those of scipy.optimize and scipy.linalg pull in
-scipy.sparse, scipy.fft, scipy.special, numpy.f2py and numpy.testing: about
-0.5 s of a fresh `import csgames.cli`, which took 0.67-0.69 s that way on a
-2-core x86-64 VM, against 0.14-0.25 s with `load`.  `load` finds and runs
+scipy.sparse, scipy.fft, scipy.special, numpy.f2py and numpy.testing.  On a
+2-core x86-64 VM (medians of 9 fresh processes), a fresh `import csgames.cli`
+took 0.56 s that way and takes 0.19 s with `load`.  `load` finds and runs
 the one file as the import system would, minus the parents' `__init__`s.
 The module it registers in sys.modules is the one scipy itself binds when it
 is imported later, so both sides share one HiGHS and one LAPACK.  Unlike a

@@ -13,17 +13,16 @@ Whether any strategy meets the budgets is the best response's `feasible`, and
 its strategy is then a witness.  One LP builder, `_occupation_lp`, sets up
 and checks this program for the best response and the Slater margin.  It
 hands each LP to HiGHS directly, through scipy's bundled `_highspy._core`
-module, which `_compiled.load` loads by file: importing csgames imports
-neither scipy.optimize nor scipy.linalg, and a fresh `import csgames.cli`
-took 0.17-0.29 s against 0.49-0.71 s with them (2-core x86-64 VM).  Each
-thread keeps one solver (`_solver`), set up once with the options built
-at import from LP_OPTIONS and with every presolve rule on except the
-dependent-equations search (DEPENDENT_EQUATIONS), which cannot remove a row
-of an occupation LP; `_solve` gives the proof.  Each LP goes to that solver
-as plain arrays in compressed-column form, and passing a model drops the
-previous basis, so every LP is solved from scratch as on a new solver.  A
-solver holds its last model, so one that solved an LP above
-_LARGE_LP_ENTRIES matrix entries is dropped, whatever the outcome.
+module, which `_compiled.load` loads by file without importing
+scipy.optimize (see `_compiled` for what that saves).  Each thread keeps one
+solver (`_solver`), set up once with the options built at import from
+LP_OPTIONS and with every presolve rule on except the dependent-equations
+search (DEPENDENT_EQUATIONS), which cannot remove a row of an occupation LP;
+`_solve` gives the proof.  Each LP goes to that solver as plain arrays in
+compressed-column form, and passing a model drops the previous basis, so
+every LP is solved from scratch as on a new solver.  A solver holds its last
+model, so one that solved an LP above _LARGE_LP_ENTRIES matrix entries is
+dropped, whatever the outcome.
 
 Every function here takes the MDP as a one-player FiniteCSG, such as
 `induced_mdp` returns; to solve under other budgets, pass
@@ -173,16 +172,17 @@ def recover_strategy(occupation):
     return np.divide(table, masses, out=policy, where=masses > 1e-12)
 
 
-def _occupation_lp(mdp, objective, epigraph=False):
+def _occupation_lp(mdp, objective):
     """Minimize objective @ x over the normalized occupation measures x of
     `mdp` that meet the budget rows costs[0, 1:] @ x <= constraint_bounds[0].
 
-    With `epigraph`, x gains a free last column z that is added to every
-    budget row.  Returns None when no occupation measure meets the budgets,
-    else (x, theta, residuals, multipliers): theta is the occupation part of x
-    clipped at zero, residuals its flow-balance, mass and sign errors, and
-    multipliers the budget rows' multipliers (see _solve).  Raises
-    RuntimeError on solver failure or a flow residual above FLOW_TOL.
+    An objective of S*A + 1 entries gives x a free last column z, the
+    epigraph variable, that is added to every budget row.  Returns None when
+    no occupation measure meets the budgets, else (x, theta, residuals,
+    multipliers): theta is the occupation part of x clipped at zero,
+    residuals its flow-balance, mass and sign errors, and multipliers the
+    budget rows' multipliers (see _solve).  Raises RuntimeError on solver
+    failure or a flow residual above FLOW_TOL.
     """
     (s, a), n_layers = _dims(mdp), mdp.n_layers
     # Column (s, a) of flow row s' is [s' == s] - alpha q(s' | s, a).
@@ -192,7 +192,7 @@ def _occupation_lp(mdp, objective, epigraph=False):
     b_eq = (1.0 - mdp.discount) * mdp.initial
     a_ub, b_ub = mdp.costs[0, 1:].reshape(n_layers, s * a), mdp.constraint_bounds[0]
     a_eq, lower = flow, np.zeros(s * a)
-    if epigraph:
+    if len(objective) == s * a + 1:
         a_eq = np.hstack([flow, np.zeros((s, 1))])
         a_ub = np.hstack([a_ub, np.ones((n_layers, 1))])
         lower = np.append(lower, -np.inf)
@@ -218,6 +218,7 @@ def _solve(objective, a_ub, b_ub, a_eq, b_eq, lower):
     the budget rows followed by the flow rows.
 
     Returns (x, multipliers), or None when HiGHS proves the LP infeasible.
+    An objective or lower of other than a_eq's column count raises ValueError.
     multipliers = max(-row_dual, 0) over the budget rows: the Lagrange
     multipliers lambda >= 0 of a_ub @ x <= b_ub (HiGHS gives an active upper
     bound of a minimization a nonpositive dual).  Raises
@@ -243,6 +244,8 @@ def _solve(objective, a_ub, b_ub, a_eq, b_eq, lower):
     row to remove, so skipping it changes the solve time and not the answer.
     """
     n_ub, (n_eq, n_cols) = len(b_ub), a_eq.shape
+    if not len(objective) == len(lower) == n_cols:
+        raise ValueError(f"{len(objective)} costs, {len(lower)} bounds for {n_cols} columns")
     n_rows = n_ub + n_eq
     columns = np.empty((n_cols, n_rows))
     columns[:, :n_ub] = a_ub.T
@@ -321,7 +324,7 @@ def slater_margin(mdp):
         return SlaterResult(math.inf, np.full((s, a), 1.0 / a))
     obj = np.zeros(s * a + 1)
     obj[-1] = -1.0
-    lp = _occupation_lp(mdp, obj, epigraph=True)
+    lp = _occupation_lp(mdp, obj)
     if lp is None:
         raise RuntimeError("slack LP reported infeasible; flow polytope should never be empty")
     x, theta = lp[:2]

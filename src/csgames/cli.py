@@ -168,7 +168,7 @@ def _load_json(path):
     del data  # a game document can be tens of MB: drop the bytes before parsing
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -424,17 +424,18 @@ def cmd_discretize(args):
     spec, _ = load_spec(args.spec)
     resolution = (args.gamma if args.gamma is not None
                   else resolution_for(args.epsilon, spec.discount, spec.cost_bound))
-    disc = surrogate_game(spec, build_partition(spec, resolution))
-    print(f"{disc.partition.n_cells} cells at resolution {resolution:.6g}; "
+    partition = build_partition(spec, resolution)
+    disc = surrogate_game(spec, partition)
+    print(f"{partition.n_cells} cells at resolution {resolution:.6g}; "
           f"certified error {disc.certified_error:.6g}")
     return {
-        "resolution": disc.partition.resolution,
+        "resolution": partition.resolution,
         "certified_error": disc.certified_error,
-        "n_cells": disc.partition.n_cells,
+        "n_cells": partition.n_cells,
     }, {
         "game": game_to_payload(disc.game, extra={"certified_error": disc.certified_error}),
         "partition": {"schema": "csgames-partition-v1",
-                      "certified_error": disc.certified_error, **_plain(disc.partition)},
+                      "certified_error": disc.certified_error, **_plain(partition)},
     }, EXIT_OK
 
 
@@ -488,7 +489,7 @@ def cmd_correlated_sequence(args):
     print(f"final weak-correlated epsilon {final.epsilon:.6g}")
     results.update({"final_epsilon": final.epsilon, "final_passed": final.passed})
     return results, {
-        "strategy": strategy_to_payload(seq.levels[-1].correlated),
+        "strategy": strategy_to_payload(product_strategy(seq.levels[-1].profile)),
         "certificate": certificate_to_payload(final),
     }, EXIT_OK if seq.completed and final.passed else EXIT_CERTIFIED_FAIL
 
@@ -598,6 +599,9 @@ def main(argv=None):
         # MemoryError: an input too large to hold, such as the per-trajectory
         # totals of `simulate --trajectories 10000000000000`.
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:  # --out-dir or an output in it cannot be made; the text names it
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

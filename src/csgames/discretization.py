@@ -110,10 +110,9 @@ class Partition:
 
 @dataclass(frozen=True)
 class DiscretizedGame:
-    """Surrogate finite game over partition cells, with its certified bound."""
+    """Surrogate game over the cells of the partition it came from, and its certified bound."""
 
     game: FiniteCSG
-    partition: Partition
     certified_error: float
 
 
@@ -125,15 +124,11 @@ def _cost_distances(game, rep, points):
 
 
 def _density_distances(game, rep, points):
-    """Density distances of grid `points` (an index array or a slice) to
-    `rep`: the L1 distance between kernel rows, maximized over profiles.
-    Gathered rows are a copy, so they are differenced and made absolute in
-    place; the values are those of abs(rows - row of rep) either way."""
-    if isinstance(points, slice):
-        rows = game.transitions[points] - game.transitions[rep]
-    else:
-        rows = game.transitions[points]
-        rows -= game.transitions[rep]
+    """Density distances of grid `points` (an index array) to `rep`: the L1
+    distance between kernel rows, maximized over profiles.  Gathered rows are
+    a copy, so they are differenced and made absolute in place."""
+    rows = game.transitions[points]
+    rows -= game.transitions[rep]
     np.abs(rows, out=rows)
     return rows.sum(axis=2).max(axis=1)
 
@@ -182,8 +177,7 @@ def build_partition(spec, resolution):
         # is NaN, which _require_within reports before the density.
         near = np.flatnonzero((cost < resolution) & (cell_of[m:] < 0))
         density = np.full(n - m, np.inf)
-        density[near] = _density_distances(
-            game, m, slice(m, None) if near.size == n - m else m + near)
+        density[near] = _density_distances(game, m, m + near)
         _require_within(k, [m], (cost[:1], density[:1]), resolution)
         cell_of[m + near[density[near] < resolution]] = k
         representatives.append(m)
@@ -230,7 +224,6 @@ def surrogate_game(spec, partition):
         raise ValueError(f"surrogate game:\n{report}")
     return DiscretizedGame(
         game=surrogate,
-        partition=partition,
         certified_error=error_bound(partition.resolution, game.discount, game.cost_bound),
     )
 

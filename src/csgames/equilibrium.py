@@ -126,15 +126,12 @@ class StatewiseCertificate:
 class ConsistencyReport:
     """Per-state one-shot Nash check of a stationary profile against its own
     continuation values.  States in `flagged` have a regret above REGRET_TOL;
-    an equilibrium can only be excused there if they carry no initial mass."""
+    `consistent_on_support` is whether none carries initial mass, the one
+    case in which an equilibrium excuses them."""
 
     regrets: np.ndarray
     flagged: tuple
-    initial_masses: np.ndarray
-
-    @property
-    def consistent_on_support(self):
-        return all(self.initial_masses[s] <= 0.0 for s in self.flagged)
+    consistent_on_support: bool
 
 
 def _budget_excess(game, cost_vector, player):
@@ -275,7 +272,7 @@ def one_shot_consistency(game, profile):
     return ConsistencyReport(
         regrets=regrets,
         flagged=flagged,
-        initial_masses=game.initial.copy(),
+        consistent_on_support=all(game.initial[s] <= 0.0 for s in flagged),
     )
 
 
@@ -626,11 +623,12 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
 
 @dataclass(frozen=True)
 class SequenceLevel:
+    """A certified level of correlated_limit_sequence; it plays product_strategy(profile)."""
+
     index: int
     epsilon_target: float
     resolution: float
     profile: StationaryProfile
-    correlated: object
     certificate: EquilibriumCertificate
 
 
@@ -677,13 +675,12 @@ def correlated_limit_sequence(game, epsilon0, n_levels, config=SearchConfig()):
             epsilon_target=eps_n,
             resolution=resolution_for(eps_n, game.discount, game.cost_bound),
             profile=found.profile,
-            correlated=product_strategy(found.profile),
             certificate=cert,
         ))
         warm = found.profile
     final = None
     if levels:
-        final = verify_weak_correlated(game, levels[-1].correlated)
+        final = verify_weak_correlated(game, product_strategy(levels[-1].profile))
     return CorrelatedSequenceResult(
         levels=tuple(levels),
         final_certificate=final,

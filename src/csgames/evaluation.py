@@ -7,8 +7,8 @@ against RESIDUAL_TOL.  The solve calls LAPACK's getrf and getrs directly, the
 routines scipy.linalg.lu_factor and lu_solve wrap, so it gives their answers
 bit for bit without their per-call checks; an inf or NaN in the system
 reaches the residual, so non-finite input raises RuntimeError.  They come
-from scipy.linalg._flapack, which `_compiled.load` loads by file: importing
-scipy.linalg would add 0.2-0.3 s to every fresh process.  One
+from scipy.linalg._flapack, which `_compiled.load` loads by file without
+importing scipy.linalg (see `_compiled` for what that saves).  One
 factorization serves all players and cost layers, since the kernel under a
 fixed joint strategy does not depend on them.
 

@@ -64,7 +64,7 @@ def caratheodory_reduce(values, weights):
     degenerate.  Deterministic; raises RuntimeError if the reduced mean drifts
     beyond CARATHEODORY_TOL or the drift is NaN.
     """
-    from scipy.linalg import null_space  # importing scipy.linalg takes 0.2-0.3 s
+    from scipy.linalg import null_space  # deferred: see _compiled for its cost
 
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)

@@ -326,7 +326,7 @@ def test_flow_rows_have_full_row_rank(seed, s, a, discount, deterministic, epigr
     equalities = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(best_response, "_solve", lambda *args: equalities.append(args[3]))
-        best_response._occupation_lp(mdp, np.zeros(s * a + epigraph), epigraph=epigraph)
+        best_response._occupation_lp(mdp, np.zeros(s * a + epigraph))
     (a_eq,) = equalities
     assert a_eq.shape == (s, s * a + epigraph)
     assert np.linalg.matrix_rank(a_eq) == s
@@ -444,16 +444,46 @@ def test_solver_failure_raises(ctrap, monkeypatch, methods):
         constrained_best_response(induced_mdp(ctrap, 0, []))
 
 
-@pytest.mark.parametrize("case", DOCTORED)
+# HiGHS's optimum with x[0] moved by 1e-6 and its row values left alone:
+# _solve's checks read the rows and pass, and only _occupation_lp's own
+# flow-balance check, on x itself, stands between it and a certificate.
+OFF_FLOW = _doctor("col_value", 0, lambda v: v + 1e-6)
+
+
+def test_flow_balance_check_rejects_what_solve_passes(ctrap, monkeypatch):
+    _use_highs(monkeypatch, OFF_FLOW)
+    with pytest.raises(RuntimeError, match="LP flow-balance residual 5.000e-07"):
+        constrained_best_response(induced_mdp(ctrap, 0, []))
+
+
+@pytest.mark.parametrize("case", [*DOCTORED, "off flow balance"])
 def test_best_respond_on_doctored_optimum_exits_4(ctrap, tmp_path, monkeypatch, case):
     game = tmp_path / "game.json"
     game.write_text(_dump(game_to_payload(ctrap)))
     strat = tmp_path / "strategy.json"
     strat.write_text(_dump(strategy_to_payload(sample_games.trap_profile(0.2))))
-    _use_highs(monkeypatch, DOCTORED[case])
+    _use_highs(monkeypatch, DOCTORED.get(case, OFF_FLOW))
     out = tmp_path / "out"
     assert main(["best-respond", str(game), str(strat), "--player", "0",
                  "--out-dir", str(out)]) == EXIT_SOLVER
+
+
+def test_slater_margin_refuses_an_infeasible_flow_polytope(ctrap, monkeypatch):
+    _use_highs(monkeypatch, {"getModelStatus": lambda self: _core.HighsModelStatus.kInfeasible})
+    with pytest.raises(RuntimeError, match="slack LP reported infeasible"):
+        slater_margin(induced_mdp(ctrap, 0, []))
+
+
+@pytest.mark.parametrize("extra", [-1, 2])
+def test_objective_length_sets_the_lp_width(ctrap, extra):
+    # S*A entries solve the occupation LP, S*A + 1 add the epigraph column,
+    # and any other length is refused rather than truncated or padded.
+    mdp = induced_mdp(ctrap, 0, [])
+    s_a = mdp.n_states * mdp.n_profiles
+    assert best_response._occupation_lp(mdp, np.zeros(s_a))[0].shape == (s_a,)
+    assert best_response._occupation_lp(mdp, np.zeros(s_a + 1))[0].shape == (s_a + 1,)
+    with pytest.raises(ValueError, match="columns"):
+        best_response._occupation_lp(mdp, np.zeros(s_a + extra))
 
 
 LP_KINDS = {

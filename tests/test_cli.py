@@ -208,6 +208,41 @@ def test_malformed_document_exits_2(tmp_path, capsys, document, key, value):
     assert not out.exists()
 
 
+def test_deeply_nested_document_exits_2(tmp_path, capsys):
+    # json's decoder recurses once per level; its RecursionError is a
+    # RuntimeError, which main reported as a solver error (exit 4).
+    game = tmp_path / "game.json"
+    game.write_text("[" * 200_000 + "]" * 200_000)
+    strat = write_profile(tmp_path, sample_games.trap_profile(0.75))
+    out = tmp_path / "out"
+    assert main(["evaluate", str(game), strat, "--out-dir", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"parse error: {game} is not valid JSON")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out_dir, bad", [
+    ("afile", "afile"),
+    ("afile/sub", "afile/sub"),
+    ("out", "out/evaluate.report.json"),
+], ids=["out-dir-is-a-file", "out-dir-under-a-file", "report-is-a-folder"])
+def test_unusable_out_dir_exits_3(tmp_path, capsys, out_dir, bad):
+    # mkdir's FileExistsError and NotADirectoryError, and write_text's
+    # IsADirectoryError, left main as tracebacks with exit 1, the code for a
+    # target that was not met.  (A permission error is not tested: root may
+    # write anywhere.)
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "out" / "evaluate.report.json").mkdir(parents=True)
+    game = write_game(tmp_path, sample_games.trap_game())
+    strat = write_profile(tmp_path, sample_games.trap_profile(0.75))
+    assert main(["evaluate", game, strat, "--out-dir", str(tmp_path / out_dir)]) == EXIT_VALIDATION
+    assert str(tmp_path / bad) in capsys.readouterr().err
+
+
+def test_only_strategies_are_written_as_strategies():
+    with pytest.raises(TypeError, match="cannot serialize strategy"):
+        strategy_to_payload(object())
+
+
 @pytest.mark.parametrize("kind", ["fraction", "float", "string", "bool"])
 @pytest.mark.parametrize("document, key", [
     ("game", "n_actions"), ("spec", "n_actions"), ("correlated", "n_actions"),

@@ -244,6 +244,12 @@ def test_simulate_deterministic(ctrap):
     np.testing.assert_array_equal(a.radii, b.radii)
 
 
+def test_simulate_needs_two_trajectories(ctrap):
+    psi = product_strategy(sample_games.trap_profile(0.75))
+    with pytest.raises(ValueError, match="at least two trajectories"):
+        simulate(ctrap, psi, n_trajectories=1)
+
+
 def test_simulate_chunk_invariant(ctrap):
     psi = product_strategy(sample_games.trap_profile(0.75))
     a = simulate(ctrap, psi, n_trajectories=300, seed=2, chunk=7)

@@ -48,6 +48,7 @@ def test_validate_clean_fixture(ctrap):
     report = validate_game(ctrap)
     assert report.ok
     assert report.issues == ()
+    assert str(report) == "valid"
 
 
 def test_validate_names_bad_transition_row(ctrap):
