@@ -12,7 +12,8 @@ Regenerate only when an output change is intended, and say so:
     PYTHONPATH=src python tests/test_golden.py
 
 It prints one line per case whose outputs changed, with its epsilon and exit
-code before and after, for the list the regeneration's commit gives.
+code before and after and the names of the changed files, for the list the
+regeneration's commit gives.
 """
 
 import argparse
@@ -216,7 +217,7 @@ def outcome(outputs):
 
 def regenerate():
     """Rewrite the inputs and every case, and print each case whose outputs
-    changed as `case: old outcome -> new outcome`."""
+    changed as `case: old outcome -> new outcome (changed files)`."""
     write_inputs(INPUTS)
     for name in CASES:
         with tempfile.TemporaryDirectory() as tmp:
@@ -228,8 +229,10 @@ def regenerate():
                             INPUTS / "rdec.correlated.json")
         target = GOLDEN / name
         old = {path.name: path.read_text() for path in target.iterdir()} if target.is_dir() else {}
-        if outputs != old:
-            print(f"{name}: {outcome(old) if old else 'new case'} -> {outcome(outputs)}")
+        changed = sorted(f for f in outputs.keys() | old.keys() if outputs.get(f) != old.get(f))
+        if changed:
+            print(f"{name}: {outcome(old) if old else 'new case'} -> {outcome(outputs)} "
+                  f"({', '.join(changed)})")
         shutil.rmtree(target, ignore_errors=True)
         target.mkdir()
         for file_name, text in outputs.items():
