@@ -47,7 +47,6 @@ __all__ = [
     "PlayerCertificate",
     "EquilibriumCertificate",
     "StatewiseCertificate",
-    "ConsistencyReport",
     "SearchConfig",
     "SearchResult",
     "SequenceLevel",
@@ -57,7 +56,6 @@ __all__ = [
     "verify_weak_correlated",
     "search_equilibrium",
     "correlated_limit_sequence",
-    "one_shot_consistency",
 ]
 
 FEASIBILITY_TOL = 1e-9
@@ -113,25 +111,30 @@ class EquilibriumCertificate:
 
 @dataclass(frozen=True)
 class StatewiseCertificate:
-    """Per-initial-state unconstrained optimality gaps, shape (N, S)."""
+    """Per-initial-state unconstrained optimality gaps, shape (N, S), and the
+    one-shot regrets that locate them.
+
+    regrets[i, s] is sigma_i's expected one-shot cost (1 - alpha) c_i^0 +
+    alpha * E[J_i(next)] against the others' rows, minus that of its best pure
+    action: J_i(s) - (T J_i)(s), for the Bellman optimality operator T of
+    player i's induced MDP and J_i the profile's values.  `flagged` holds the
+    states where some player's regret exceeds REGRET_TOL.  For each player,
+
+        regret <= gap at every state, as J_i >= J* = T J* gives T J_i >= J*;
+        max gap <= max regret / (1 - alpha), as T is an alpha-contraction.
+
+    An aggregated equilibrium only pins play down on states the initial
+    distribution charges, so flagged states without initial mass show where
+    suboptimal choices can hide.
+    """
 
     gaps: np.ndarray
+    regrets: np.ndarray
+    flagged: tuple
     epsilon: float
     threshold: float
     passed: bool
     concept: str = "statewise"
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Per-state one-shot Nash check of a stationary profile against its own
-    continuation values.  States in `flagged` have a regret above REGRET_TOL;
-    `consistent_on_support` is whether none carries initial mass, the one
-    case in which an equilibrium excuses them."""
-
-    regrets: np.ndarray
-    flagged: tuple
-    consistent_on_support: bool
 
 
 def _budget_excess(game, cost_vector, player):
@@ -225,14 +228,22 @@ def _approx_certificate(game, profile, epsilon, beat=math.inf):
 
 
 def verify_statewise_equilibrium(game, profile, epsilon):
-    """Certify per-initial-state epsilon-optimality with constraints ignored."""
-    cv = evaluate_profile(game, profile)
-    gaps = np.array([
-        cv.Jx[i, 0] - optimal_policy_values(_induced_mdp(game, profile, i))[0]
-        for i in range(game.n_players)])
+    """Certify per-initial-state epsilon-optimality with constraints ignored,
+    and report each state's one-shot regrets (see StatewiseCertificate)."""
+    values = evaluate_profile(game, profile).Jx[:, 0]
+    alpha = game.discount
+    gaps = np.empty((game.n_players, game.n_states))
+    regrets = np.empty_like(gaps)
+    for i, own in enumerate(profile.rows):
+        mdp = _induced_mdp(game, profile, i)
+        gaps[i] = values[i] - optimal_policy_values(mdp)[0]
+        q = (1.0 - alpha) * mdp.costs[0, 0] + alpha * mdp.transitions @ values[i]
+        regrets[i] = np.sum(own * q, axis=1) - np.min(q, axis=1)
     worst = float(np.max(gaps))
     return StatewiseCertificate(
         gaps=gaps,
+        regrets=regrets,
+        flagged=tuple(int(s) for s in np.flatnonzero(np.max(regrets, axis=0) > REGRET_TOL)),
         epsilon=worst,
         threshold=float(epsilon),
         passed=bool(worst <= epsilon + GAP_TOL),
@@ -246,34 +257,6 @@ def verify_weak_correlated(game, psi, tol=GAP_TOL):
     return _certify("weak-correlated", game, cv,
                     lambda i: induced_mdp_from_marginal(game, i, marginal_excluding(psi, i)),
                     0.0, tol, tol)[0]
-
-
-def one_shot_consistency(game, profile):
-    """Check the per-state one-shot Nash condition of a stationary profile
-    against its own continuation values, up to REGRET_TOL.
-
-    Player i's one-shot payoff of a joint action at state s is
-    (1 - alpha) c_i^0 + alpha * E[v_i(next)], with v_i the profile's own
-    objective values; its regret there is sigma_i's expected payoff against
-    the others' rows minus that of its best pure action.  An aggregated
-    equilibrium only pins behavior down on states that are charged by the
-    initial distribution, so suboptimal choices can hide on null states;
-    this reports exactly where.
-    """
-    values = evaluate_profile(game, profile).Jx[:, 0, :]
-    alpha, shape = game.discount, (game.n_states, *game.n_actions)
-    regrets = np.empty((game.n_players, game.n_states))
-    for i, own in enumerate(profile.rows):
-        payoffs = (1.0 - alpha) * game.costs[i, 0] + alpha * game.transitions @ values[i]
-        q = _against(payoffs.reshape(shape), profile.rows, (i,))
-        regrets[i] = np.sum(own * q, axis=1) - np.min(q, axis=1)
-    worst = regrets.max(axis=0)
-    flagged = tuple(int(s) for s in np.nonzero(worst > REGRET_TOL)[0])
-    return ConsistencyReport(
-        regrets=regrets,
-        flagged=flagged,
-        consistent_on_support=all(game.initial[s] <= 0.0 for s in flagged),
-    )
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from csgames import (
     markov_replacement,
     mix_occupations,
     occupation_measure,
-    one_shot_consistency,
     product_strategy,
     recover_strategy,
     sample_games,
@@ -326,16 +325,16 @@ def test_weighted_cost_rescaling():
 
 
 def test_shadowed_state_flagging_and_repair():
-    """The one-shot consistency check isolates the wasteful null state, and
-    repairing it there yields statewise optimality."""
+    """The statewise certificate's one-shot regrets isolate the wasteful null
+    state, and repairing it there yields statewise optimality."""
     game = sample_games.shadowed_state_game()
     rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    report = one_shot_consistency(game, StationaryProfile((rows,)))
-    flag_ok = report.flagged == (2,) and report.consistent_on_support
+    report = verify_statewise_equilibrium(game, StationaryProfile((rows,)), 0.0)
+    flag_ok = report.flagged == (2,) and all(game.initial[s] == 0.0 for s in report.flagged)
 
     repaired = rows.copy()
     for _ in range(3):
-        check = one_shot_consistency(game, StationaryProfile((repaired,)))
+        check = verify_statewise_equilibrium(game, StationaryProfile((repaired,)), 0.0)
         if not check.flagged:
             break
         values = evaluate_profile(game, StationaryProfile((repaired,))).Jx[0, 0]

@@ -14,7 +14,6 @@ from csgames import (
     constrained_best_response,
     correlated_limit_sequence,
     evaluate_profile,
-    one_shot_consistency,
     optimal_policy_values,
     induced_mdp,
     product_strategy,
@@ -161,7 +160,7 @@ def self_loop_game(n_actions, objective, discount=0.5):
 def self_loop_regrets(n_actions, objective, mixed, discount=0.5):
     game = self_loop_game(n_actions, objective, discount)
     profile = StationaryProfile(tuple(np.asarray(m, dtype=float)[None] for m in mixed))
-    return one_shot_consistency(game, profile)
+    return verify_statewise_equilibrium(game, profile, 0.0)
 
 
 def test_one_shot_zero_values_scales_stage_costs(rng):
@@ -181,9 +180,9 @@ def test_one_shot_constant_values_shift(trap):
     # leaves the regrets unchanged.
     shifted = replace(trap, costs=trap.costs + 0.5, cost_bound=1.5)
     profile = sample_games.trap_profile(0.3)
-    report = one_shot_consistency(trap, profile)
+    report = verify_statewise_equilibrium(trap, profile, 0.0)
     assert report.flagged == (0,)
-    np.testing.assert_allclose(one_shot_consistency(shifted, profile).regrets,
+    np.testing.assert_allclose(verify_statewise_equilibrium(shifted, profile, 0.0).regrets,
                                report.regrets, rtol=0, atol=1e-12)
 
 
@@ -191,10 +190,10 @@ def test_one_shot_argmin_is_bellman_action():
     # Only the Bellman-optimal action escapes a flag.
     game = self_loop_game((3,), [[0.4, -0.2, 0.9]])
     _, policy = optimal_policy_values(induced_mdp(game, 0, []))
-    assert one_shot_consistency(game, StationaryProfile((policy,))).flagged == ()
+    assert verify_statewise_equilibrium(game, StationaryProfile((policy,)), 0.0).flagged == ()
     assert int(np.argmax(policy[0])) == 1
     for action in (0, 2):
-        report = one_shot_consistency(game, StationaryProfile((np.eye(3)[[action]],)))
+        report = verify_statewise_equilibrium(game, StationaryProfile((np.eye(3)[[action]],)), 0.0)
         assert report.flagged == (0,)
 
 
@@ -229,6 +228,8 @@ def test_one_shot_nash_single_action():
 def test_consistency_regrets_match_induced_mdps(n_players):
     # Each player's Q_i = (1 - alpha) c_i + alpha P_i J_i in its induced MDP,
     # regret sigma_i . Q_i - min Q_i, against the profile's own values J_i.
+    # The reference takes the joint-action route: the one-shot table over
+    # (S, A_1, ..., A_N), summed over the other players' rows.
     rng = np.random.default_rng([17, n_players])
     for _ in range(10):
         game = sample_games.random_game(rng, n_players=n_players, n_states=4)
@@ -238,12 +239,13 @@ def test_consistency_regrets_match_induced_mdps(n_players):
         game = replace(game, costs=costs, transitions=transitions)
         profile = sample_games.random_profile(rng, game)
         rows = list(profile.rows)
-        report = one_shot_consistency(game, profile)
+        report = verify_statewise_equilibrium(game, profile, 0.0)
         values = evaluate_profile(game, profile).Jx[:, 0, :]
         alpha, expected = game.discount, np.empty((n_players, game.n_states))
+        shape = (game.n_states, *game.n_actions)
         for i in range(n_players):
-            mdp = induced_mdp(game, i, rows[:i] + rows[i + 1:])
-            q = (1.0 - alpha) * mdp.costs[0, 0] + alpha * mdp.transitions @ values[i]
+            table = (1.0 - alpha) * game.costs[i, 0] + alpha * game.transitions @ values[i]
+            q = equilibrium._against(table.reshape(shape), rows, (i,))
             expected[i] = np.sum(rows[i] * q, axis=1) - np.min(q, axis=1)
         np.testing.assert_allclose(report.regrets, expected, rtol=0, atol=1e-12)
         worst = expected.max(axis=0)
@@ -253,25 +255,47 @@ def test_consistency_regrets_match_induced_mdps(n_players):
 
 def test_consistency_single_player_optimum(trap):
     _, policy = optimal_policy_values(induced_mdp(trap, 0, []))
-    report = one_shot_consistency(trap, StationaryProfile((policy,)))
+    report = verify_statewise_equilibrium(trap, StationaryProfile((policy,)), 0.0)
     assert report.flagged == ()
-    assert report.consistent_on_support
+    assert all(trap.initial[s] == 0.0 for s in report.flagged)
 
 
 def test_consistency_flags_shadowed_state():
     game = sample_games.shadowed_state_game()
     rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    report = one_shot_consistency(game, StationaryProfile((rows,)))
+    report = verify_statewise_equilibrium(game, StationaryProfile((rows,)), 0.0)
     assert list(report.flagged) == [2]
-    assert report.consistent_on_support
+    assert all(game.initial[s] == 0.0 for s in report.flagged)
     assert abs(report.regrets[0, 2] - 0.5) <= 1e-9
 
 
 def test_consistency_zero_costs(rng):
     game = zero_cost_game(rng, n_players=1)
     profile = sample_games.random_profile(rng, game)
-    report = one_shot_consistency(game, profile)
+    report = verify_statewise_equilibrium(game, profile, 0.0)
     assert report.flagged == ()
+
+
+def test_statewise_regrets_bracket_gaps():
+    # For every player, regret <= gap at every state and max gap <= max
+    # regret / (1 - alpha), so a profile passes at epsilon 0 exactly when no
+    # state is flagged.  200 games: 1-2 players, 1-6 states, 1-3 actions,
+    # L in {0, 1}, and pure rows in 30% of the profiles.
+    rng = np.random.default_rng(26)
+    for _ in range(200):
+        n_players = int(rng.integers(1, 3))
+        n_actions = tuple(int(a) for a in rng.integers(1, 4, size=n_players))
+        game = sample_games.random_game(rng, n_players, int(rng.integers(1, 7)), n_actions,
+                                        n_layers=int(rng.integers(0, 2)))
+        profile = sample_games.random_profile(rng, game)
+        if rng.random() < 0.3:
+            profile = StationaryProfile(tuple(np.eye(a)[rng.integers(a, size=game.n_states)]
+                                              for a in n_actions))
+        cert = verify_statewise_equilibrium(game, profile, 0.0)
+        assert np.all(cert.regrets <= cert.gaps + 1e-12)
+        bound = np.max(cert.regrets, axis=1) / (1.0 - game.discount)
+        assert np.all(np.max(cert.gaps, axis=1) <= bound + 1e-12)
+        assert cert.passed == (cert.flagged == ())
 
 
 def test_search_single_player_one_iteration(ctrap):
