@@ -140,8 +140,12 @@ def _dump(payload):
     return _encode(payload, "") + "\n"
 
 
-def _write(path, payload):
-    Path(path).write_text(_dump(payload))
+def _write(path, payload, made):
+    """Write a document; its path joins `made` once the file is open."""
+    text = _dump(payload)
+    with open(path, "w") as file:
+        made.append(path)
+        file.write(text)
 
 
 # SHA-256 of each file _load_json read, by path, for the report of the run
@@ -289,28 +293,41 @@ def _run(args):
     The report adds the digests of the positional inputs (game, spec,
     strategy) and the --seed of commands that take one; its timing block is
     excluded from the determinism contract.
+
+    --out-dir is made before the command runs, so an unusable one fails
+    before any work.  A run that fails removes the files and folders it made,
+    newest first, so it leaves no document without its report.
     """
     started = time.perf_counter()
     _DIGESTS.clear()
-    results, documents, code = args.func(args)
     out = Path(args.out_dir)
+    made = [folder for folder in (out, *out.parents) if not folder.exists()][::-1]
     out.mkdir(parents=True, exist_ok=True)
-    for name, payload in documents.items():
-        results[f"{name}_file"] = f"{args.command}.{name}.json"
-        _write(out / results[f"{name}_file"], payload)
-    inputs = [getattr(args, key) for key in ("game", "spec", "strategy") if hasattr(args, key)]
-    report = {
-        "schema": REPORT_SCHEMA,
-        "version": __version__,
-        "command": args.command,
-        "inputs": {str(p): _digest(p) for p in inputs},
-        "results": results,
-    }
-    if hasattr(args, "seed"):
-        report["seed"] = args.seed
-    report["timing"] = {"seconds": time.perf_counter() - started}
-    path = out / f"{args.command}.report.json"
-    _write(path, report)
+    try:
+        results, documents, code = args.func(args)
+        for name, payload in documents.items():
+            results[f"{name}_file"] = f"{args.command}.{name}.json"
+            _write(out / results[f"{name}_file"], payload, made)
+        inputs = [getattr(args, key) for key in ("game", "spec", "strategy") if hasattr(args, key)]
+        report = {
+            "schema": REPORT_SCHEMA,
+            "version": __version__,
+            "command": args.command,
+            "inputs": {str(p): _digest(p) for p in inputs},
+            "results": results,
+        }
+        if hasattr(args, "seed"):
+            report["seed"] = args.seed
+        report["timing"] = {"seconds": time.perf_counter() - started}
+        path = out / f"{args.command}.report.json"
+        _write(path, report, made)
+    except BaseException:
+        for path in reversed(made):
+            if path.is_dir():
+                path.rmdir()
+            else:
+                path.unlink()
+        raise
     print(f"report: {path}")
     return code
 

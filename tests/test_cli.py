@@ -238,6 +238,41 @@ def test_unusable_out_dir_exits_3(tmp_path, capsys, out_dir, bad):
     assert str(tmp_path / bad) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])
+def test_unusable_out_dir_fails_before_the_work(tmp_path, capsys, monkeypatch, out_dir):
+    # The folder was made only after the command's work, so `solve` ran its
+    # whole search and printed its verdict before exiting 3.
+    (tmp_path / "afile").write_text("")
+    game = write_game(tmp_path, sample_games.decoupled_pair())
+    monkeypatch.setattr("csgames.cli.search_equilibrium",
+                        lambda *args: pytest.fail("the search ran"))
+    assert main(["solve", game, "--out-dir", str(tmp_path / out_dir)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(tmp_path / out_dir) in captured.err
+
+
+def test_failed_write_leaves_no_documents(tmp_path, capsys):
+    # The report cannot be written over a folder; the strategy and the
+    # certificate written before it are removed again, and the folder stays.
+    game = write_game(tmp_path, sample_games.decoupled_pair())
+    out = tmp_path / "out"
+    (out / "solve.report.json").mkdir(parents=True)
+    assert main(["solve", game, "--out-dir", str(out)]) == EXIT_VALIDATION
+    assert str(out / "solve.report.json") in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["solve.report.json"]
+    assert not any((out / "solve.report.json").iterdir())
+
+
+def test_failed_run_removes_the_folders_it_made(tmp_path, capsys):
+    game = write_game(tmp_path, sample_games.trap_game())
+    strat = write_profile(tmp_path, sample_games.trap_profile(0.75, n_states=3))
+    out = tmp_path / "new" / "out"
+    assert main(["evaluate", game, strat, "--out-dir", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("validation error: ")
+    assert not (tmp_path / "new").exists()
+
+
 def test_only_strategies_are_written_as_strategies():
     with pytest.raises(TypeError, match="cannot serialize strategy"):
         strategy_to_payload(object())
