@@ -294,9 +294,8 @@ def _run(args):
     strategy) and the --seed of commands that take one; its timing block is
     excluded from the determinism contract.
 
-    --out-dir is made before the command runs, so an unusable one fails
-    before any work.  A run that fails removes the files and folders it made,
-    newest first, so it leaves no document without its report.
+    --out-dir is made before the command runs, so an unusable one fails at
+    once; a run that fails removes the files and folders it made.
     """
     started = time.perf_counter()
     _DIGESTS.clear()

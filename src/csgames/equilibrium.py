@@ -111,21 +111,17 @@ class EquilibriumCertificate:
 
 @dataclass(frozen=True)
 class StatewiseCertificate:
-    """Per-initial-state unconstrained optimality gaps, shape (N, S), and the
-    one-shot regrets that locate them.
+    """Per-initial-state unconstrained optimality gaps, shape (N, S), and
+    one-shot regrets: regrets[i, s] = J_i(s) - (T J_i)(s) is sigma_i's
+    expected one-shot cost (1 - alpha) c_i^0 + alpha E[J_i(next)] against the
+    others' rows minus its best pure action's, with J_i the profile's values
+    and T the Bellman optimality operator of player i's induced MDP.
+    `flagged` holds the states where some regret exceeds REGRET_TOL, so
+    suboptimal play shows even on states without initial mass.  Per player,
+    with J* = T J* the optimal values:
 
-    regrets[i, s] is sigma_i's expected one-shot cost (1 - alpha) c_i^0 +
-    alpha * E[J_i(next)] against the others' rows, minus that of its best pure
-    action: J_i(s) - (T J_i)(s), for the Bellman optimality operator T of
-    player i's induced MDP and J_i the profile's values.  `flagged` holds the
-    states where some player's regret exceeds REGRET_TOL.  For each player,
-
-        regret <= gap at every state, as J_i >= J* = T J* gives T J_i >= J*;
+        regret <= gap at every state, as J_i >= J* gives T J_i >= T J* = J*;
         max gap <= max regret / (1 - alpha), as T is an alpha-contraction.
-
-    An aggregated equilibrium only pins play down on states the initial
-    distribution charges, so flagged states without initial mass show where
-    suboptimal choices can hide.
     """
 
     gaps: np.ndarray

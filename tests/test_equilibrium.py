@@ -278,9 +278,10 @@ def test_consistency_zero_costs(rng):
 
 def test_statewise_regrets_bracket_gaps():
     # For every player, regret <= gap at every state and max gap <= max
-    # regret / (1 - alpha), so a profile passes at epsilon 0 exactly when no
-    # state is flagged.  200 games: 1-2 players, 1-6 states, 1-3 actions,
-    # L in {0, 1}, and pure rows in 30% of the profiles.
+    # regret / (1 - alpha), so the gaps vanish exactly when the regrets do;
+    # on this sample, passing at epsilon 0 is having no flagged state.  200
+    # games: 1-2 players, 1-6 states, 1-3 actions, L in {0, 1}, and pure
+    # rows in 30% of the profiles.
     rng = np.random.default_rng(26)
     for _ in range(200):
         n_players = int(rng.integers(1, 3))
