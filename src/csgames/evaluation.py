@@ -13,14 +13,18 @@ factorization serves all players and cost layers, since the kernel under a
 fixed joint strategy does not depend on them.
 
 `simulate` samples every step by inverse transform over row CDFs with one
-exact sampler, `_count_below`: a branchless binary search for the first CDF
-entry >= u.  It only compares, so on the non-decreasing rows `_rows_cdf`
-builds it picks the same index as counting the entries below u, in
-ceil(log2 width) rounds instead of O(width) work per draw.  Trajectories
-run in chunks whose uniforms fit in SIMULATE_BLOCK_BYTES.  Each chunk runs in
-`_simulate_chunk`, whose block of uniforms and step buffers die when it
-returns, so one block is alive at a time; its step loop writes into those
-buffers and allocates nothing per step but a small weighted cost table.
+exact sampler, `_advance`: a branchless binary search for the first CDF
+entry >= u, on flat positions into the CDF table.  It only compares, so on
+the non-decreasing rows `_rows_cdf` builds it picks the same index as
+counting the entries below u, in ceil(log2 width) rounds instead of
+O(width) work per draw.  Trajectories run in chunks whose uniforms fit in
+half of SIMULATE_BLOCK_BYTES, so two blocks fit in it: a helper thread
+fills the next chunk's block while `_simulate_chunk` steps through the
+current one.  numpy's Philox fill runs without the GIL, so the two
+overlap on two cores; the step loop stays on the calling thread.  Blocks
+are filled in order from one generator, so the draws, and the estimates,
+are those of one thread.  The step loop writes into buffers made once per
+chunk and allocates nothing per step but a small weighted cost table.
 
 The constrained MDP one player faces against fixed opponents (`induced_mdp`)
 is a one-player FiniteCSG, so every game function applies to it; its budgets
@@ -61,9 +65,10 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
-# Largest block of uniforms simulate draws at once: a chunk holds at most as
-# many trajectories as fit their 1 + 2H draws in it (and at least one).  At
-# H = 153 that is about 8,500 rows.  On a 30-state game (2-core x86-64 VM)
+# Most bytes of uniforms simulate holds at once, in two blocks of at most
+# half this each: a chunk holds at most as many trajectories as fit their
+# 1 + 2H draws in half of it (and at least one).  At H = 153 that is about 4,250 rows.
+# On a 30-state game (2-core x86-64 VM), before the fill was overlapped,
 # 8,192-row blocks ran as fast as 16,384-row ones, and 4,096 rows about 10%
 # slower.
 SIMULATE_BLOCK_BYTES = 20 * 2**20
@@ -271,56 +276,66 @@ def _rows_cdf(table):
 def _count_below(cdf, rows, u, out=None, scratch=None):
     """First index k with cdf[rows, k] >= u, clipped to width - 1.
 
-    A branchless binary search over each flattened row: ceil(log2 width)
-    rounds of gather, compare and add.  The answer lies in [pos, pos + n);
-    it is at least pos + half exactly when the entry at pos + half - 1 is
-    below u.  On non-decreasing rows this is the count of entries below u,
-    clipped to width - 1, and it never reads the last entry.
-
-    `simulate` passes `out` (an intp array shaped like rows, which receives
-    the answer) and `scratch` from `_search_scratch`, so the search
-    allocates nothing.
+    On non-decreasing rows this is the count of entries below u, clipped to
+    width - 1.  `_advance` searches from each row's flat start.  `out` (an
+    intp array shaped like rows) receives the answer, and `scratch` from
+    `_search_scratch` serves as the search's work arrays.
     """
     width = cdf.shape[1]
-    flat = cdf.ravel()
-    base, idx, vals, below = _search_scratch(len(rows)) if scratch is None else scratch
-    np.multiply(rows, width, out=base)
+    scratch = _search_scratch(len(rows)) if scratch is None else scratch
+    base = np.multiply(rows, width)
     pos = np.empty_like(base) if out is None else out
     np.copyto(pos, base)
-    n = width
-    while n > 1:
-        half = n // 2
-        np.add(pos, half - 1, out=idx)
-        # Every index is inside flat; "clip" only spares the copy of `out`
-        # that take makes in its default "raise" mode.
-        np.take(flat, idx, out=vals, mode="clip")
-        np.less(vals, u, out=below)
-        pos += np.multiply(below, half, out=idx)
-        n -= half
+    _advance(cdf.ravel(), width, pos, u, scratch)
     return np.subtract(pos, base, out=pos)
 
 
+def _advance(flat, width, pos, u, scratch):
+    """Move each flat position `pos` from the start of its CDF row to the
+    first entry >= u there, clipped to the row's last entry.
+
+    A branchless binary search: ceil(log2 width) rounds of gather, compare
+    and add, all in place.  The answer lies in [pos, pos + n); it is at
+    least pos + half exactly when the entry at pos + half - 1 is below u, so
+    each round gathers from flat[half - 1:] at pos.  It only compares, and
+    it never reads a row's last entry.  `scratch` comes from
+    `_search_scratch`, so the search allocates nothing.
+    """
+    step, vals, below = scratch
+    n = width
+    while n > 1:
+        half = n // 2
+        # Every index is inside flat; "clip" only spares the copy of `out`
+        # that take makes in its default "raise" mode.
+        np.take(flat[half - 1:], pos, out=vals, mode="clip")
+        np.less(vals, u, out=below)
+        pos += np.multiply(below, half, out=step)
+        n -= half
+
+
 def _search_scratch(size):
-    """Work arrays for `_count_below` on `size` draws: row offsets and
-    gather indices, gathered CDF entries and their comparisons."""
-    return (np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp),
-            np.empty(size), np.empty(size, dtype=bool))
+    """Work arrays for `_advance` on `size` draws: position steps, gathered
+    CDF entries and their comparisons."""
+    return np.empty(size, dtype=np.intp), np.empty(size), np.empty(size, dtype=bool)
 
 
-def _simulate_chunk(rng, acc, horizon, discount, n_profiles, cdfs, ctab):
-    """Add the discounted costs of acc.shape[0] trajectories to the zeroed
-    `acc`, drawing their uniforms from rng as one block.
+def _simulate_chunk(u, acc, horizon, discount, cdfs, ctab):
+    """Add to the zeroed `acc` the discounted costs of its trajectories,
+    whose uniforms are the rows of `u`.
 
-    The block and every step buffer are made here and die when this
-    returns, so `simulate` holds one block at a time.
+    The step loop searches by flat positions.  The action search starts at
+    state * P, the state's row of action_cdf, and ends at state * P + action:
+    the (state, action) row of state_cdf and of ctab.  The next-state search
+    starts at that row's start in state_cdf, which it then subtracts.
     """
     initial_cdf, action_cdf, state_cdf = cdfs
+    n_profiles, n_states = action_cdf.shape[1], state_cdf.shape[1]
+    action_flat, state_flat = action_cdf.ravel(), state_cdf.ravel()
     size = acc.shape[0]
-    u = rng.random((size, 1 + 2 * horizon))
     scratch = _search_scratch(size)
-    state = _count_below(initial_cdf, np.zeros(size, dtype=np.intp), u[:, 0], scratch=scratch)
-    action = np.empty(size, dtype=np.intp)
-    sa = np.empty(size, dtype=np.intp)
+    pos = _count_below(initial_cdf, np.zeros(size, dtype=np.intp), u[:, 0], scratch=scratch)
+    pos *= n_profiles
+    base = np.empty_like(pos)
     cols = np.empty((2, size))
     cost = np.empty_like(acc)
     weight = 1.0 - discount
@@ -328,13 +343,15 @@ def _simulate_chunk(rng, acc, horizon, discount, n_profiles, cdfs, ctab):
         # One contiguous copy of the step's two columns: the search reads
         # u once per round, and a strided read costs about twice as much.
         np.copyto(cols, u[:, 1 + 2 * t:3 + 2 * t].T)
-        _count_below(action_cdf, state, cols[0], out=action, scratch=scratch)
-        np.multiply(state, n_profiles, out=sa)
-        sa += action
-        # The same products as weight * ctab[sa], entry for entry; every sa
-        # is a row of ctab, so "clip" changes nothing.
-        acc += np.take(weight * ctab, sa, axis=0, out=cost, mode="clip")
-        _count_below(state_cdf, sa, cols[1], out=state, scratch=scratch)
+        _advance(action_flat, n_profiles, pos, cols[0], scratch)
+        # The same products as weight * ctab[sa], entry for entry; every
+        # position is a row of ctab, so "clip" changes nothing.
+        acc += np.take(weight * ctab, pos, axis=0, out=cost, mode="clip")
+        np.multiply(pos, n_states, out=base)
+        np.copyto(pos, base)
+        _advance(state_flat, n_states, pos, cols[1], scratch)
+        pos -= base
+        pos *= n_profiles
         weight *= discount
 
 
@@ -345,16 +362,23 @@ def simulate(game, psi, n_trajectories=1000, tol=1e-6, seed=0, chunk=16384):
     keyed by `seed`, so results do not depend on chunking or execution order.
     Each step draws the joint action from the state's strategy row and the
     next state from the (state, action) kernel row by inverse transform:
-    `_count_below` finds the first CDF entry >= u by binary search.  That
-    search only compares, so it picks the same index as counting the entries
-    below u, and estimates do not depend on how the search is done.
+    `_advance` finds the first CDF entry >= u by binary search.  That search
+    only compares, so it picks the same index as counting the entries below
+    u, and estimates do not depend on how the search is done.
     The returned radii are standard errors of the per-trajectory discounted
     sums; the truncation bias bound is reported separately.  A chunk holds at
     most `chunk` trajectories, fewer when their uniforms would take more than
-    SIMULATE_BLOCK_BYTES.  Chunks run one after another, and a chunk's
-    uniforms and step buffers are freed before the next chunk draws, so one
-    block is alive at a time.
+    half of SIMULATE_BLOCK_BYTES.  Each chunk's block of uniforms is made
+    here, and one helper thread fills the next chunk's block while this
+    thread runs the step loop on the current one, so at most two blocks are
+    alive.  The fills are made one after another from the one generator,
+    so every trajectory gets the draws it gets on one thread.  The helper
+    is joined before this returns or raises, and a fill's exception is
+    raised here.
     """
+    # Only simulate uses it, and it takes about 5 ms to import.
+    from concurrent.futures import ThreadPoolExecutor
+
     _check_psi(game, psi)
     if n_trajectories < 2:
         raise ValueError("need at least two trajectories for a confidence radius")
@@ -366,12 +390,24 @@ def simulate(game, psi, n_trajectories=1000, tol=1e-6, seed=0, chunk=16384):
     # (S*P, N, L+1) cost lookup, indexed by sa = state * P + action like the
     # rows of state_cdf, so one gather per step covers every cost.
     ctab = np.moveaxis(game.costs, (0, 1), (2, 3)).reshape(-1, n, layers)
-    chunk = max(1, min(chunk, SIMULATE_BLOCK_BYTES // (8 * (1 + 2 * horizon))))
+    draws = 1 + 2 * horizon
+    chunk = max(1, min(chunk, SIMULATE_BLOCK_BYTES // 2 // (8 * draws)))
     rng = np.random.Generator(np.random.Philox(key=seed))
     totals = np.zeros((n_trajectories, n, layers))
-    for start in range(0, n_trajectories, chunk):
-        _simulate_chunk(rng, totals[start:start + chunk], horizon, game.discount,
-                        game.n_profiles, cdfs, ctab)
+    chunks = [totals[start:start + chunk] for start in range(0, n_trajectories, chunk)]
+    with ThreadPoolExecutor(max_workers=1) as helper:
+
+        def fill(k):
+            # Allocated on this thread: glibc gives each thread its own
+            # malloc arena, which would keep a helper's freed blocks.
+            return helper.submit(rng.random, out=np.empty((len(chunks[k]), draws)))
+
+        pending = fill(0)
+        for k, acc in enumerate(chunks):
+            u = pending.result()
+            if k + 1 < len(chunks):
+                pending = fill(k + 1)
+            _simulate_chunk(u, acc, horizon, game.discount, cdfs, ctab)
     estimates = totals.mean(axis=0)
     radii = totals.std(axis=0, ddof=1) / math.sqrt(n_trajectories)
     bias = game.discount ** horizon * game.cost_bound

@@ -1,4 +1,5 @@
 import re
+import threading
 import tracemalloc
 from dataclasses import fields
 
@@ -258,26 +259,28 @@ def test_simulate_chunk_invariant(ctrap):
 
 
 def test_simulate_caps_each_block_of_uniforms(ctrap, monkeypatch):
-    # A chunk draws its uniforms as one (rows, 1 + 2H) block.  At alpha =
+    # A chunk draws its uniforms into one (rows, 1 + 2H) block.  At alpha =
     # 0.999 the default chunk would make that block 5.2 GiB, so the rows are
-    # capped to keep it within SIMULATE_BLOCK_BYTES, one row at the least.
+    # capped to keep it within half of SIMULATE_BLOCK_BYTES (two blocks are
+    # alive), one row at the least.
     psi = product_strategy(sample_games.trap_profile(0.75))
     cases = []
-    for n_trajectories, rows in ((300, 32), (20, 1)):
+    for n_trajectories, budget_rows, rows in ((300, 32, 16), (20, 1, 1)):
         want = simulate(ctrap, psi, n_trajectories=n_trajectories, seed=2, chunk=n_trajectories)
-        cases.append((n_trajectories, rows, want))
+        cases.append((n_trajectories, budget_rows, rows, want))
     draws = 1 + 2 * want.horizon
     shapes = []
 
     class Recording(np.random.Generator):
-        def random(self, size=None, *args, **kwargs):
-            shapes.append(size)
-            return super().random(size, *args, **kwargs)
+        def random(self, size=None, dtype=np.float64, out=None):
+            shapes.append(out.shape)
+            return super().random(size, dtype, out)
 
     monkeypatch.setattr(np.random, "Generator", Recording)
-    for n_trajectories, rows, want in cases:
-        # Room for `rows` trajectories' draws and not one more.
-        monkeypatch.setattr(evaluation, "SIMULATE_BLOCK_BYTES", 8 * draws * rows + 7)
+    for n_trajectories, budget_rows, rows, want in cases:
+        # A budget with room for `budget_rows` trajectories' draws and not
+        # one more: each block gets half of it, and 1 row gets none.
+        monkeypatch.setattr(evaluation, "SIMULATE_BLOCK_BYTES", 8 * draws * budget_rows + 7)
         shapes.clear()
         got = simulate(ctrap, psi, n_trajectories=n_trajectories, seed=2, chunk=n_trajectories)
         full, rest = divmod(n_trajectories, rows)
@@ -292,9 +295,10 @@ def test_simulate_caps_each_block_of_uniforms(ctrap, monkeypatch):
 
 
 def test_simulate_keeps_one_block_of_uniforms_alive(ctrap, monkeypatch):
-    # A chunk's uniforms must be freed before the next chunk draws its own.
-    # Otherwise the peak holds two blocks (2.15 blocks measured when the
-    # previous block stayed bound until the next one was allocated).
+    # At most two blocks of half the budget are alive: the one the step loop
+    # reads and the one the helper fills.  A chunk's block must be freed
+    # before the block after the next one is made; otherwise the peak holds
+    # three half blocks.
     psi = product_strategy(sample_games.trap_profile(0.75))
     draws = 1 + 2 * simulation_horizon(1e-6, ctrap.discount, ctrap.cost_bound)
     assert draws == 43
@@ -309,6 +313,76 @@ def test_simulate_keeps_one_block_of_uniforms_alive(ctrap, monkeypatch):
         tracemalloc.stop()
     totals = 8 * n_trajectories * ctrap.n_players * (ctrap.n_layers + 1)
     assert peak - totals < 1.5 * block
+
+
+def test_simulate_pipeline_is_exact(ctrap, monkeypatch):
+    # 300 trajectories in blocks of 16 rows make 19 fills on the helper
+    # thread, against one fill for the one-block run.
+    psi = product_strategy(sample_games.trap_profile(0.75))
+    want = simulate(ctrap, psi, n_trajectories=300, seed=4)
+    draws = 1 + 2 * want.horizon
+    monkeypatch.setattr(evaluation, "SIMULATE_BLOCK_BYTES", 2 * 8 * draws * 16)
+    got = simulate(ctrap, psi, n_trajectories=300, seed=4)
+    assert got.estimates.tobytes() == want.estimates.tobytes()
+    assert got.radii.tobytes() == want.radii.tobytes()
+
+
+class Fault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fault", [None, "step loop", "fill"])
+def test_simulate_leaves_no_thread_running(ctrap, monkeypatch, fault):
+    # Three blocks a call.  Whether the step loop raises on the second block
+    # or the helper's second fill raises, simulate joins the helper and
+    # raises that very exception, and no thread outlives the call.
+    psi = product_strategy(sample_games.trap_profile(0.75))
+    draws = 1 + 2 * simulation_horizon(1e-6, ctrap.discount, ctrap.cost_bound)
+    monkeypatch.setattr(evaluation, "SIMULATE_BLOCK_BYTES", 2 * 8 * draws * 100)
+    calls, fills, raised = [], [], []
+    step_loop = evaluation._simulate_chunk
+
+    def failing_step_loop(*args):
+        calls.append(len(calls) + 1)
+        if fault == "step loop" and len(calls) == 2:
+            raised.append(Fault())
+            raise raised[0]
+        return step_loop(*args)
+
+    class FailingFill(np.random.Generator):
+        def random(self, size=None, dtype=np.float64, out=None):
+            fills.append(threading.current_thread())
+            if fault == "fill" and len(fills) == 2:
+                raised.append(Fault())
+                raise raised[0]
+            return super().random(size, dtype, out)
+
+    monkeypatch.setattr(evaluation, "_simulate_chunk", failing_step_loop)
+    monkeypatch.setattr(np.random, "Generator", FailingFill)
+    outcome = []
+
+    def call():
+        try:
+            outcome.append(simulate(ctrap, psi, n_trajectories=300, seed=3))
+        except Fault as exc:
+            outcome.append(exc)
+
+    # The call runs on a thread of its own, so a hang fails the test.
+    caller = threading.Thread(target=call, daemon=True)
+    before = threading.active_count()
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert caller not in fills
+    if fault is None:
+        assert outcome[0].n_trajectories == 300
+        assert (len(calls), len(fills)) == (3, 3)
+    else:
+        assert outcome[0] is raised[0]
+        # The step loop's fault leaves the third fill to finish; the fill's
+        # fault stops the loop before its second block.
+        assert (len(calls), len(fills)) == ((2, 3) if fault == "step loop" else (1, 2))
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("chunk", [0, -4])
