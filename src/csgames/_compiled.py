@@ -9,10 +9,9 @@ scipy.sparse, scipy.fft, scipy.special, numpy.f2py and numpy.testing.  On a
 took 0.56 s that way and takes 0.19 s with `load`.  `load` finds and runs
 the one file as the import system would, minus the parents' `__init__`s.
 The module it registers in sys.modules is the one scipy itself binds when it
-is imported later, so both sides share one HiGHS and one LAPACK.  Unlike a
-plain import, that does not make it an attribute of its package: scipy binds
-it with `from` imports, which look it up in sys.modules, and so must any
-other code that reaches it after csgames.
+is imported later, so both sides share one HiGHS and one LAPACK.  As after a
+plain import, it is an attribute of its package once that package is
+imported: `_BindOnImport` sets it there when the package's code has run.
 """
 
 import importlib.machinery
@@ -37,4 +36,43 @@ def load(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     sys.modules[name] = module
+    package, _, attr = name.rpartition(".")
+    if package in sys.modules:
+        setattr(sys.modules[package], attr, module)
+    else:
+        sys.meta_path.insert(0, _BindOnImport(package, attr, module))
     return module
+
+
+class _BindOnImport:
+    """A one-shot meta-path finder.  When `package` is imported, it finds
+    the package's spec as the import system would and wraps its loader, so
+    that once the package's code has run, `module` is its attribute `attr`."""
+
+    def __init__(self, package, attr, module):
+        self.package, self.attr, self.module = package, attr, module
+
+    def find_spec(self, fullname, path=None, target=None):
+        if fullname != self.package:
+            return None
+        sys.meta_path.remove(self)
+        spec = importlib.util.find_spec(fullname)
+        if spec is not None and spec.loader is not None:
+            spec.loader = _Binding(spec.loader, self.attr, self.module)
+        return spec
+
+
+class _Binding:
+    """A package's loader that sets `module` as the package's attribute
+    `attr` after running the package's code; everything else is the
+    wrapped loader's."""
+
+    def __init__(self, loader, attr, module):
+        self.loader, self.attr, self.module = loader, attr, module
+
+    def __getattr__(self, name):
+        return getattr(self.loader, name)
+
+    def exec_module(self, package):
+        self.loader.exec_module(package)
+        setattr(package, self.attr, self.module)

@@ -1,6 +1,7 @@
 """csgames loads scipy's HiGHS and LAPACK modules by file, so importing it
 leaves scipy.optimize and scipy.linalg unimported; whichever side imports
-first, both use the same compiled objects."""
+first, both use the same compiled objects, and each is an attribute of its
+package."""
 
 import json
 import os
@@ -52,11 +53,28 @@ def test_csgames_and_scipy_share_the_compiled_objects(first):
         "    'getrf': evaluation._GETRF is getrf,",
         "    'getrs': evaluation._GETRS is getrs,",
         "    'linprog': best_response.linprog is scipy.optimize.linprog,",
+        "    'flapack attribute': scipy.linalg._flapack is evaluation._flapack,",
+        "    'core attribute': scipy.optimize._highspy._core is best_response._h,",
         "    'lp': [lp.status, lp.fun, lp.x.tolist()],",
         "}))",
     ]))
     assert checks == {"highs": True, "getrf": True, "getrs": True, "linprog": True,
+                      "flapack attribute": True, "core attribute": True,
                       "lp": [0, 1.0, [1.0, 0.0]]}
+
+
+def test_load_binds_the_module_to_a_package_already_imported():
+    # A stand-in for scipy.linalg, imported before csgames loads _flapack:
+    # the module is bound to it at once, and no finder waits for it.
+    checks = run_fresh(
+        "import json, sys, types\n"
+        "import scipy\n"
+        "linalg = sys.modules['scipy.linalg'] = types.ModuleType('scipy.linalg')\n"
+        "from csgames import _compiled, evaluation\n"
+        "print(json.dumps([linalg._flapack is evaluation._flapack,\n"
+        "                  any(isinstance(f, _compiled._BindOnImport)\n"
+        "                      and f.package == 'scipy.linalg' for f in sys.meta_path)]))\n")
+    assert checks == [True, False]
 
 
 def test_load_returns_the_imported_module_and_refuses_a_missing_one():
