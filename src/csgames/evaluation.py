@@ -369,9 +369,9 @@ def simulate(game, psi, n_trajectories=1000, tol=1e-6, seed=0, chunk=16384):
     sums; the truncation bias bound is reported separately.  A chunk holds at
     most `chunk` trajectories, fewer when their uniforms would take more than
     half of SIMULATE_BLOCK_BYTES.  Each chunk's block of uniforms is made
-    here, and one helper thread fills the next chunk's block while this
-    thread runs the step loop on the current one, so at most two blocks are
-    alive.  The fills are made one after another from the one generator,
+    here.  This thread fills the first; one helper thread fills the next
+    chunk's block while this thread runs the step loop on the current one,
+    so at most two blocks are alive.  The fills are made one after another from the one generator,
     so every trajectory gets the draws it gets on one thread.  The helper
     is joined before this returns or raises, and a fill's exception is
     raised here.
@@ -395,18 +395,20 @@ def simulate(game, psi, n_trajectories=1000, tol=1e-6, seed=0, chunk=16384):
     rng = np.random.Generator(np.random.Philox(key=seed))
     totals = np.zeros((n_trajectories, n, layers))
     chunks = [totals[start:start + chunk] for start in range(0, n_trajectories, chunk)]
+
+    def block(k):
+        # Allocated on this thread: glibc gives each thread its own malloc
+        # arena, which would keep a helper's freed blocks.
+        return np.empty((len(chunks[k]), draws))
+
     with ThreadPoolExecutor(max_workers=1) as helper:
-
-        def fill(k):
-            # Allocated on this thread: glibc gives each thread its own
-            # malloc arena, which would keep a helper's freed blocks.
-            return helper.submit(rng.random, out=np.empty((len(chunks[k]), draws)))
-
-        pending = fill(0)
+        pending = None
         for k, acc in enumerate(chunks):
-            u = pending.result()
+            # The first block is filled here, so a one-block call starts no
+            # thread.
+            u = rng.random(out=block(0)) if pending is None else pending.result()
             if k + 1 < len(chunks):
-                pending = fill(k + 1)
+                pending = helper.submit(rng.random, out=block(k + 1))
             _simulate_chunk(u, acc, horizon, game.discount, cdfs, ctab)
     estimates = totals.mean(axis=0)
     radii = totals.std(axis=0, ddof=1) / math.sqrt(n_trajectories)

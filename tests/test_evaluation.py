@@ -333,9 +333,10 @@ class Fault(Exception):
 
 @pytest.mark.parametrize("fault", [None, "step loop", "fill"])
 def test_simulate_leaves_no_thread_running(ctrap, monkeypatch, fault):
-    # Three blocks a call.  Whether the step loop raises on the second block
-    # or the helper's second fill raises, simulate joins the helper and
-    # raises that very exception, and no thread outlives the call.
+    # Three blocks a call: the caller fills the first, the helper the other
+    # two.  Whether the step loop raises on the second block or the second
+    # fill raises, simulate joins the helper and raises that very exception,
+    # and no thread outlives the call.
     psi = product_strategy(sample_games.trap_profile(0.75))
     draws = 1 + 2 * simulation_horizon(1e-6, ctrap.discount, ctrap.cost_bound)
     monkeypatch.setattr(evaluation, "SIMULATE_BLOCK_BYTES", 2 * 8 * draws * 100)
@@ -373,7 +374,7 @@ def test_simulate_leaves_no_thread_running(ctrap, monkeypatch, fault):
     caller.start()
     caller.join(timeout=60)
     assert not caller.is_alive()
-    assert caller not in fills
+    assert fills[0] is caller and caller not in fills[1:]
     if fault is None:
         assert outcome[0].n_trajectories == 300
         assert (len(calls), len(fills)) == (3, 3)
