@@ -67,10 +67,10 @@ __all__ = [
 RESIDUAL_TOL = 1e-10
 # Most bytes of uniforms simulate holds at once, in two blocks of at most
 # half this each: a chunk holds at most as many trajectories as fit their
-# 1 + 2H draws in half of it (and at least one).  At H = 153 that is about 4,250 rows.
-# On a 30-state game (2-core x86-64 VM), before the fill was overlapped,
-# 8,192-row blocks ran as fast as 16,384-row ones, and 4,096 rows about 10%
-# slower.
+# 1 + 2H draws in half of it (and at least one).  At H = 153 that is about
+# 4,250 rows.  On a 30-state game (2-core x86-64 VM), before the fill was
+# overlapped, 8,192-row blocks ran as fast as 16,384-row ones, and 4,096
+# rows about 10% slower.
 SIMULATE_BLOCK_BYTES = 20 * 2**20
 # LAPACK's LU factorization and solve for float64, the very objects
 # scipy.linalg.lapack.get_lapack_funcs returns: the scipy.linalg wrappers
@@ -371,10 +371,10 @@ def simulate(game, psi, n_trajectories=1000, tol=1e-6, seed=0, chunk=16384):
     half of SIMULATE_BLOCK_BYTES.  Each chunk's block of uniforms is made
     here.  This thread fills the first; one helper thread fills the next
     chunk's block while this thread runs the step loop on the current one,
-    so at most two blocks are alive.  The fills are made one after another from the one generator,
-    so every trajectory gets the draws it gets on one thread.  The helper
-    is joined before this returns or raises, and a fill's exception is
-    raised here.
+    so at most two blocks are alive.  The fills are made one after another
+    from the one generator, so every trajectory gets the draws it gets on
+    one thread.  The helper is joined before this returns or raises, and a
+    fill's exception is raised here.
     """
     # Only simulate uses it, and it takes about 5 ms to import.
     from concurrent.futures import ThreadPoolExecutor
