@@ -524,79 +524,58 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"csgames {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_out(p):
+    def command(func, help, *inputs):
+        p = sub.add_parser(func.__name__[len("cmd_"):].replace("_", "-"), help=help)
+        for name in inputs:
+            p.add_argument(name)
         p.add_argument("--out-dir", default=".", help="directory for outputs (default: .)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("evaluate", help="exact discounted costs of a strategy")
-    p.add_argument("game")
-    p.add_argument("strategy")
-    add_out(p)
-    p.set_defaults(func=cmd_evaluate)
+    seed = {"type": _number("--seed", int, low=0), "default": SearchConfig.seed}
+    command(cmd_evaluate, "exact discounted costs of a strategy", "game", "strategy")
 
-    p = sub.add_parser("simulate", help="Monte Carlo estimate of discounted costs")
-    p.add_argument("game")
-    p.add_argument("strategy")
-    p.add_argument("--seed", type=_number("--seed", int, low=0), default=0)
+    p = command(cmd_simulate, "Monte Carlo estimate of discounted costs", "game", "strategy")
+    p.add_argument("--seed", **seed)
     p.add_argument("--trajectories", type=_number("--trajectories", int, low=2), default=10000)
     p.add_argument("--tol", type=_number("--tol", low=0, strict=True), default=1e-6,
                    help="truncation bias target (sets the horizon)")
-    add_out(p)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("best-respond", help="constrained best response of one player")
-    p.add_argument("game")
-    p.add_argument("strategy")
+    p = command(cmd_best_respond, "constrained best response of one player", "game", "strategy")
     p.add_argument("--player", type=int, required=True)
-    add_out(p)
-    p.set_defaults(func=cmd_best_respond)
 
-    p = sub.add_parser("verify", help="certify a strategy as an equilibrium")
-    p.add_argument("game")
-    p.add_argument("strategy")
+    p = command(cmd_verify, "certify a strategy as an equilibrium", "game", "strategy")
     p.add_argument("--concept", choices=["approx", "statewise", "weak-correlated"],
                    default="approx")
     p.add_argument("--epsilon", type=_number("--epsilon"), default=0.0,
                    help="accuracy to certify (approx/statewise)")
     p.add_argument("--tol", type=_number("--tol"), default=GAP_TOL,
                    help="numerical slack (weak-correlated)")
-    add_out(p)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("solve", help="search for an approximate equilibrium")
-    p.add_argument("game")
+    p = command(cmd_solve, "search for an approximate equilibrium", "game")
     p.add_argument("--target-eps", type=_number("--target-eps"),
                    default=SearchConfig.target_epsilon)
     p.add_argument("--restarts", type=_number("--restarts", int, low=1),
                    default=SearchConfig.restarts)
-    p.add_argument("--seed", type=_number("--seed", int, low=0), default=SearchConfig.seed)
-    add_out(p)
-    p.set_defaults(func=cmd_solve)
+    p.add_argument("--seed", **seed)
 
-    p = sub.add_parser("discretize", help="partition a gridded game and emit the surrogate")
-    p.add_argument("spec")
+    p = command(cmd_discretize, "partition a gridded game and emit the surrogate", "spec")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--gamma", type=_number("--gamma", low=0, strict=True),
                        help="partition resolution")
     group.add_argument("--epsilon", type=_number("--epsilon", low=0, strict=True),
                        help="target certified error (sets the resolution)")
-    add_out(p)
-    p.set_defaults(func=cmd_discretize)
 
-    p = sub.add_parser("transform", help="rescale weighted costs into a bounded game")
+    p = command(cmd_transform, "rescale weighted costs into a bounded game")
     p.add_argument("game", help="game document with a 'transform' block (omega, beta)")
-    add_out(p)
-    p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("correlated-sequence",
-                       help="halving-target equilibrium sequence with a final "
-                            "weak-correlated certificate")
-    p.add_argument("game")
+    p = command(cmd_correlated_sequence,
+                "halving-target equilibrium sequence with a final weak-correlated certificate",
+                "game")
     p.add_argument("--eps0", type=_number("--eps0", low=0, strict=True), required=True)
     p.add_argument("--n", type=_number("--n", int, low=0), required=True,
                    help="last level index")
-    p.add_argument("--seed", type=_number("--seed", int, low=0), default=SearchConfig.seed)
-    add_out(p)
-    p.set_defaults(func=cmd_correlated_sequence)
+    p.add_argument("--seed", **seed)
 
     return parser
 

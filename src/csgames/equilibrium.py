@@ -372,6 +372,13 @@ class _EquilibriumSystem:
                                 slice(end, end + self.n_layers)))
             start = end + self.n_layers
         self.size = start
+        # The positions of the unknowns in z, laid out like them, where the
+        # Jacobian scatters: per player, sigma_i's (S, A_i), v_i's and
+        # lambda_i's.
+        index = np.arange(self.size)
+        self.sigma_at = self.rows(index)
+        self.value_at = [index[value] for _, _, value, _ in self.blocks]
+        self.lam_at = [index[lam] for _, _, _, lam in self.blocks]
 
     def rows(self, z):
         """The profile part of z, as one (S, A_i) view of z per player."""
@@ -399,9 +406,7 @@ class _EquilibriumSystem:
         if jacobian:
             occupation = _discounted_solve(kernel.T, alpha, (1.0 - alpha) * game.initial)
             weights = (occupation / (1.0 - alpha))[:, None, None]
-            # The positions of the unknowns in z, laid out like them.
-            index = np.arange(self.size)
-            sigma_at = self.rows(index)
+            sigma_at = self.sigma_at
         for i, (sigma, _, value, lam_slice) in enumerate(self.blocks):
             v, lam = z[value], z[lam_slice]
             # lambda_i . c_i^{1..L}, as np.tensordot(lam, costs[i, 1:], 1) computes it.
@@ -415,7 +420,7 @@ class _EquilibriumSystem:
                 continue
             d_sigma, d_gap = _fischer_burmeister_slopes(rows[i], gap)
             d_lam, d_excess = _fischer_burmeister_slopes(lam, budget_excess[i])
-            value_at, lam_at = index[value], index[lam_slice]
+            value_at, lam_at = self.value_at[i], self.lam_at[i]
             own, col = sigma_at[i][:, :, None], d_gap[:, :, None]
             jac[sigma_at[i], sigma_at[i]] = d_sigma
             for j in range(n):

@@ -17,14 +17,8 @@ exact sampler, `_advance`: a branchless binary search for the first CDF
 entry >= u, on flat positions into the CDF table.  It only compares, so on
 the non-decreasing rows `_rows_cdf` builds it picks the same index as
 counting the entries below u, in ceil(log2 width) rounds instead of
-O(width) work per draw.  Trajectories run in chunks whose uniforms fit in
-half of SIMULATE_BLOCK_BYTES, so two blocks fit in it: a helper thread
-fills the next chunk's block while `_simulate_chunk` steps through the
-current one.  numpy's Philox fill runs without the GIL, so the two
-overlap on two cores; the step loop stays on the calling thread.  Blocks
-are filled in order from one generator, so the draws, and the estimates,
-are those of one thread.  The step loop writes into buffers made once per
-chunk and allocates nothing per step but a small weighted cost table.
+O(width) work per draw.  How `simulate` splits trajectories into blocks
+and overlaps their draws with the step loop is told in its docstring.
 
 The constrained MDP one player faces against fixed opponents (`induced_mdp`)
 is a one-player FiniteCSG, so every game function applies to it; its budgets
@@ -66,12 +60,17 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-10
 # Most bytes of uniforms simulate holds at once, in two blocks of at most
-# half this each: a chunk holds at most as many trajectories as fit their
-# 1 + 2H draws in half of it (and at least one).  At H = 153 that is about
-# 4,250 rows.  On a 30-state game (2-core x86-64 VM), before the fill was
-# overlapped, 8,192-row blocks ran as fast as 16,384-row ones, and 4,096
-# rows about 10% slower.
+# half this each, so its memory is bounded at any horizon.  At H = 153 a
+# block holds about 4,250 rows.  On a 30-state game (2-core x86-64 VM),
+# before the fill was overlapped, 8,192-row blocks ran as fast as 16,384-row
+# ones, and 4,096 rows about 10% slower.
 SIMULATE_BLOCK_BYTES = 20 * 2**20
+# Most trajectories in one block: the budget bounds memory, and this keeps
+# the step loop in cache.  On the sample-grid `pair` game (H = 21) the budget
+# alone gives 30,481-row blocks, and 100k trajectories took a median 0.080 s
+# against 0.069 s at 16,384 rows, slower in 16 of 16 alternations
+# (in-process, BLAS on 1 thread, 2-core x86-64 VM).
+SIMULATE_MAX_ROWS = 16384
 # LAPACK's LU factorization and solve for float64, the very objects
 # scipy.linalg.lapack.get_lapack_funcs returns: the scipy.linalg wrappers
 # around them cost several times a small solve.
@@ -273,23 +272,6 @@ def _rows_cdf(table):
     return cdf
 
 
-def _count_below(cdf, rows, u, out=None, scratch=None):
-    """First index k with cdf[rows, k] >= u, clipped to width - 1.
-
-    On non-decreasing rows this is the count of entries below u, clipped to
-    width - 1.  `_advance` searches from each row's flat start.  `out` (an
-    intp array shaped like rows) receives the answer, and `scratch` from
-    `_search_scratch` serves as the search's work arrays.
-    """
-    width = cdf.shape[1]
-    scratch = _search_scratch(len(rows)) if scratch is None else scratch
-    base = np.multiply(rows, width)
-    pos = np.empty_like(base) if out is None else out
-    np.copyto(pos, base)
-    _advance(cdf.ravel(), width, pos, u, scratch)
-    return np.subtract(pos, base, out=pos)
-
-
 def _advance(flat, width, pos, u, scratch):
     """Move each flat position `pos` from the start of its CDF row to the
     first entry >= u there, clipped to the row's last entry.
@@ -298,8 +280,9 @@ def _advance(flat, width, pos, u, scratch):
     and add, all in place.  The answer lies in [pos, pos + n); it is at
     least pos + half exactly when the entry at pos + half - 1 is below u, so
     each round gathers from flat[half - 1:] at pos.  It only compares, and
-    it never reads a row's last entry.  `scratch` comes from
-    `_search_scratch`, so the search allocates nothing.
+    it never reads a row's last entry.  `scratch` holds its work arrays,
+    each shaped like pos: intp steps, float gathered entries and bool
+    comparisons; so the search allocates nothing.
     """
     step, vals, below = scratch
     n = width
@@ -313,27 +296,23 @@ def _advance(flat, width, pos, u, scratch):
         n -= half
 
 
-def _search_scratch(size):
-    """Work arrays for `_advance` on `size` draws: position steps, gathered
-    CDF entries and their comparisons."""
-    return np.empty(size, dtype=np.intp), np.empty(size), np.empty(size, dtype=bool)
-
-
 def _simulate_chunk(u, acc, horizon, discount, cdfs, ctab):
     """Add to the zeroed `acc` the discounted costs of its trajectories,
     whose uniforms are the rows of `u`.
 
-    The step loop searches by flat positions.  The action search starts at
-    state * P, the state's row of action_cdf, and ends at state * P + action:
-    the (state, action) row of state_cdf and of ctab.  The next-state search
-    starts at that row's start in state_cdf, which it then subtracts.
+    The searches run on flat positions.  The initial state's starts at 0,
+    initial_cdf's one row.  The action search starts at state * P, the
+    state's row of action_cdf, and ends at state * P + action: the (state,
+    action) row of state_cdf and of ctab.  The next-state search starts at
+    that row's start in state_cdf, which it then subtracts.
     """
     initial_cdf, action_cdf, state_cdf = cdfs
     n_profiles, n_states = action_cdf.shape[1], state_cdf.shape[1]
     action_flat, state_flat = action_cdf.ravel(), state_cdf.ravel()
     size = acc.shape[0]
-    scratch = _search_scratch(size)
-    pos = _count_below(initial_cdf, np.zeros(size, dtype=np.intp), u[:, 0], scratch=scratch)
+    scratch = np.empty(size, dtype=np.intp), np.empty(size), np.empty(size, dtype=bool)
+    pos = np.zeros(size, dtype=np.intp)
+    _advance(initial_cdf.ravel(), n_states, pos, u[:, 0], scratch)
     pos *= n_profiles
     base = np.empty_like(pos)
     cols = np.empty((2, size))
@@ -355,7 +334,7 @@ def _simulate_chunk(u, acc, horizon, discount, cdfs, ctab):
         weight *= discount
 
 
-def simulate(game, psi, n_trajectories=1000, tol=1e-6, seed=0, chunk=16384):
+def simulate(game, psi, n_trajectories=1000, tol=1e-6, seed=0):
     """Monte Carlo estimate of all discounted costs under a correlated strategy.
 
     Trajectory k consumes a dedicated slice of a counter-based Philox stream
@@ -366,15 +345,16 @@ def simulate(game, psi, n_trajectories=1000, tol=1e-6, seed=0, chunk=16384):
     only compares, so it picks the same index as counting the entries below
     u, and estimates do not depend on how the search is done.
     The returned radii are standard errors of the per-trajectory discounted
-    sums; the truncation bias bound is reported separately.  A chunk holds at
-    most `chunk` trajectories, fewer when their uniforms would take more than
-    half of SIMULATE_BLOCK_BYTES.  Each chunk's block of uniforms is made
-    here.  This thread fills the first; one helper thread fills the next
-    chunk's block while this thread runs the step loop on the current one,
-    so at most two blocks are alive.  The fills are made one after another
-    from the one generator, so every trajectory gets the draws it gets on
-    one thread.  The helper is joined before this returns or raises, and a
-    fill's exception is raised here.
+    sums; the truncation bias bound is reported separately.  A chunk holds
+    SIMULATE_MAX_ROWS trajectories, fewer when their uniforms would take more
+    than half of SIMULATE_BLOCK_BYTES, and at least one.  Each chunk's block
+    of uniforms is allocated here.  This thread fills the first; one helper
+    thread fills the next chunk's block while this thread runs the step loop
+    on the current one, so at most two blocks are alive.  numpy's Philox fill
+    runs without the GIL, so the two overlap on two cores.  The fills are
+    made one after another from the one generator, so every trajectory gets
+    the draws it gets on one thread.  The helper is joined before this
+    returns or raises, and a fill's exception is raised here.
     """
     # Only simulate uses it, and it takes about 5 ms to import.
     from concurrent.futures import ThreadPoolExecutor
@@ -382,8 +362,6 @@ def simulate(game, psi, n_trajectories=1000, tol=1e-6, seed=0, chunk=16384):
     _check_psi(game, psi)
     if n_trajectories < 2:
         raise ValueError("need at least two trajectories for a confidence radius")
-    if chunk < 1:
-        raise ValueError(f"chunk must be at least 1; got {chunk}")
     horizon = simulation_horizon(tol, game.discount, game.cost_bound)
     cdfs = (_rows_cdf(game.initial), _rows_cdf(psi.table), _rows_cdf(game.transitions))
     n, layers = game.n_players, game.n_layers + 1
@@ -391,7 +369,7 @@ def simulate(game, psi, n_trajectories=1000, tol=1e-6, seed=0, chunk=16384):
     # rows of state_cdf, so one gather per step covers every cost.
     ctab = np.moveaxis(game.costs, (0, 1), (2, 3)).reshape(-1, n, layers)
     draws = 1 + 2 * horizon
-    chunk = max(1, min(chunk, SIMULATE_BLOCK_BYTES // 2 // (8 * draws)))
+    chunk = max(1, min(SIMULATE_MAX_ROWS, SIMULATE_BLOCK_BYTES // 2 // (8 * draws)))
     rng = np.random.Generator(np.random.Philox(key=seed))
     totals = np.zeros((n_trajectories, n, layers))
     chunks = [totals[start:start + chunk] for start in range(0, n_trajectories, chunk)]

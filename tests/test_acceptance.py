@@ -76,8 +76,7 @@ def test_evaluation_triangulation():
         psi = product_strategy(profile)
         exact = evaluate_profile(game, profile).J
         trunc = truncated_value(game, psi, 60)
-        sim = simulate(game, psi, n_trajectories=10 ** 5, tol=1e-5,
-                       seed=1012000 + k, chunk=10 ** 5)
+        sim = simulate(game, psi, n_trajectories=10 ** 5, tol=1e-5, seed=1012000 + k)
         tol = np.maximum(1e-8, 3.0 * sim.radii)
         for pair in (exact - trunc, exact - sim.estimates,
                      trunc - sim.estimates):

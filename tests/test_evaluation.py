@@ -251,23 +251,24 @@ def test_simulate_needs_two_trajectories(ctrap):
         simulate(ctrap, psi, n_trajectories=1)
 
 
-def test_simulate_chunk_invariant(ctrap):
+def test_simulate_chunk_invariant(ctrap, monkeypatch):
     psi = product_strategy(sample_games.trap_profile(0.75))
-    a = simulate(ctrap, psi, n_trajectories=300, seed=2, chunk=7)
-    b = simulate(ctrap, psi, n_trajectories=300, seed=2, chunk=300)
+    b = simulate(ctrap, psi, n_trajectories=300, seed=2)
+    monkeypatch.setattr(evaluation, "SIMULATE_MAX_ROWS", 7)
+    a = simulate(ctrap, psi, n_trajectories=300, seed=2)
     np.testing.assert_array_equal(a.estimates, b.estimates)
 
 
 def test_simulate_caps_each_block_of_uniforms(ctrap, monkeypatch):
     # A chunk draws its uniforms into one (rows, 1 + 2H) block.  At alpha =
-    # 0.999 the default chunk would make that block 5.2 GiB, so the rows are
-    # capped to keep it within half of SIMULATE_BLOCK_BYTES (two blocks are
-    # alive), one row at the least.  The 19 and 20 blocks filled here, most
+    # 0.999 SIMULATE_MAX_ROWS rows would make that block 5.2 GiB, so the rows
+    # are capped to keep it within half of SIMULATE_BLOCK_BYTES (two blocks
+    # are alive), one row at the least.  The 19 and 20 blocks filled here, most
     # of them on the helper thread, must give the one-block run's bytes.
     psi = product_strategy(sample_games.trap_profile(0.75))
     cases = []
     for n_trajectories, budget_rows, rows in ((300, 32, 16), (20, 1, 1)):
-        want = simulate(ctrap, psi, n_trajectories=n_trajectories, seed=2, chunk=n_trajectories)
+        want = simulate(ctrap, psi, n_trajectories=n_trajectories, seed=2)
         cases.append((n_trajectories, budget_rows, rows, want))
     draws = 1 + 2 * want.horizon
     shapes = []
@@ -283,15 +284,16 @@ def test_simulate_caps_each_block_of_uniforms(ctrap, monkeypatch):
         # one more: each block gets half of it, and 1 row gets none.
         monkeypatch.setattr(evaluation, "SIMULATE_BLOCK_BYTES", 8 * draws * budget_rows + 7)
         shapes.clear()
-        got = simulate(ctrap, psi, n_trajectories=n_trajectories, seed=2, chunk=n_trajectories)
+        got = simulate(ctrap, psi, n_trajectories=n_trajectories, seed=2)
         full, rest = divmod(n_trajectories, rows)
         assert shapes == [(rows, draws)] * full + [(rest, draws)] * bool(rest)
         assert got.estimates.tobytes() == want.estimates.tobytes()
         assert got.radii.tobytes() == want.radii.tobytes()
-    # A chunk below the cap stays as given.
+    # A row cap below the budget's stays as given.
     monkeypatch.setattr(evaluation, "SIMULATE_BLOCK_BYTES", 8 * draws * 32)
+    monkeypatch.setattr(evaluation, "SIMULATE_MAX_ROWS", 7)
     shapes.clear()
-    simulate(ctrap, psi, n_trajectories=20, seed=2, chunk=7)
+    simulate(ctrap, psi, n_trajectories=20, seed=2)
     assert shapes == [(7, draws), (7, draws), (6, draws)]
 
 
@@ -375,24 +377,27 @@ def test_simulate_leaves_no_thread_running(ctrap, monkeypatch, fault):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("chunk", [0, -4])
-def test_simulate_rejects_empty_chunks(ctrap, chunk):
-    # With chunk 0 no trajectory is ever drawn and the loop never ends.
-    psi = product_strategy(sample_games.trap_profile(0.75))
-    with pytest.raises(ValueError, match="chunk must be at least 1"):
-        simulate(ctrap, psi, n_trajectories=10, chunk=chunk)
-
-
 def counting_rule(cdf_rows, u):
     """Index of the first CDF entry >= u by counting the entries below u."""
     return np.minimum((cdf_rows < u[:, None]).sum(axis=1), cdf_rows.shape[1] - 1)
+
+
+def advance_from_row_starts(cdf, rows, u, scratch=None):
+    """Index within its row that `_advance` reaches from each row's flat
+    start, with fresh work arrays unless `scratch` is given."""
+    width = cdf.shape[1]
+    if scratch is None:
+        scratch = np.empty(u.size, dtype=np.intp), np.empty(u.size), np.empty(u.size, dtype=bool)
+    pos = rows * width
+    evaluation._advance(cdf.ravel(), width, pos, u, scratch)
+    return pos - rows * width
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1),
        width=st.integers(1, 70) | st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
        zero_frac=st.floats(0.0, 0.9))
-def test_count_below_is_the_counting_rule(seed, width, zero_frac):
+def test_advance_is_the_counting_rule(seed, width, zero_frac):
     # Zero-mass entries repeat a CDF value, so ties are common; u = 0 and u
     # equal to an entry of its own row are drawn on purpose.
     rng = np.random.default_rng(seed)
@@ -403,18 +408,16 @@ def test_count_below_is_the_counting_rule(seed, width, zero_frac):
     u[:50] = 0.0
     u[50:200] = cdf[rows[50:200], rng.integers(0, width, size=150)]
     want = counting_rule(cdf[rows], u)
-    np.testing.assert_array_equal(evaluation._count_below(cdf, rows, u), want)
-    # The form simulate calls: the answer in `out`, work in reused scratch
-    # arrays that hold another search's leftovers.
-    scratch = evaluation._search_scratch(rows.size)
-    evaluation._count_below(cdf, rows[::-1].copy(), u[::-1], scratch=scratch)
-    out = np.full(rows.size, -1, dtype=np.intp)
-    got = evaluation._count_below(cdf, rows, u, out=out, scratch=scratch)
-    assert got is out
-    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(advance_from_row_starts(cdf, rows, u), want)
+    # As simulate calls it: work arrays reused, holding another search's
+    # leftovers.
+    n = rows.size
+    scratch = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n, dtype=bool)
+    advance_from_row_starts(cdf, rows[::-1].copy(), u[::-1], scratch)
+    np.testing.assert_array_equal(advance_from_row_starts(cdf, rows, u, scratch), want)
 
 
-def test_count_below_skips_entries_without_mass():
+def test_advance_skips_entries_without_mass():
     # Validation admits entries down to -1e-9 in kernels and strategies
     # alike, and row sums off by up to 1e-9.  On the raw cumsum the
     # counting rule picks a negative entry when u falls in the dip below it,
@@ -430,7 +433,7 @@ def test_count_below_skips_entries_without_mass():
     raw = np.cumsum(table, axis=1)
     for row in range(2):
         rows = np.full(u.size, row)
-        assert np.all(table[row, evaluation._count_below(cdf, rows, u)] > 0.0)
+        assert np.all(table[row, advance_from_row_starts(cdf, rows, u)] > 0.0)
         assert np.any(table[row, counting_rule(raw[rows], u)] <= 0.0)
 
 
@@ -461,7 +464,7 @@ def counting_simulate(game, psi, n_trajectories, seed, tol=1e-6):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_simulate_matches_counting_oracle(seed):
+def test_simulate_matches_counting_oracle(seed, monkeypatch):
     # Sparse and deterministic rows put ties in the CDFs.
     rng = np.random.default_rng([31, seed])
     n_actions = [(int(rng.integers(1, 10)),),
@@ -484,8 +487,9 @@ def test_simulate_matches_counting_oracle(seed):
         rows.append(row / row.sum(axis=1, keepdims=True))
     psi = product_strategy(StationaryProfile(tuple(rows)))
     estimates, radii = counting_simulate(game, psi, 150, seed)
-    for chunk in (7, 150):
-        sim = simulate(game, psi, n_trajectories=150, seed=seed, chunk=chunk)
+    for max_rows in (7, 150):
+        monkeypatch.setattr(evaluation, "SIMULATE_MAX_ROWS", max_rows)
+        sim = simulate(game, psi, n_trajectories=150, seed=seed)
         np.testing.assert_array_equal(sim.estimates, estimates)
         np.testing.assert_array_equal(sim.radii, radii)
 
