@@ -18,11 +18,11 @@ scipy.optimize (see `_compiled` for what that saves).  Each thread keeps one
 solver (`_solver`), set up once with the options built at import from
 LP_OPTIONS and with every presolve rule on except the dependent-equations
 search (DEPENDENT_EQUATIONS), which cannot remove a row of an occupation LP;
-`_solve` gives the proof.  Each LP goes to that solver as plain arrays in
-compressed-column form, and passing a model drops the previous basis, so
-every LP is solved from scratch as on a new solver.  A solver holds its last
-model, so one that solved an LP above _LARGE_LP_ENTRIES matrix entries is
-dropped, whatever the outcome.
+`_occupation_lp` gives the proof.  Each LP goes to that solver as plain
+arrays in compressed-column form, and passing a model drops the previous
+basis, so every LP is solved from scratch as on a new solver.  A solver holds
+its last model, so one that solved an LP above _LARGE_LP_ENTRIES matrix
+entries is dropped, whatever the outcome.
 
 Every function here takes the MDP as a one-player FiniteCSG, such as
 `induced_mdp` returns; to solve under other budgets, pass
@@ -174,58 +174,23 @@ def recover_strategy(occupation):
 
 def _occupation_lp(mdp, objective):
     """Minimize objective @ x over the normalized occupation measures x of
-    `mdp` that meet the budget rows costs[0, 1:] @ x <= constraint_bounds[0].
+    `mdp` that meet the budget rows costs[0, 1:] @ x <= constraint_bounds[0],
+    as one HiGHS model on this thread's solver whose rows are the budget rows
+    followed by the flow rows.
 
     An objective of S*A + 1 entries gives x a free last column z, the
-    epigraph variable, that is added to every budget row.  Returns None when
-    no occupation measure meets the budgets, else (x, theta, residuals,
+    epigraph variable, that is added to every budget row; any other length
+    than S*A or S*A + 1 raises ValueError.  Returns None when HiGHS proves
+    that no occupation measure meets the budgets, else (x, theta, residuals,
     multipliers): theta is the occupation part of x clipped at zero,
-    residuals its flow-balance, mass and sign errors, and multipliers the
-    budget rows' multipliers (see _solve).  Raises RuntimeError on solver
-    failure or a flow residual above FLOW_TOL.
-    """
-    (s, a), n_layers = _dims(mdp), mdp.n_layers
-    # Column (s, a) of flow row s' is [s' == s] - alpha q(s' | s, a).
-    flow = np.multiply(-mdp.discount, mdp.transitions.reshape(s * a, s).T, order="C")
-    diagonal = np.einsum("ssa->sa", flow.reshape(s, s, a))  # a writeable view of flow
-    diagonal += 1.0
-    b_eq = (1.0 - mdp.discount) * mdp.initial
-    a_ub, b_ub = mdp.costs[0, 1:].reshape(n_layers, s * a), mdp.constraint_bounds[0]
-    a_eq, lower = flow, np.zeros(s * a)
-    if len(objective) == s * a + 1:
-        a_eq = np.hstack([flow, np.zeros((s, 1))])
-        a_ub = np.hstack([a_ub, np.ones((n_layers, 1))])
-        lower = np.append(lower, -np.inf)
-    solved = _solve(objective, a_ub, b_ub, a_eq, b_eq, lower)
-    if solved is None:
-        return None
-    x, multipliers = solved
-    occ = x[:s * a]
-    residuals = {
-        "flow_balance": float(np.abs(flow @ occ - b_eq).max()),
-        "mass": abs(float(occ.sum()) - 1.0),
-        "negativity": max(0.0, -float(occ.min())) if occ.size else 0.0,
-    }
-    if not residuals["flow_balance"] <= FLOW_TOL:
-        raise RuntimeError(f"LP flow-balance residual {residuals['flow_balance']:.3e} "
-                           f"exceeds {FLOW_TOL:.1e}")
-    return x, np.maximum(occ.reshape(s, a), 0.0), residuals, multipliers
-
-
-def _solve(objective, a_ub, b_ub, a_eq, b_eq, lower):
-    """Minimize objective @ x subject to a_ub @ x <= b_ub, a_eq @ x == b_eq
-    and x >= lower, as one HiGHS model on this thread's solver whose rows are
-    the budget rows followed by the flow rows.
-
-    Returns (x, multipliers), or None when HiGHS proves the LP infeasible.
-    An objective or lower of other than a_eq's column count raises ValueError.
-    multipliers = max(-row_dual, 0) over the budget rows: the Lagrange
-    multipliers lambda >= 0 of a_ub @ x <= b_ub (HiGHS gives an active upper
-    bound of a minimization a nonpositive dual).  Raises
-    RuntimeError on any other outcome but an optimum, and on an optimum that
-    holds a NaN or breaks a bound, a budget row or an equality row by more
-    than SOLUTION_TOL (scipy's linprog applies the same test, at its looser
-    default tolerance of sqrt(1e-9) * 10).
+    residuals its flow-balance, mass and sign errors, and multipliers =
+    max(-row_dual, 0) over the budget rows, their Lagrange multipliers
+    lambda >= 0 (HiGHS gives an active upper bound of a minimization a
+    nonpositive dual).  Raises RuntimeError on any other outcome but an
+    optimum, on an optimum that holds a NaN or breaks a bound, a budget row
+    or a flow row by more than SOLUTION_TOL (scipy's linprog applies the same
+    test, at its looser default tolerance of sqrt(1e-9) * 10), and on a
+    flow residual of x above FLOW_TOL.
 
     Presolve runs without its dependent-equations search, which looks for
     equality rows that are linear combinations of others and is the costliest
@@ -243,25 +208,34 @@ def _solve(objective, a_ub, b_ub, a_eq, b_eq, lower):
     Turning a presolve rule off never changes the LP, and this one has no
     row to remove, so skipping it changes the solve time and not the answer.
     """
-    n_ub, (n_eq, n_cols) = len(b_ub), a_eq.shape
-    if not len(objective) == len(lower) == n_cols:
-        raise ValueError(f"{len(objective)} costs, {len(lower)} bounds for {n_cols} columns")
-    n_rows = n_ub + n_eq
-    columns = np.empty((n_cols, n_rows))
-    columns[:, :n_ub] = a_ub.T
-    columns[:, n_ub:] = a_eq.T
+    (s, a), n_layers = _dims(mdp), mdp.n_layers
+    n_cols, n_rows = len(objective), n_layers + s
+    if n_cols not in (s * a, s * a + 1):
+        raise ValueError(f"{n_cols} costs for {s * a} or {s * a + 1} columns")
+    # Column (s, a) of flow row s' is [s' == s] - alpha q(s' | s, a).
+    flow = np.multiply(-mdp.discount, mdp.transitions.reshape(s * a, s).T, order="C")
+    diagonal = np.einsum("ssa->sa", flow.reshape(s, s, a))  # a writeable view of flow
+    diagonal += 1.0
+    # The matrix column by column: the budget rows, then the flow rows; z
+    # has a 1 in each budget row.
+    columns = np.zeros((n_cols, n_rows))
+    columns[:s * a, :n_layers] = mdp.costs[0, 1:].reshape(n_layers, s * a).T
+    columns[:s * a, n_layers:] = flow.T
+    columns[s * a:, :n_layers] = 1.0
+    lower = np.zeros(n_cols)
+    lower[s * a:] = -np.inf
     # The compressed-column form of the matrix, as scipy.sparse.csc_array
-    # builds it.  The flat positions of the nonzeros in `columns`, the matrix
-    # column by column, give each one's row, and the first position at or
-    # past a column's start is where its entries start; HiGHS takes no
-    # closing start.
+    # builds it.  The flat positions of the nonzeros in `columns` give each
+    # one's row, and the first position at or past a column's start is where
+    # its entries start; HiGHS takes no closing start.
     nonzero = np.flatnonzero(columns)
     start = np.searchsorted(nonzero, np.arange(0, n_cols * n_rows, n_rows)).astype(np.int32)
     index = (nonzero % n_rows).astype(np.int32)
     value = columns.ravel()[nonzero]
-    row_upper = np.concatenate([b_ub, b_eq])
+    b_eq = (1.0 - mdp.discount) * mdp.initial
+    row_upper = np.concatenate([mdp.constraint_bounds[0], b_eq])
     row_lower = row_upper.copy()
-    row_lower[:n_ub] = -np.inf
+    row_lower[:n_layers] = -np.inf
     highs = _solver()
     if value.size > _LARGE_LP_ENTRIES:
         _local.highs = None  # the solver, and this LP's model, die with `highs`
@@ -279,15 +253,24 @@ def _solve(objective, a_ub, b_ub, a_eq, b_eq, lower):
         raise RuntimeError(f"LP solver failure: {highs.modelStatusToString(status)}")
     solution = highs.getSolution()
     x, row_value = np.array(solution.col_value), np.array(solution.row_value)
-    multipliers = np.maximum(-np.array(solution.row_dual[:n_ub]), 0.0)
+    multipliers = np.maximum(-np.array(solution.row_dual[:n_layers]), 0.0)
     # The budget rows' slack, then the flow rows' residual; each test below
     # is written so that a NaN fails it.
     gap = row_upper - row_value
-    if not ((x >= lower - SOLUTION_TOL).all() and (gap[:n_ub] >= -SOLUTION_TOL).all()
-            and (np.abs(gap[n_ub:]) <= SOLUTION_TOL).all()):
+    if not ((x >= lower - SOLUTION_TOL).all() and (gap[:n_layers] >= -SOLUTION_TOL).all()
+            and (np.abs(gap[n_layers:]) <= SOLUTION_TOL).all()):
         raise RuntimeError(f"LP solution breaks a bound or constraint by more than "
                            f"{SOLUTION_TOL:.1e} although HiGHS reported it optimal")
-    return x, multipliers
+    occ = x[:s * a]
+    residuals = {
+        "flow_balance": float(np.abs(flow @ occ - b_eq).max()),
+        "mass": abs(float(occ.sum()) - 1.0),
+        "negativity": max(0.0, -float(occ.min())) if occ.size else 0.0,
+    }
+    if not residuals["flow_balance"] <= FLOW_TOL:
+        raise RuntimeError(f"LP flow-balance residual {residuals['flow_balance']:.3e} "
+                           f"exceeds {FLOW_TOL:.1e}")
+    return x, np.maximum(occ.reshape(s, a), 0.0), residuals, multipliers
 
 
 def constrained_best_response(mdp):

@@ -62,8 +62,9 @@ FEASIBILITY_TOL = 1e-9
 GAP_TOL = 1e-8
 REGRET_TOL = 1e-9
 # Fraction of the way to the best responses that search_equilibrium's damped
-# iterate moves.
+# iterate moves, and the most iterations a restart runs.
 DAMPING = 0.5
+MAX_ITERATIONS = 60
 # Iterations of each restart after which search_equilibrium tries a Newton
 # finish from its best profile (it also tries one when a restart ends short
 # of its target), and the limits of one try: a residual max-norm that ends
@@ -257,19 +258,17 @@ def verify_weak_correlated(game, psi, tol=GAP_TOL):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Restarts, iterations per restart, target epsilon and seed of
-    search_equilibrium; its damped step is the module constant DAMPING."""
+    """Restarts, target epsilon and seed of search_equilibrium; its damped
+    step and iterations per restart are the module constants DAMPING and
+    MAX_ITERATIONS."""
 
     restarts: int = 4
-    max_iterations: int = 60
     target_epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1; got {self.restarts}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1; got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -343,10 +342,10 @@ class _EquilibriumSystem:
     with complementary slackness, so sigma_i is a constrained best response
     (Lagrangian sufficiency) and sigma an exact stationary equilibrium.
 
-    Each player's unknowns are contiguous, so they are read and written as
-    slices of z.  Everything that does not depend on z is computed once, in
-    __init__, with the same operations, and so the same bits, as computing
-    it on every call.
+    Each player's unknowns are read from z, and their equations written to F
+    and the Jacobian, through index arrays made once, in __init__.
+    Everything that does not depend on z is computed once, in __init__, with
+    the same operations, and so the same bits, as computing it on every call.
     """
 
     def __init__(self, game):
@@ -362,32 +361,25 @@ class _EquilibriumSystem:
         self.layer_costs = [np.moveaxis(c[1:], 0, -1) for c in self.costs]
         self.weighted_layer_costs = [(1.0 - alpha) * c for c in self.layer_costs]
         self.eye = np.eye(s)[:, None, :]
-        # Per player, the slices of z that hold sigma_i (and its shape), v_i
-        # and lambda_i.
-        self.blocks = []
-        start = 0
+        # The positions of the unknowns in z, laid out like them: per player,
+        # sigma_i's (S, A_i), v_i's and lambda_i's.
+        self.sigma_at, self.value_at, self.lam_at, self.size = [], [], [], 0
         for a in game.n_actions:
-            mid, end = start + s * a, start + s * a + s
-            self.blocks.append((slice(start, mid), (s, a), slice(mid, end),
-                                slice(end, end + self.n_layers)))
-            start = end + self.n_layers
-        self.size = start
-        # The positions of the unknowns in z, laid out like them, where the
-        # Jacobian scatters: per player, sigma_i's (S, A_i), v_i's and
-        # lambda_i's.
-        index = np.arange(self.size)
-        self.sigma_at = self.rows(index)
-        self.value_at = [index[value] for _, _, value, _ in self.blocks]
-        self.lam_at = [index[lam] for _, _, _, lam in self.blocks]
+            at = np.arange(self.size, self.size + s * a + s + self.n_layers)
+            sigma, value, lam = np.split(at, [s * a, s * a + s])
+            self.sigma_at.append(sigma.reshape(s, a))
+            self.value_at.append(value)
+            self.lam_at.append(lam)
+            self.size += at.size
 
     def rows(self, z):
-        """The profile part of z, as one (S, A_i) view of z per player."""
-        return [z[sigma].reshape(shape) for sigma, shape, _, _ in self.blocks]
+        """The profile part of z, as one (S, A_i) array per player."""
+        return [z[at] for at in self.sigma_at]
 
     def point(self, rows, values, multipliers):
         z = np.empty(self.size)
-        for (sigma, _, value, lam), row, v, mult in zip(self.blocks, rows, values, multipliers):
-            z[sigma], z[value], z[lam] = np.ravel(row), v, mult
+        for i, (row, v, mult) in enumerate(zip(rows, values, multipliers)):
+            z[self.sigma_at[i]], z[self.value_at[i]], z[self.lam_at[i]] = row, v, mult
         return z
 
     def __call__(self, z, jacobian=False):
@@ -406,21 +398,21 @@ class _EquilibriumSystem:
         if jacobian:
             occupation = _discounted_solve(kernel.T, alpha, (1.0 - alpha) * game.initial)
             weights = (occupation / (1.0 - alpha))[:, None, None]
-            sigma_at = self.sigma_at
-        for i, (sigma, _, value, lam_slice) in enumerate(self.blocks):
-            v, lam = z[value], z[lam_slice]
+        sigma_at = self.sigma_at
+        for i in range(n):
+            value_at, lam_at = self.value_at[i], self.lam_at[i]
+            v, lam = z[value_at], z[lam_at]
             # lambda_i . c_i^{1..L}, as np.tensordot(lam, costs[i, 1:], 1) computes it.
             penalty = np.dot(lam[None], self.layer_matrix[i]).reshape(self.costs.shape[2:])
             lagrangian = (1.0 - alpha) * (self.costs[i, 0] + penalty) + self.alpha_kernel @ v
             gap = _against(lagrangian, rows, (i,)) - v[:, None]
-            F[sigma] = _fischer_burmeister(rows[i], gap).ravel()
-            F[value] = rows[i].sum(axis=1) - 1.0
-            F[lam_slice] = _fischer_burmeister(lam, budget_excess[i])
+            F[sigma_at[i]] = _fischer_burmeister(rows[i], gap)
+            F[value_at] = rows[i].sum(axis=1) - 1.0
+            F[lam_at] = _fischer_burmeister(lam, budget_excess[i])
             if not jacobian:
                 continue
             d_sigma, d_gap = _fischer_burmeister_slopes(rows[i], gap)
             d_lam, d_excess = _fischer_burmeister_slopes(lam, budget_excess[i])
-            value_at, lam_at = self.value_at[i], self.lam_at[i]
             own, col = sigma_at[i][:, :, None], d_gap[:, :, None]
             jac[sigma_at[i], sigma_at[i]] = d_sigma
             for j in range(n):
@@ -569,7 +561,7 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
         responses = consider(profile, bounded=False)
         if converged():
             break
-        for k in range(1, config.max_iterations + 1):
+        for k in range(1, MAX_ITERATIONS + 1):
             iterations += 1
             skipped += [(restart, iterations, i) for i, br in enumerate(responses)
                         if not br.feasible]

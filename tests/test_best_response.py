@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core
+from scipy.sparse import csc_array
 
 from csgames import (
     FiniteCSG,
@@ -267,19 +268,20 @@ def test_multi_player_game_is_refused(pair):
 
 
 def test_direct_highs_matches_linprog(monkeypatch):
-    # Each LP goes to HiGHS as one model; scipy's linprog, given the same
-    # matrices, bounds and LP_OPTIONS, must report the same status and the
-    # same x to the last bit.  Budgets uniform in [-1, 1] are often
-    # unreachable, so infeasible LPs are among them.
+    # Each LP goes to HiGHS as one model; scipy's linprog, given the
+    # occupation LP's matrices built here from the MDP, the same bounds and
+    # LP_OPTIONS, must report the same status and the same x to the last
+    # bit.  Budgets uniform in [-1, 1] are often unreachable, so infeasible
+    # LPs are among them.
     lps = []
 
-    def recording(*args):
-        x = solve(*args)
-        lps.append((args, x))
-        return x
+    def recording(mdp, objective):
+        solved = occupation_lp(mdp, objective)
+        lps.append((mdp, objective, solved))
+        return solved
 
-    solve = best_response._solve
-    monkeypatch.setattr(best_response, "_solve", recording)
+    occupation_lp = best_response._occupation_lp
+    monkeypatch.setattr(best_response, "_occupation_lp", recording)
     mdps = []
     for seed in range(60):
         rng = np.random.default_rng([7, seed])
@@ -296,19 +298,28 @@ def test_direct_highs_matches_linprog(monkeypatch):
         if mdp.n_layers:
             slater_margin(mdp)
     statuses = set()
-    for (objective, a_ub, b_ub, a_eq, b_eq, lower), solved in lps:
-        budgets = {"A_ub": a_ub, "b_ub": b_ub} if len(b_ub) else {}
-        bounds = [(low, None) for low in lower]
-        res = linprog(objective, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs",
-                      options=LP_OPTIONS, **budgets)
+    for mdp, objective, solved in lps:
+        s, a, n_layers = mdp.n_states, mdp.n_profiles, mdp.n_layers
+        epigraph = len(objective) == s * a + 1
+        # Column (s, a) of flow row s' is [s' == s] - alpha q(s' | s, a); the
+        # epigraph column z is in no flow row and in every budget row.
+        a_eq = np.eye(s).repeat(a, axis=1) - mdp.discount * mdp.transitions.reshape(s * a, s).T
+        a_ub = mdp.costs[0, 1:].reshape(n_layers, s * a)
+        if epigraph:
+            a_eq = np.hstack([a_eq, np.zeros((s, 1))])
+            a_ub = np.hstack([a_ub, np.ones((n_layers, 1))])
+        budgets = {"A_ub": a_ub, "b_ub": mdp.constraint_bounds[0]} if n_layers else {}
+        bounds = [(0.0, None)] * (s * a) + [(None, None)] * epigraph
+        res = linprog(objective, A_eq=a_eq, b_eq=(1.0 - mdp.discount) * mdp.initial,
+                      bounds=bounds, method="highs", options=LP_OPTIONS, **budgets)
         assert res.status in (0, 2)
         assert (solved is None) == (res.status == 2)
         if solved is not None:
-            x, multipliers = solved
+            x, multipliers = solved[0], solved[3]
             assert np.array_equal(x, res.x)
             # The budget rows' multipliers are linprog's marginals, negated.
             assert np.array_equal(multipliers, np.maximum(-res.ineqlin.marginals, 0.0))
-        statuses.add((res.status, lower[-1] == -np.inf))
+        statuses.add((res.status, epigraph))
     assert statuses == {(0, False), (2, False), (0, True)}
 
 
@@ -317,17 +328,28 @@ def test_direct_highs_matches_linprog(monkeypatch):
        discount=st.floats(0.01, 0.999), deterministic=st.booleans(), epigraph=st.booleans())
 def test_flow_rows_have_full_row_rank(seed, s, a, discount, deterministic, epigraph):
     # Why presolve may skip its dependent-equations search: the equality rows
-    # of every occupation LP, epigraph or not, have rank S.
+    # of every occupation LP, epigraph or not, as HiGHS receives them, have
+    # rank S.
     rng = np.random.default_rng(seed)
     mdp = sample_games.random_game(rng, n_players=1, n_states=s, n_actions=(a,),
                                    discount=discount)
     if deterministic:
         mdp = replace(mdp, transitions=np.eye(s)[rng.integers(0, s, size=(s, a))])
-    equalities = []
+    models = []
+
+    def passModel(self, *args):
+        models.append(args)
+        return _core._Highs.passModel(self, *args)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(best_response, "_solve", lambda *args: equalities.append(args[3]))
+        _use_highs(patch, {"passModel": passModel})
         best_response._occupation_lp(mdp, np.zeros(s * a + epigraph))
-    (a_eq,) = equalities
+    # passModel's num_col, num_row, ..., row_lower, row_upper, start, index,
+    # value: the matrix in compressed-column form, without its closing start.
+    ((n_cols, n_rows, *_, row_lower, row_upper, start, index, value, _),) = models
+    matrix = csc_array((value, index, np.append(start, value.size)),
+                       shape=(n_rows, n_cols)).toarray()
+    a_eq = matrix[row_lower == row_upper]
     assert a_eq.shape == (s, s * a + epigraph)
     assert np.linalg.matrix_rank(a_eq) == s
 
@@ -354,7 +376,7 @@ def test_private_highs_surface_is_pinned():
                 "presolve_rule_off": 1024}
     for key, value in expected.items():
         assert highs.getOptionValue(key) == (_core.HighsStatus.kOk, value), key
-    # The array overload of passModel, as _solve calls it: minimize x0 + 2 x1
+    # The array overload of passModel, as _occupation_lp calls it: minimize x0 + 2 x1
     # subject to x0 + x1 == 1 and x >= 0.
     assert highs.passModel(2, 1, 2, best_response._COLWISE, best_response._MINIMIZE, 0.0,
                            np.array([1.0, 2.0]), np.zeros(2), np.full(2, np.inf), np.ones(1),
@@ -445,8 +467,8 @@ def test_solver_failure_raises(ctrap, monkeypatch, methods):
 
 
 # HiGHS's optimum with x[0] moved by 1e-6 and its row values left alone:
-# _solve's checks read the rows and pass, and only _occupation_lp's own
-# flow-balance check, on x itself, stands between it and a certificate.
+# the solution checks on the rows pass, and only the flow-balance check on
+# x itself stands between it and a certificate.
 OFF_FLOW = _doctor("col_value", 0, lambda v: v + 1e-6)
 
 
@@ -530,14 +552,14 @@ def test_reused_solver_matches_a_fresh_one(seed, s, a, n_layers, data, lps):
         results = []
 
         def recording(*args):
-            results.append(solve(*args))
+            results.append(occupation_lp(*args))
             return results[-1]
 
-        solve = best_response._solve
+        occupation_lp = best_response._occupation_lp
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(best_response, "_h",
                           SimpleNamespace(**{**vars(_core), "_Highs": FailOnce}))
-            patch.setattr(best_response, "_solve", recording)
+            patch.setattr(best_response, "_occupation_lp", recording)
             patch.setattr(best_response, "_local", threading.local())
             for k, (call, mdp) in enumerate(mdps):
                 if fresh:
@@ -561,7 +583,9 @@ def test_reused_solver_matches_a_fresh_one(seed, s, a, n_layers, data, lps):
     for got, want in zip(reused, fresh):
         assert type(got) is type(want)
         if isinstance(got, tuple):
-            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            # (x, theta, residuals, multipliers): the arrays bit for bit.
+            assert [got[k].tobytes() for k in (0, 1, 3)] == [want[k].tobytes() for k in (0, 1, 3)]
+            assert got[2] == want[2]
         else:
             assert got == want
 

@@ -319,13 +319,6 @@ def test_search_config_needs_a_restart(restarts):
         SearchConfig(restarts=restarts)
 
 
-@pytest.mark.parametrize("max_iterations", [0, -3])
-def test_search_config_needs_an_iteration(max_iterations):
-    # With no iteration no profile is certified, so there is nothing to return.
-    with pytest.raises(ValueError, match="max_iterations must be at least 1"):
-        SearchConfig(max_iterations=max_iterations)
-
-
 def test_search_keeps_a_warm_start_that_meets_the_target(pair):
     # The starting profile is certified first: a warm start that already
     # meets the target is returned as it is, after its N LPs and no
@@ -511,7 +504,7 @@ def reference_search(game, config, initial=None, newton=True):
         consider(profile, bounded=False)
         if best["converged"]:
             break
-        for k in range(1, config.max_iterations + 1):
+        for k in range(1, equilibrium.MAX_ITERATIONS + 1):
             iterations += 1
             responses = []
             for i, br in enumerate(best_responses(profile)):
@@ -563,6 +556,7 @@ def test_search_matches_reference_with_2n_lps(monkeypatch):
 
     monkeypatch.setattr(equilibrium, "constrained_best_response", counted)
     monkeypatch.setattr(equilibrium, "induced_mdp", counted_mdp)
+    monkeypatch.setattr(equilibrium, "MAX_ITERATIONS", 5)
     any_skipped = any_converged = any_adopted = any_cut_short = False
     for k in range(10):
         rng = np.random.default_rng([31, k])
@@ -570,8 +564,7 @@ def test_search_matches_reference_with_2n_lps(monkeypatch):
         game = sample_games.random_constrained_game(
             rng, n_players=n_players, n_states=2 + k % 3, n_actions=(2,) * n_players,
             slack=-0.1 if k % 4 == 3 else 0.02)
-        config = SearchConfig(restarts=2, max_iterations=5, seed=k,
-                              target_epsilon=1e-2 if k % 2 else 1e-8)
+        config = SearchConfig(restarts=2, seed=k, target_epsilon=1e-2 if k % 2 else 1e-8)
         expected, lps, damped = reference_search(game, config)
         # The Newton finish leaves the damped iterates as they were, up to
         # where the search stops.
@@ -661,26 +654,26 @@ def test_lazy_search_matches_eager_search(seed, n_players, n_states, n_layers, s
         rng, n_players=n_players, n_states=n_states,
         n_actions=tuple(int(a) for a in rng.integers(1, 4, size=n_players)),
         n_layers=n_layers, slack=slack)
-    config = SearchConfig(restarts=2, max_iterations=max_iterations, seed=seed % 1000,
-                          target_epsilon=target)
-    lazy, lazy_lps = solved_mdps(game, config)
-    eager, eager_lps = solved_mdps(game, config, eager=True)
-    assert_same_search(lazy, eager)
-    assert len(lazy_lps) <= len(eager_lps)
-    # Each profile the search considers, against its full certificate: a
-    # pruned one could not have beaten the bound, any other is the same.
-    approx = equilibrium._approx_certificate
-
-    def checked(game, profile, epsilon, beat=math.inf):
-        cert, responses = approx(game, profile, epsilon, beat=beat)
-        full = approx(game, profile, epsilon)[0]
-        if cert is None:
-            assert not full.epsilon < beat
-        else:
-            assert_same_certificate(cert, full)
-        return cert, responses
-
+    config = SearchConfig(restarts=2, seed=seed % 1000, target_epsilon=target)
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equilibrium, "MAX_ITERATIONS", max_iterations)
+        lazy, lazy_lps = solved_mdps(game, config)
+        eager, eager_lps = solved_mdps(game, config, eager=True)
+        assert_same_search(lazy, eager)
+        assert len(lazy_lps) <= len(eager_lps)
+        # Each profile the search considers, against its full certificate: a
+        # pruned one could not have beaten the bound, any other is the same.
+        approx = equilibrium._approx_certificate
+
+        def checked(game, profile, epsilon, beat=math.inf):
+            cert, responses = approx(game, profile, epsilon, beat=beat)
+            full = approx(game, profile, epsilon)[0]
+            if cert is None:
+                assert not full.epsilon < beat
+            else:
+                assert_same_certificate(cert, full)
+            return cert, responses
+
         patch.setattr(equilibrium, "_approx_certificate", checked)
         assert_same_search(search_equilibrium(game, config), lazy)
 
@@ -810,7 +803,8 @@ def test_converged_newton_profile_certifies(monkeypatch):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(equilibrium, "NEWTON_CHECKPOINTS", ())
             patch.setattr(equilibrium, "_newton_proposal", lambda *args: (None, math.inf))
-            start = search_equilibrium(game, SearchConfig(restarts=1, max_iterations=8)).profile
+            patch.setattr(equilibrium, "MAX_ITERATIONS", 8)
+            start = search_equilibrium(game, SearchConfig(restarts=1)).profile
         cert, responses = equilibrium._approx_certificate(game, start, 1e-8)
         if not all(br.feasible for br in responses):
             continue

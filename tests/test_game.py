@@ -296,7 +296,8 @@ def test_derived_objects_are_what_the_public_constructors_build(seed, n_players,
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(equilibrium, "_approx_certificate", recorded)
-        found = search_equilibrium(game, SearchConfig(restarts=1, max_iterations=3)).profile
+        patch.setattr(equilibrium, "MAX_ITERATIONS", 3)
+        found = search_equilibrium(game, SearchConfig(restarts=1)).profile
     mdps = [induced_mdp(game, i, profile.rows[:i] + profile.rows[i + 1:])
             for i in range(n_players)]
     assert any(found is p for p in considered)
