@@ -51,6 +51,8 @@ from .game import (
     FiniteCSG,
     MarkovStrategy,
     StationaryProfile,
+    _frozen_array,
+    _real,
     product_strategy,
     validate_game,
     validate_spec,
@@ -462,8 +464,8 @@ def cmd_transform(args):
         raise ValidationFailure(
             f"{args.game}: transform needs a 'transform' block with 'omega' and 'beta'")
     try:
-        omega = np.array(block["omega"], dtype=float)
-        beta = float(block["beta"])
+        omega = _frozen_array(block["omega"])
+        beta = _real(block["beta"], "beta")
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{args.game}: malformed transform block: {exc}") from exc
     wg = wessels_transform(game, omega, beta)

@@ -134,26 +134,6 @@ class StatewiseCertificate:
     concept: str = "statewise"
 
 
-def _budget_excess(game, cost_vector, player):
-    """max_l (J_l - kappa_l) of a player, or None without constraint layers."""
-    if not game.n_layers:
-        return None
-    return float(np.max(cost_vector.J[player, 1:] - game.constraint_bounds[player]))
-
-
-def _player_certificate(cost_vector, player, excess, br):
-    layer_values = cost_vector.J[player]
-    vacuous = not br.feasible
-    return PlayerCertificate(
-        objective=float(layer_values[0]),
-        constraint_values=layer_values[1:].copy(),
-        feasibility_excess=excess,
-        best_response_value=None if vacuous else float(br.value),
-        best_response_gap=None if vacuous else float(layer_values[0] - br.value),
-        vacuous=vacuous,
-    )
-
-
 def _certificate(concept, players, threshold, feas_tol, gap_tol):
     # Written as `not x <= bound`, so a NaN threshold fails the certificate.
     passed = True
@@ -184,20 +164,30 @@ def _certify(concept, game, cost_vector, mdp_of, threshold, feas_tol, gap_tol, b
     player's LP is solved.  A finite `beat` bounds the search's interest:
     once a part of the certificate reaches it, its epsilon cannot fall below
     `beat` (the max only grows, or is NaN if an earlier part was), so
-    (None, None) is returned with no further LP.  Budget excesses, which need
-    no LP, are checked first, then each player's epsilon as its LP is solved.
+    (None, None) is returned with no further LP.  Budget excesses
+    max_l (J_l - kappa_l), which need no LP (None without layers), are
+    checked first, then each player's epsilon as its LP is solved.
     A NaN on either side is never `>= beat`, so it never stops the work.
     """
     def out_of_reach(value):
         return beat < math.inf and value is not None and value >= beat
 
-    excesses = [_budget_excess(game, cost_vector, i) for i in range(game.n_players)]
+    excesses = [float(np.max(cost_vector.J[i, 1:] - game.constraint_bounds[i]))
+                if game.n_layers else None for i in range(game.n_players)]
     if any(out_of_reach(excess) for excess in excesses):
         return None, None
     players, responses = [], []
     for i, excess in enumerate(excesses):
         br = constrained_best_response(mdp_of(i))
-        players.append(_player_certificate(cost_vector, i, excess, br))
+        layer_values, vacuous = cost_vector.J[i], not br.feasible
+        players.append(PlayerCertificate(
+            objective=float(layer_values[0]),
+            constraint_values=layer_values[1:].copy(),
+            feasibility_excess=excess,
+            best_response_value=None if vacuous else float(br.value),
+            best_response_gap=None if vacuous else float(layer_values[0] - br.value),
+            vacuous=vacuous,
+        ))
         if out_of_reach(players[-1].epsilon):
             return None, None
         responses.append(br)
@@ -273,18 +263,21 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """The best certificate a search found and its profile.  newton_attempts
-    counts the Newton finishes tried, and newton_adopted those whose profile
-    had a strictly better certificate than the best so far."""
+    """The best certificate a search found, at its target, and its profile;
+    `converged` is that verdict.  newton_attempts counts the Newton finishes
+    tried, and newton_adopted those whose profile certified strictly better."""
 
     profile: StationaryProfile
     certificate: EquilibriumCertificate
     iterations: int
     restarts_used: int
-    converged: bool
     skipped: tuple = field(default_factory=tuple)
     newton_attempts: int = 0
     newton_adopted: int = 0
+
+    @property
+    def converged(self):
+        return self.certificate.passed
 
 
 def _uniform_profile(game):
@@ -491,15 +484,17 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
     Each iteration computes every player's constrained best response; both the
     undamped best-response profile (the candidate) and the damped iterate,
     which moves a fraction DAMPING of the way to the responses, are
-    considered, and the best certificate seen is returned (the search never
-    returns without one).  Iterations where a player's deviation set is empty
-    skip that player's update and are logged in `skipped`.
+    considered, and the best certificate seen (least epsilon) is returned;
+    the search never returns without one.  Profiles are certified at the
+    target, and the search stops once the best certificate passes, as
+    `verify` would judge it.  Iterations where a player's deviation set is
+    empty skip that player's update and are logged in `skipped`.
 
     Certifying a profile solves each player's best-response LP against it, so
     each restart first certifies its starting profile (`initial`, the uniform
     profile or a seeded random one), whose certificate holds the first
     iteration's best responses, and each damped iterate's certificate holds
-    the next iteration's.  A warm start that already meets the target thus
+    the next iteration's.  A warm start whose certificate passes thus
     ends the search after its N LPs, with no iteration.  The candidate's best
     responses drive no move; it only matters if its epsilon is below the best
     so far, so its certificate stops, with no further LP, as soon as a budget
@@ -525,9 +520,6 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
     skipped = []
     iterations = restarts_used = 0
 
-    def converged():
-        return best[1].epsilon <= config.target_epsilon
-
     def consider(profile, bounded):
         nonlocal best
         beat = best[1].epsilon if bounded else math.inf
@@ -537,7 +529,7 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
         return responses
 
     def finish():
-        """Try a Newton finish from the best profile; True once converged."""
+        """Try a Newton finish from the best profile; True once best passes."""
         nonlocal newton_from, newton_attempts, newton_adopted
         profile, _, responses = best
         if profile is newton_from or not all(br.feasible for br in responses):
@@ -548,7 +540,7 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
         if proposal is not None:
             consider(proposal, bounded=True)
             newton_adopted += best[0] is proposal
-        return converged()
+        return best[1].passed
 
     for restart in range(config.restarts):
         restarts_used = restart + 1
@@ -559,7 +551,7 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
             profile = StationaryProfile(tuple(rng.dirichlet(np.ones(a), size=game.n_states)
                                               for a in game.n_actions))
         responses = consider(profile, bounded=False)
-        if converged():
+        if best[1].passed:
             break
         for k in range(1, MAX_ITERATIONS + 1):
             iterations += 1
@@ -569,7 +561,7 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
             consider(_derived(StationaryProfile, rows=tuple(
                 br.strategy if br.feasible else row
                 for br, row in zip(responses, profile.rows))), bounded=True)
-            if converged():
+            if best[1].passed:
                 break
             damped_rows = tuple(
                 (1.0 - DAMPING) * row + DAMPING * br.strategy if br.feasible else row
@@ -578,23 +570,15 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
                        for new, old in zip(damped_rows, profile.rows))
             profile = _derived(StationaryProfile, rows=damped_rows)
             responses = consider(profile, bounded=False)
-            if converged() or step < 1e-13:
+            if best[1].passed or step < 1e-13:
                 break
             if k in NEWTON_CHECKPOINTS and finish():
                 break
-        if converged() or finish():
+        if best[1].passed or finish():
             break
 
-    return SearchResult(
-        profile=best[0],
-        certificate=best[1],
-        iterations=iterations,
-        restarts_used=restarts_used,
-        converged=converged(),
-        skipped=tuple(skipped),
-        newton_attempts=newton_attempts,
-        newton_adopted=newton_adopted,
-    )
+    return SearchResult(best[0], best[1], iterations, restarts_used, tuple(skipped),
+                        newton_attempts, newton_adopted)
 
 
 @dataclass(frozen=True)
@@ -621,9 +605,12 @@ def correlated_limit_sequence(game, epsilon0, n_levels, config=SearchConfig()):
 
     Level n targets epsilon0 / 2^n for n = 0..n_levels and also reports the
     state-space resolution that would certify that accuracy after
-    discretization.  Each level's profile is certified at its target: the
-    search's certificate of that profile is re-thresholded at epsilon0 / 2^n,
-    which solves no LP, since only the threshold differs.  The last product is
+    discretization.  Certificates are re-thresholded, which solves no LP.
+    The one in hand, of the last level's profile, is checked at the level's
+    search target min(epsilon0 / 2^n, config.target_epsilon); the level is
+    searched from that profile only if it fails, since such a search would
+    certify the profile first and stop there.  The level's certificate is
+    the profile's at epsilon0 / 2^n.  The last product is
     re-verified as a weak correlated equilibrium and its residual reported.
     The sequence stops early (completed=False) if some level's target cannot
     be certified, and raises ValueError up front if the last target is 0.0.
@@ -634,17 +621,20 @@ def correlated_limit_sequence(game, epsilon0, n_levels, config=SearchConfig()):
         raise ValueError(f"n_levels must be nonnegative; got {n_levels}")
     if math.ldexp(epsilon0, -n_levels) == 0.0:
         raise ValueError(f"epsilon0 / 2^{n_levels} underflows to 0 for epsilon0 = {epsilon0!r}")
-    levels = []
-    warm = None
-    completed = True
+
+    def at(threshold):
+        return _certificate("approximate", found.certificate.players, threshold,
+                            FEASIBILITY_TOL, GAP_TOL)
+
+    levels, found = [], None
     for n in range(n_levels + 1):
         eps_n = math.ldexp(epsilon0, -n)
         target = min(eps_n, config.target_epsilon)
-        found = search_equilibrium(game, replace(config, target_epsilon=target), initial=warm)
-        cert = _certificate("approximate", found.certificate.players, eps_n,
-                            FEASIBILITY_TOL, GAP_TOL)
+        if found is None or not at(target).passed:
+            found = search_equilibrium(game, replace(config, target_epsilon=target),
+                                       initial=None if found is None else found.profile)
+        cert = at(eps_n)
         if not cert.passed:
-            completed = False
             break
         levels.append(SequenceLevel(
             index=n,
@@ -653,12 +643,6 @@ def correlated_limit_sequence(game, epsilon0, n_levels, config=SearchConfig()):
             profile=found.profile,
             certificate=cert,
         ))
-        warm = found.profile
-    final = None
-    if levels:
-        final = verify_weak_correlated(game, product_strategy(levels[-1].profile))
-    return CorrelatedSequenceResult(
-        levels=tuple(levels),
-        final_certificate=final,
-        completed=completed,
-    )
+    final = verify_weak_correlated(game, product_strategy(levels[-1].profile)) if levels else None
+    return CorrelatedSequenceResult(levels=tuple(levels), final_certificate=final,
+                                    completed=len(levels) == n_levels + 1)

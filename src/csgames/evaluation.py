@@ -3,14 +3,14 @@
 All evaluators return normalized values J = (1 - alpha) E[sum alpha^(t-1) c].
 Every exact evaluation, and the occupation measure of best_response, goes
 through one LU solve of (I - alpha * K) x = b in `_discounted_solve`, checked
-against RESIDUAL_TOL.  The solve calls LAPACK's getrf and getrs directly, the
-routines scipy.linalg.lu_factor and lu_solve wrap, so it gives their answers
-bit for bit without their per-call checks; an inf or NaN in the system
-reaches the residual, so non-finite input raises RuntimeError.  They come
-from scipy.linalg._flapack, which `_compiled.load` loads by file without
-importing scipy.linalg (see `_compiled` for what that saves).  One
-factorization serves all players and cost layers, since the kernel under a
-fixed joint strategy does not depend on them.
+against RESIDUAL_TOL times max(1, |x|_inf).  The solve calls LAPACK's getrf
+and getrs directly, the routines scipy.linalg.lu_factor and lu_solve wrap,
+so it gives their answers bit for bit without their per-call checks; an inf
+or NaN in the system reaches the residual, so non-finite input raises
+RuntimeError.  They come from scipy.linalg._flapack, which `_compiled.load`
+loads by file without importing scipy.linalg (see `_compiled` for what that
+saves).  One factorization serves all players and cost layers, since the
+kernel under a fixed joint strategy does not depend on them.
 
 `simulate` samples every step by inverse transform over row CDFs with one
 exact sampler, `_advance`: a branchless binary search for the first CDF
@@ -122,10 +122,10 @@ def _discounted_solve(kernel, discount, rhs):
     LAPACK's getrf and getrs, the routines scipy.linalg.lu_factor and
     lu_solve call, do the work, so x is theirs bit for bit; an exactly zero
     pivot warns LinAlgWarning as lu_factor does.  rhs may hold several
-    right-hand sides as columns.  Raises RuntimeError if the solve residual
-    exceeds RESIDUAL_TOL or is NaN (a sign of a malformed kernel).  Non-finite
-    input raises it too, unless rhs has no entry to check: an inf or NaN in
-    the system or in rhs makes the residual inf or NaN.
+    right-hand sides as columns.  Raises RuntimeError if x is not finite or
+    the residual is NaN or exceeds RESIDUAL_TOL * max(1, |x|_inf), a sign of
+    a malformed kernel.  An inf or NaN in the system or in rhs makes x or the
+    residual so, and raises it too, unless rhs has no entry to check.
     """
     a_mat = np.eye(kernel.shape[0]) - discount * kernel
     lu, piv, info = _GETRF(a_mat)
@@ -135,9 +135,10 @@ def _discounted_solve(kernel, discount, rhs):
         warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
                       LinAlgWarning, stacklevel=2)
     x = _GETRS(lu, piv, rhs)[0]
-    residual = np.abs(a_mat @ x - rhs).max() if x.size else 0.0
-    if not residual <= RESIDUAL_TOL:
-        raise RuntimeError(f"policy evaluation residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}")
+    residual, size = (np.abs(a_mat @ x - rhs).max(), np.abs(x).max()) if x.size else (0.0, 0.0)
+    bound = RESIDUAL_TOL * max(1.0, size)  # relative for large x; a non-finite x fails
+    if not (residual <= bound and size < math.inf):
+        raise RuntimeError(f"policy evaluation residual {residual:.3e} exceeds {bound:.1e}")
     return x
 
 

@@ -43,9 +43,21 @@ ROW_SUM_TOL = 1e-9
 
 
 def _frozen_array(x, dtype=float):
-    a = np.array(x, dtype=dtype)
+    """x as a read-only array of `dtype` (numpy's own if None); strings, which
+    numpy would parse, raise ValueError.  Only object arrays are searched."""
+    a = np.array(x)
+    if a.dtype.kind in "SU" or a.dtype.kind == "O" and any(isinstance(v, str) for v in a.flat):
+        raise ValueError("expected numbers, found strings")
+    a = a if dtype is None else a.astype(dtype, copy=False)
     a.setflags(write=False)
     return a
+
+
+def _real(value, what):
+    """float(value), refusing a string, which float() would parse."""
+    if isinstance(value, str):
+        raise ValueError(f"{what} must be a number; got {value!r}")
+    return float(value)
 
 
 def _derived(cls, **fields):
@@ -151,8 +163,8 @@ class FiniteCSG:
         object.__setattr__(self, "transitions", trans)
         object.__setattr__(self, "initial", init)
         object.__setattr__(self, "constraint_bounds", bounds)
-        object.__setattr__(self, "discount", float(self.discount))
-        object.__setattr__(self, "cost_bound", float(self.cost_bound))
+        object.__setattr__(self, "discount", _real(self.discount, "discount"))
+        object.__setattr__(self, "cost_bound", _real(self.cost_bound, "cost_bound"))
 
     @property
     def n_players(self):

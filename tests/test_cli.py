@@ -114,6 +114,27 @@ def test_evaluate_zero_costs(tmp_path):
     np.testing.assert_allclose(report["results"]["values"], 0.0, atol=1e-15)
 
 
+def test_evaluate_and_verify_large_costs(tmp_path):
+    # Scaled by 1e7, the values' solve residual is about 4e-10, as accurate
+    # relative to them as the unscaled solve; an absolute 1e-10 bound made
+    # this valid game exit 4.
+    rng = np.random.default_rng(3)
+    game = sample_games.random_game(rng, 2, 30, (2, 2), discount=0.99)
+    strat = write_profile(tmp_path, sample_games.random_profile(rng, game))
+    big = replace(game, costs=game.costs * 1e7, constraint_bounds=game.constraint_bounds * 1e7,
+                  cost_bound=1e7)
+    values = {}
+    for name, g in (("small", game), ("big", big)):
+        path = write_game(tmp_path, g, name=f"{name}.json")
+        out = tmp_path / name
+        assert main(["evaluate", path, strat, "--out-dir", str(out)]) == EXIT_OK
+        values[name] = np.array(read_json(out, "evaluate.report.json")["results"]
+                                ["values_per_state"])
+        assert main(["verify", path, strat, "--epsilon", "1e9",
+                     "--out-dir", str(out)]) == EXIT_OK
+    np.testing.assert_allclose(values["big"], 1e7 * values["small"], rtol=1e-12, atol=0.0)
+
+
 def test_malformed_json_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{this is not json")
@@ -188,13 +209,25 @@ def test_unreadable_game_exits_2(tmp_path, capsys, case, message):
     ("spec", "weights", None),
     ("spec", "weights", 0),
     ("spec", "weights", 2.5),
+    ("game", "discount", "0.5"),
+    ("game", "cost_bound", "1"),
+    ("game", "initial", ["1.0", "0.0"]),
+    ("game", "initial", [1.0, "0.0"]),
+    ("game", "initial", [None, "0.0"]),
+    ("strategy", "rows", [[["0.75", "0.25"], ["0.75", "0.25"]]]),
+    ("spec", "weights", ["0.5"] * 101),
 ], ids=["game-kind-list", "game-kind-object", "game-n_actions-inf", "strategy-class-list",
         "strategy-rows-scalars", "spec-kind-object", "spec-points-null", "spec-points-0",
-        "spec-points-2.5", "spec-weights-null", "spec-weights-0", "spec-weights-2.5"])
+        "spec-points-2.5", "spec-weights-null", "spec-weights-0", "spec-weights-2.5",
+        "game-discount-string", "game-cost_bound-string", "game-initial-strings",
+        "game-initial-number-and-string", "game-initial-null-and-string",
+        "strategy-rows-strings", "spec-weights-strings"])
 def test_malformed_document_exits_2(tmp_path, capsys, document, key, value):
     # Each of these escaped main as a TypeError (an unhashable tag), an
     # IndexError (a shape read before the rank was checked) or an
-    # OverflowError (an action count of Infinity, which json reads).
+    # OverflowError (an action count of Infinity, which json reads), or, for
+    # numbers written as JSON strings, was parsed as the number; a float field
+    # now refuses a string as an integer field does.
     docs = {"game": game_to_payload(sample_games.trap_game()),
             "strategy": strategy_to_payload(sample_games.trap_profile(0.75)),
             "spec": spec_to_payload(sample_games.linear_cost_grid_spec())}
@@ -476,6 +509,21 @@ def test_solve_unreachable_target_exits_1(tmp_path):
     assert report["results"]["newton_attempts"] >= 1
 
 
+def test_solve_exits_0_when_its_certificate_passes(tmp_path):
+    # The search's best certificate here has epsilon 6.2801364607e-4, in the
+    # band (target, target + GAP_TOL] where the certificate passes.  The
+    # search used to require epsilon <= target: it ran all 60 iterations and
+    # exited 1 while writing a passing certificate.
+    game = str(Path(__file__).parent / "data" / "golden" / "inputs" / "rand2.game.json")
+    assert main(["solve", game, "--restarts", "1", "--seed", "3",
+                 "--target-eps", "0.00062801364", "--out-dir", str(tmp_path)]) == EXIT_OK
+    report = read_json(tmp_path, "solve.report.json")["results"]
+    cert = read_json(tmp_path, "solve.certificate.json")
+    assert report["achieved"] and cert["passed"]
+    assert 0.00062801364 < cert["epsilon"] <= 0.00062801364 + 1e-8
+    assert report["iterations"] < 60
+
+
 def test_solve_finds_interior_mixed_equilibrium(tmp_path):
     # Damped best responses circle the mixed equilibrium; the Newton finish
     # lands on it, and the certificate confirms it.
@@ -633,6 +681,20 @@ def test_transform_kernel_growth_exits_3(tmp_path, capsys):
 def test_transform_malformed_block_exits_2(tmp_path, capsys):
     game = write_game(tmp_path, sample_games.constrained_trap_game(),
                       extra={"transform": {"omega": [2.0, 2.0], "beta": "x"}})
+    assert main(["transform", game, "--out-dir", str(tmp_path)]) == EXIT_PARSE
+    assert "malformed transform block" in capsys.readouterr().err
+    assert not (tmp_path / "transform.game.json").exists()
+
+
+@pytest.mark.parametrize("omega, beta", [
+    ([2.0, 2.0], "1.2"),
+    (["2.0", "2.0"], 1.2),
+    ([2.0, "2.0"], 1.2),
+], ids=["beta-string", "omega-strings", "omega-number-and-string"])
+def test_transform_block_numbers_written_as_strings_exit_2(tmp_path, capsys, omega, beta):
+    # float() and numpy parse "1.2"; such a block used to load as numbers.
+    game = write_game(tmp_path, sample_games.constrained_trap_game(),
+                      extra={"transform": {"omega": omega, "beta": beta}})
     assert main(["transform", game, "--out-dir", str(tmp_path)]) == EXIT_PARSE
     assert "malformed transform block" in capsys.readouterr().err
     assert not (tmp_path / "transform.game.json").exists()

@@ -366,6 +366,39 @@ def test_sequence_targets_below_2_to_the_minus_1024(pair):
     assert seq.levels[-1].epsilon_target == math.ldexp(0.1, -1030) > 0.0
 
 
+def test_sequence_searches_only_levels_its_profile_misses(monkeypatch):
+    # Level 0's search reaches epsilon <= 1e-8, the search target of every
+    # later level; each is certified by re-thresholding, with no LP.  The
+    # sequence used to search again at each level, and each such search
+    # certified the profile it was given with N more LPs before stopping.
+    lps = []
+
+    def counted(mdp):
+        lps.append(1)
+        return constrained_best_response(mdp)
+
+    monkeypatch.setattr(equilibrium, "constrained_best_response", counted)
+    counts = {}
+    for n_levels in (0, 3):
+        lps.clear()
+        seq = correlated_limit_sequence(sample_games.decoupled_pair(), 0.1, n_levels)
+        assert seq.completed and len(seq.levels) == n_levels + 1
+        counts[n_levels] = len(lps)
+    assert counts[3] == counts[0]
+
+
+def test_sequence_level_searches_when_its_target_fails(pair):
+    # A level whose target the profile in hand misses is searched again,
+    # warm-started from that profile: a search target above its epsilon
+    # makes level 1's re-threshold fail.
+    seq = correlated_limit_sequence(pair, 0.2, 1, SearchConfig(target_epsilon=0.15))
+    first = search_equilibrium(pair, SearchConfig(target_epsilon=0.15))
+    second = search_equilibrium(pair, SearchConfig(target_epsilon=0.1), initial=first.profile)
+    assert seq.completed and first.certificate.epsilon > 0.1 + equilibrium.GAP_TOL
+    for level, found in zip(seq.levels, (first, second)):
+        assert all(np.array_equal(x, y) for x, y in zip(level.profile.rows, found.profile.rows))
+
+
 def test_certificate_epsilon_decomposition(ctrap):
     cert = verify_approx_equilibrium(ctrap, sample_games.trap_profile(0.5), 1.0)
     pc = cert.players[0]
@@ -469,7 +502,7 @@ def reference_search(game, config, initial=None, newton=True):
         best["lps"] += lps_needed(cert, beat)
         if best["cert"] is None or cert.epsilon < best["cert"].epsilon:
             best["profile"], best["cert"] = profile, cert
-        if best["cert"].epsilon <= config.target_epsilon:
+        if best["cert"].passed:
             best["converged"] = True
 
     def best_responses(profile):
