@@ -610,10 +610,10 @@ def correlated_limit_sequence(game, epsilon0, n_levels, config=SearchConfig()):
     search target min(epsilon0 / 2^n, config.target_epsilon); the level is
     searched from that profile only if it fails, since such a search would
     certify the profile first and stop there.  The level's certificate is
-    the profile's at epsilon0 / 2^n.  The last product is
-    re-verified as a weak correlated equilibrium and its residual reported.
-    The sequence stops early (completed=False) if some level's target cannot
-    be certified, and raises ValueError up front if the last target is 0.0.
+    the profile's at epsilon0 / 2^n.  The last product is re-verified as a
+    weak correlated equilibrium and its residual reported.  The sequence
+    stops early (completed=False) if some level's target cannot be
+    certified, and raises ValueError up front if the last target is 0.0.
     """
     if not epsilon0 > 0.0:
         raise ValueError(f"epsilon0 must be positive; got {epsilon0}")
