@@ -6,15 +6,20 @@ target was not certified (outputs are still written), 2 input could not be
 parsed (or is not UTF-8 text), 3 input parsed but failed validation or a
 precondition, 4 the solver failed numerically.
 
+`verify` certifies every concept at --epsilon: each budget excess and gap
+may exceed it by no more than its tolerance, whatever the concept.
+
 Documents are JSON with explicit shapes.  Their keys are the field names of
-the dataclass they hold, next to a schema tag and a few derived sizes, so one
-encoder writes them and one constructor reads them.  Floats are serialized
-with Python's shortest round-trip representation, so write-read-write is
-byte-stable.  Every document is byte for byte what json.dumps(payload,
-indent=2, sort_keys=True) writes, with numpy values and dataclasses in their
-_plain form; _dump only writes number lists faster.  All randomness derives
-from --seed (default 0).  Reports are byte-identical for identical inputs
-and seed, except for the timing block.
+the dataclass they hold, next to a schema tag and the sizes it declares
+(_sizes), so one encoder writes them and one constructor reads them.  A
+declared size other than the built object's, and a string or boolean where a
+number goes, is a parse error.  Floats are serialized with Python's shortest
+round-trip representation, so write-read-write is byte-stable.  Every
+document is byte for byte what json.dumps(payload, indent=2, sort_keys=True)
+writes, with numpy values and dataclasses in their _plain form; _dump only
+writes number lists faster.  All randomness derives from --seed (default 0).
+Reports are byte-identical for identical inputs and seed, except for the
+timing block.
 """
 
 import argparse
@@ -34,7 +39,6 @@ from . import __version__
 from .best_response import constrained_best_response
 from .discretization import build_partition, resolution_for, surrogate_game
 from .equilibrium import (
-    GAP_TOL,
     SearchConfig,
     _induced_mdp,
     correlated_limit_sequence,
@@ -52,6 +56,7 @@ from .game import (
     MarkovStrategy,
     StationaryProfile,
     _frozen_array,
+    _integer,
     _real,
     product_strategy,
     validate_game,
@@ -184,17 +189,24 @@ def _field(doc, key, path):
     return doc.pop(key)
 
 
+def _sizes(obj):
+    """The sizes a game or grid spec document declares next to its fields."""
+    if isinstance(obj, FiniteCSG):
+        return {"n_states": obj.n_states, "n_constraint_layers": obj.n_layers}
+    if isinstance(obj, ContinuousGameSpec):
+        return {"n_points": obj.n_points, "n_constraint_layers": obj.game.n_layers}
+    return {}
+
+
 def game_to_payload(game, extra=None):
-    payload = {"schema": GAME_SCHEMA, "kind": "finite", "n_states": game.n_states,
-               "n_constraint_layers": game.n_layers, **_plain(game)}
+    payload = {"schema": GAME_SCHEMA, "kind": "finite", **_sizes(game), **_plain(game)}
     if extra:
         payload.update(extra)
     return payload
 
 
 def spec_to_payload(spec):
-    return {"schema": GAME_SCHEMA, "kind": "grid", "n_points": spec.n_points,
-            "n_constraint_layers": spec.game.n_layers, **_plain(spec)}
+    return {"schema": GAME_SCHEMA, "kind": "grid", **_sizes(spec), **_plain(spec)}
 
 
 def strategy_to_payload(strategy):
@@ -214,7 +226,8 @@ def _load(path, schema, tag, classes):
     """Parse a document of `schema` whose `tag` entry names one of `classes`,
     and build that dataclass from the document fields of the same names,
     which leave the document: a game's nested lists of floats die as soon as
-    the constructor has copied them.  Returns the dataclass and the rest."""
+    the constructor has copied them.  Each size the document declares must be
+    the built object's (_sizes).  Returns the dataclass and the rest."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
@@ -226,7 +239,11 @@ def _load(path, schema, tag, classes):
         raise ParseError(f"{path}: expected {tag} {' or '.join(map(repr, classes))}, "
                          f"found {name!r}")
     try:
-        return cls(**{f.name: _field(doc, f.name, path) for f in fields(cls)}), doc
+        obj = cls(**{f.name: _field(doc, f.name, path) for f in fields(cls)})
+        for key, size in _sizes(obj).items():
+            if key in doc and _integer(doc[key], key) != size:
+                raise ValueError(f"declares {key} {doc[key]}, but its arrays give {size}")
+        return obj, doc
     except (TypeError, ValueError, OverflowError) as exc:  # int(Infinity) overflows
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -393,15 +410,12 @@ def cmd_best_respond(args):
 
 def cmd_verify(args):
     game, _ = load_game(args.game)
-    strategy = load_strategy(args.strategy)
-    if args.concept == "weak-correlated":
-        psi = _require_class(strategy, args.strategy, "correlated")
-        cert = verify_weak_correlated(game, psi, tol=args.tol)
-    else:
-        profile = _require_class(strategy, args.strategy, "stationary")
-        verify = (verify_statewise_equilibrium if args.concept == "statewise"
-                  else verify_approx_equilibrium)
-        cert = verify(game, profile, args.epsilon)
+    # Looked up at each call, so a wrapper put in this module's namespace runs.
+    verify, wanted = {"approx": (verify_approx_equilibrium, "stationary"),
+                      "statewise": (verify_statewise_equilibrium, "stationary"),
+                      "weak-correlated": (verify_weak_correlated, "correlated")}[args.concept]
+    strategy = _require_class(load_strategy(args.strategy), args.strategy, wanted)
+    cert = verify(game, strategy, args.epsilon)
     payload = certificate_to_payload(cert)
     verdict = "PASS" if cert.passed else "FAIL"
     print(f"{verdict} {payload['concept']}: certified epsilon {cert.epsilon:.6g} "
@@ -550,9 +564,7 @@ def build_parser():
     p.add_argument("--concept", choices=["approx", "statewise", "weak-correlated"],
                    default="approx")
     p.add_argument("--epsilon", type=_number("--epsilon"), default=0.0,
-                   help="accuracy to certify (approx/statewise)")
-    p.add_argument("--tol", type=_number("--tol"), default=GAP_TOL,
-                   help="numerical slack (weak-correlated)")
+                   help="accuracy to certify")
 
     p = command(cmd_solve, "search for an approximate equilibrium", "game")
     p.add_argument("--target-eps", type=_number("--target-eps"),

@@ -8,9 +8,9 @@ Three checkable solution concepts:
   distribution);
 * statewise equilibrium: per-initial-state epsilon-optimality with the
   constraint layers ignored;
-* weak correlated equilibrium: a correlated strategy meets the budgets and no
-  player gains by abandoning the correlation device against the others'
-  marginal.
+* weak correlated equilibrium: a correlated strategy meets the budgets up to
+  epsilon and no player gains more than epsilon by abandoning the correlation
+  device against the others' marginal.
 
 Deviation infima are exact finite LPs over occupation measures, so every
 certificate is a checked numerical statement, not a heuristic.  The search
@@ -134,13 +134,11 @@ class StatewiseCertificate:
     concept: str = "statewise"
 
 
-def _certificate(concept, players, threshold, feas_tol, gap_tol):
-    # Written as `not x <= bound`, so a NaN threshold fails the certificate.
-    passed = True
-    for cert in players:
-        for value, tol in ((cert.feasibility_excess, feas_tol), (cert.best_response_gap, gap_tol)):
-            if value is not None and not value <= threshold + tol:
-                passed = False
+def _certificate(concept, players, threshold):
+    # A NaN part or threshold fails `value <= threshold + tol`, and so the certificate.
+    passed = all(value is None or value <= threshold + tol for cert in players
+                 for value, tol in ((cert.feasibility_excess, FEASIBILITY_TOL),
+                                    (cert.best_response_gap, GAP_TOL)))
     epsilon = max(cert.epsilon for cert in players)
     return EquilibriumCertificate(
         concept=concept,
@@ -156,9 +154,10 @@ def _induced_mdp(game, profile, player):
     return induced_mdp(game, player, profile.rows[:player] + profile.rows[player + 1:])
 
 
-def _certify(concept, game, cost_vector, mdp_of, threshold, feas_tol, gap_tol, beat=math.inf):
+def _certify(concept, game, cost_vector, mdp_of, threshold, beat=math.inf):
     """The certificate of the players' cost vector against the constrained
-    best responses in their induced MDPs, and those BestResponseResults.
+    best responses in their induced MDPs, judged at `threshold` by
+    _certificate whatever the concept, and those BestResponseResults.
 
     mdp_of(i) builds player i's induced MDP; it is called just before that
     player's LP is solved.  A finite `beat` bounds the search's interest:
@@ -191,7 +190,7 @@ def _certify(concept, game, cost_vector, mdp_of, threshold, feas_tol, gap_tol, b
         if out_of_reach(players[-1].epsilon):
             return None, None
         responses.append(br)
-    return _certificate(concept, players, threshold, feas_tol, gap_tol), responses
+    return _certificate(concept, players, threshold), responses
 
 
 def verify_approx_equilibrium(game, profile, epsilon):
@@ -210,8 +209,7 @@ def _approx_certificate(game, profile, epsilon, beat=math.inf):
     per-player BestResponseResults it was computed from; (None, None) once it
     cannot beat `beat` (see _certify)."""
     return _certify("approximate", game, evaluate_profile(game, profile),
-                    lambda i: _induced_mdp(game, profile, i), epsilon,
-                    FEASIBILITY_TOL, GAP_TOL, beat=beat)
+                    lambda i: _induced_mdp(game, profile, i), epsilon, beat=beat)
 
 
 def verify_statewise_equilibrium(game, profile, epsilon):
@@ -237,13 +235,15 @@ def verify_statewise_equilibrium(game, profile, epsilon):
     )
 
 
-def verify_weak_correlated(game, psi, tol=GAP_TOL):
-    """Certify a correlated strategy: budgets hold and no player improves by
-    playing the induced MDP against the others' marginal."""
+def verify_weak_correlated(game, psi, epsilon=0.0):
+    """Certify a correlated strategy at accuracy epsilon, judged as
+    verify_approx_equilibrium judges: budgets hold and no player improves by
+    playing the induced MDP against the others' marginal.  A product
+    strategy's parts are those of its profile's approximate certificate."""
     cv = evaluate_correlated(game, psi)
     return _certify("weak-correlated", game, cv,
                     lambda i: induced_mdp_from_marginal(game, i, marginal_excluding(psi, i)),
-                    0.0, tol, tol)[0]
+                    epsilon)[0]
 
 
 @dataclass(frozen=True)
@@ -623,8 +623,7 @@ def correlated_limit_sequence(game, epsilon0, n_levels, config=SearchConfig()):
         raise ValueError(f"epsilon0 / 2^{n_levels} underflows to 0 for epsilon0 = {epsilon0!r}")
 
     def at(threshold):
-        return _certificate("approximate", found.certificate.players, threshold,
-                            FEASIBILITY_TOL, GAP_TOL)
+        return _certificate("approximate", found.certificate.players, threshold)
 
     levels, found = [], None
     for n in range(n_levels + 1):

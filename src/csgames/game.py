@@ -23,6 +23,7 @@ derived from validated ones (induced MDPs, search iterates) use `_derived`.
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -42,20 +43,35 @@ __all__ = [
 ROW_SUM_TOL = 1e-9
 
 
+def _holds_bool(x, a):
+    """Whether the nested list x, which numpy read as the array a, holds a
+    bool.  numpy reads a bool as 0 or 1, so only an a holding one of them
+    has its list walked: one set of the entries' types, at a's depth."""
+    if not (np.any(a == 0) or np.any(a == 1)):  # one mask at a time keeps the peak low
+        return False
+    for _ in range(a.ndim - 1):
+        x = chain.from_iterable(x)
+    return bool in set(map(type, x))
+
+
 def _frozen_array(x, dtype=float):
-    """x as a read-only array of `dtype` (numpy's own if None); strings, which
-    numpy would parse, raise ValueError.  Only object arrays are searched."""
+    """x as a read-only array of `dtype` (numpy's own if None).  Strings,
+    which numpy would parse, and booleans, which it would read as 0 and 1,
+    raise ValueError.  Only object arrays are searched for strings, and only
+    lists for booleans (_holds_bool); an array is judged by its kind."""
     a = np.array(x)
     if a.dtype.kind in "SU" or a.dtype.kind == "O" and any(isinstance(v, str) for v in a.flat):
         raise ValueError("expected numbers, found strings")
+    if a.dtype.kind == "b" or isinstance(x, list) and _holds_bool(x, a):
+        raise ValueError("expected numbers, found booleans")
     a = a if dtype is None else a.astype(dtype, copy=False)
     a.setflags(write=False)
     return a
 
 
 def _real(value, what):
-    """float(value), refusing a string, which float() would parse."""
-    if isinstance(value, str):
+    """float(value), refusing a string or a bool, which float() would take."""
+    if isinstance(value, (str, bool, np.bool_)):
         raise ValueError(f"{what} must be a number; got {value!r}")
     return float(value)
 

@@ -216,18 +216,36 @@ def test_unreadable_game_exits_2(tmp_path, capsys, case, message):
     ("game", "initial", [None, "0.0"]),
     ("strategy", "rows", [[["0.75", "0.25"], ["0.75", "0.25"]]]),
     ("spec", "weights", ["0.5"] * 101),
+    ("game", "initial", [True, False]),
+    ("game", "initial", [True, 0.0]),
+    ("game", "cost_bound", True),
+    ("game", "discount", False),
+    ("strategy", "rows", [[[True, False], [True, False]]]),
+    ("spec", "weights", [True] + [0.0] * 100),
+    ("game", "n_states", 7),
+    ("game", "n_constraint_layers", 5),
+    ("game", "n_states", "2"),
+    ("game", "n_states", None),
+    ("game", "n_states", 2.0),
+    ("spec", "n_points", 3),
+    ("spec", "n_constraint_layers", True),
 ], ids=["game-kind-list", "game-kind-object", "game-n_actions-inf", "strategy-class-list",
         "strategy-rows-scalars", "spec-kind-object", "spec-points-null", "spec-points-0",
         "spec-points-2.5", "spec-weights-null", "spec-weights-0", "spec-weights-2.5",
         "game-discount-string", "game-cost_bound-string", "game-initial-strings",
         "game-initial-number-and-string", "game-initial-null-and-string",
-        "strategy-rows-strings", "spec-weights-strings"])
+        "strategy-rows-strings", "spec-weights-strings", "game-initial-booleans",
+        "game-initial-boolean-and-number", "game-cost_bound-true", "game-discount-false",
+        "strategy-rows-booleans", "spec-weights-boolean-and-numbers", "game-n_states-7",
+        "game-n_constraint_layers-5", "game-n_states-string", "game-n_states-null",
+        "game-n_states-float", "spec-n_points-3", "spec-n_constraint_layers-true"])
 def test_malformed_document_exits_2(tmp_path, capsys, document, key, value):
     # Each of these escaped main as a TypeError (an unhashable tag), an
     # IndexError (a shape read before the rank was checked) or an
     # OverflowError (an action count of Infinity, which json reads), or, for
-    # numbers written as JSON strings, was parsed as the number; a float field
-    # now refuses a string as an integer field does.
+    # numbers written as JSON strings or booleans, was read as the number (a
+    # boolean as 0 or 1); a float field now refuses both, as an integer field
+    # does.  The declared sizes were never read, so a wrong one loaded.
     docs = {"game": game_to_payload(sample_games.trap_game()),
             "strategy": strategy_to_payload(sample_games.trap_profile(0.75)),
             "spec": spec_to_payload(sample_games.linear_cost_grid_spec())}
@@ -437,6 +455,33 @@ def test_verify_budget_violation_reported(tmp_path):
     cert = read_json(tmp_path, "verify.certificate.json")
     assert not cert["passed"]
     assert abs(cert["players"][0]["feasibility_excess"] - 0.4) <= 1e-9
+
+
+def test_concepts_share_one_threshold_rule(tmp_path, capsys):
+    # Each player plays the safe action with q = 2J / (1 + J), so that its
+    # budget layer is J = 0.6 + 5e-9, 5e-9 over the budget, at every state
+    # of the decoupled pair.  A profile and its product have one set of
+    # parts, so both concepts give one verdict at each threshold: the budget
+    # slack is 1e-9 for both.  Weak-correlated used to ignore --epsilon and
+    # allow 1e-8 of slack, and passed this profile at threshold 0.
+    J = 0.6 + 5e-9
+    profile = pair_profile(2.0 * J / (1.0 + J), 2.0 * J / (1.0 + J))
+    game = write_game(tmp_path, sample_games.decoupled_pair())
+    strategies = {"approx": write_profile(tmp_path, profile),
+                  "weak-correlated": write_profile(tmp_path, product_strategy(profile),
+                                                   "psi.json")}
+    parts = {}
+    for epsilon, code in (("0", EXIT_CERTIFIED_FAIL), ("1e-8", EXIT_OK)):
+        for concept, strat in strategies.items():
+            out = tmp_path / f"{concept}-{epsilon}"
+            assert main(["verify", game, strat, "--concept", concept, "--epsilon", epsilon,
+                         "--out-dir", str(out)]) == code, (concept, epsilon)
+            assert f"(threshold {float(epsilon):g})" in capsys.readouterr().out
+            cert = read_json(out, "verify.certificate.json")
+            parts[concept] = [(p["feasibility_excess"], p["best_response_gap"])
+                              for p in cert["players"]]
+            assert 4e-9 < cert["epsilon"] < 6e-9
+        np.testing.assert_allclose(parts["approx"], parts["weak-correlated"], rtol=0, atol=1e-15)
 
 
 def test_verify_single_action_game_all_concepts(tmp_path):
@@ -709,8 +754,8 @@ def test_transform_missing_block_exits_3(tmp_path):
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_thresholds_exit_3(tmp_path, capsys, value):
     # A NaN threshold fails no `x > threshold` test, so before it was
-    # rejected `verify --epsilon nan` printed PASS and exited 0; so did
-    # `--tol inf` on a correlated strategy that breaks its budget, and
+    # rejected `verify --epsilon nan` printed PASS and exited 0; so did an
+    # infinite threshold on a correlated strategy that breaks its budget, and
     # `discretize --gamma inf` wrote Infinity, which is not JSON, into its
     # documents.
     game = write_game(tmp_path, sample_games.decoupled_pair())
@@ -719,7 +764,7 @@ def test_non_finite_thresholds_exit_3(tmp_path, capsys, value):
     spec = write(tmp_path / "spec.json", spec_to_payload(sample_games.linear_cost_grid_spec(11)))
     runs = [
         ("--epsilon", ["verify", game, strat, "--concept", "approx"]),
-        ("--tol", ["verify", game, psi, "--concept", "weak-correlated"]),
+        ("--epsilon", ["verify", game, psi, "--concept", "weak-correlated"]),
         ("--target-eps", ["solve", game]),
         ("--eps0", ["correlated-sequence", game, "--n", "1"]),
         ("--gamma", ["discretize", spec]),
@@ -730,6 +775,16 @@ def test_non_finite_thresholds_exit_3(tmp_path, capsys, value):
         assert main(argv + [f"{flag}={value}", "--out-dir", str(out)]) == EXIT_VALIDATION, flag
         assert f"{flag} must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_verify_has_no_tol(capsys):
+    # verify certifies every concept at --epsilon; its weak-correlated --tol,
+    # which replaced both tolerances and ignored --epsilon, is gone.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "game.json", "psi.json", "--concept", "weak-correlated",
+              "--tol", "1e-6"])
+    assert exc.value.code == EXIT_PARSE
+    assert "unrecognized arguments: --tol 1e-6" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "0", "-1"])

@@ -146,6 +146,34 @@ def test_weak_correlated_product_of_nash(pair):
     assert cert.passed
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       n_actions=st.sampled_from([(2,), (2, 2), (3, 2), (2, 2, 2)]),
+       n_layers=st.integers(0, 2), slack=st.sampled_from([-0.05, 0.0, 0.05]))
+def test_product_strategy_certifies_as_its_profile(seed, n_actions, n_layers, slack):
+    # A profile's weak-correlated certificate, of its product, is its
+    # approximate certificate: the same parts, judged by the same rule at
+    # every threshold.  Nash existence for ARAT games rests on this identity.
+    rng = np.random.default_rng(seed)
+    game = sample_games.random_constrained_game(
+        rng, n_players=len(n_actions), n_states=int(rng.integers(1, 4)), n_actions=n_actions,
+        n_layers=n_layers, slack=slack)
+    profile = sample_games.random_profile(rng, game)
+    approx = verify_approx_equilibrium(game, profile, 0.0)
+    weak = verify_weak_correlated(game, product_strategy(profile))
+    for a, w in zip(approx.players, weak.players, strict=True):
+        assert a.vacuous == w.vacuous
+        for x, y in ((a.feasibility_excess, w.feasibility_excess),
+                     (a.best_response_gap, w.best_response_gap), (a.objective, w.objective)):
+            assert (x is None) == (y is None)
+            assert x is None or abs(x - y) <= 1e-12
+    assert approx.passed == weak.passed
+    for epsilon in (approx.epsilon - 1e-6, approx.epsilon + 1e-6):
+        passed = verify_approx_equilibrium(game, profile, epsilon).passed
+        assert verify_weak_correlated(game, product_strategy(profile), epsilon).passed == passed
+        assert passed == (epsilon > approx.epsilon)
+
+
 def self_loop_game(n_actions, objective, discount=0.5):
     """A one-state game, every joint action looping back to it, with
     objective costs objective[i, p] and no budget layer."""
@@ -727,8 +755,7 @@ def test_certify_prunes_only_below_a_finite_bound(pair):
     J[1, 1] = math.inf
     unbounded, _ = equilibrium._certify(
         "approximate", pair, replace(cv, J=J),
-        lambda i: equilibrium._induced_mdp(pair, profile, i),
-        0.0, equilibrium.FEASIBILITY_TOL, equilibrium.GAP_TOL)
+        lambda i: equilibrium._induced_mdp(pair, profile, i), 0.0)
     assert unbounded.epsilon == math.inf
 
 

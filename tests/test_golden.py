@@ -20,12 +20,15 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import shutil
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csgames import cli, sample_games
 from csgames.cli import (EXIT_PARSE, _dump, game_to_payload, main, spec_to_payload,
@@ -60,8 +63,10 @@ CASES = {
                                "--concept", "statewise"],
     "verify-rand2-weak": ["verify", "{in}/rand2.game.json", "{in}/rand2.correlated.json",
                           "--concept", "weak-correlated"],
+    "verify-rand2-weak-eps": ["verify", "{in}/rand2.game.json", "{in}/rand2.correlated.json",
+                              "--concept", "weak-correlated", "--epsilon", "0.5"],
     "verify-rand3-weak": ["verify", "{in}/rand3.game.json", "{in}/rand3.correlated.json",
-                          "--concept", "weak-correlated", "--tol", "1e-6"],
+                          "--concept", "weak-correlated", "--epsilon", "1e-6"],
     "best-respond-rand2": ["best-respond", "{in}/rand2.game.json", "{in}/rand2.profile.json",
                            "--player", "1"],
     "best-respond-rand3-infeasible": ["best-respond", "{in}/rand3.game.json",
@@ -201,6 +206,62 @@ def test_one_parser_serves_every_call(tmp_path, monkeypatch, capsys):
     # The root parser and each command's subparser, each built once.
     assert built.count("csgames") == 1
     assert sorted(built) == sorted(set(built)) and len(built) == 9
+
+
+def test_inputs_are_what_write_inputs_writes(tmp_path):
+    # The committed inputs are the seeded documents, byte for byte, so the
+    # writers' output has not changed since they were made.
+    write_inputs(tmp_path)
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert len(written) == 18
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (INPUTS / name).read_bytes(), name
+
+
+# The cases the fuzzer draws from, none of which searches, and the values it writes.
+FUZZED = sorted(name for name, argv in CASES.items()
+                if argv[0] in ("evaluate", "verify", "best-respond", "simulate", "discretize",
+                               "transform"))
+REPLACEMENTS = (True, False, None, "1", [], {}, math.nan, math.inf, -math.inf, 1e308, 2**70)
+
+
+def json_type(value):
+    for name, types in (("boolean", bool), ("number", (int, float)), ("string", str),
+                        ("null", type(None)), ("array", list), ("object", dict)):
+        if isinstance(value, types):
+            return name
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_input_exits_with_a_documented_code(data):
+    # One field or array entry of one input of a case is replaced.  Every
+    # run ends in a documented exit code, 4 only for a solver error, and a
+    # value of another JSON type is a parse or validation error.
+    name = data.draw(st.sampled_from(FUZZED), label="case")
+    argv = [arg.format(**{"in": INPUTS}) for arg in CASES[name]]
+    position = data.draw(st.sampled_from([k for k, arg in enumerate(CASES[name])
+                                          if "{in}" in arg]), label="input")
+    doc = json.loads(Path(argv[position]).read_text())
+    holder = doc
+    while True:
+        key = data.draw(st.sampled_from(sorted(holder) if isinstance(holder, dict)
+                                        else range(len(holder))), label="key")
+        inner = holder[key]
+        if not (isinstance(inner, (dict, list)) and inner and data.draw(st.booleans())):
+            break
+        holder = inner
+    replacement = data.draw(st.sampled_from(REPLACEMENTS), label="replacement")
+    holder[key] = replacement
+    with tempfile.TemporaryDirectory() as tmp:
+        argv[position] = str(Path(tmp) / Path(argv[position]).name)
+        Path(argv[position]).write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv + ["--out-dir", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2, 3) or code == 4 and err.getvalue().startswith("solver error:")
+    if json_type(replacement) != json_type(inner):
+        assert code in (2, 3), err.getvalue()
 
 
 def outcome(outputs):
