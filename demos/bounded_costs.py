@@ -26,7 +26,7 @@ def main():
     print()
     print(f"transformed game: {wg.game.n_states} states (one absorbing added "
           f"last), discount {wg.game.discount}")
-    print(f"cost bound c0 = {wg.c0:.4f}, eta-weight {wg.eta_omega:.4f}, "
+    print(f"cost bound c0 = {wg.game.cost_bound:.4f}, eta-weight {wg.eta_omega:.4f}, "
           f"value scale {wg.value_scale:.6f}")
     print("transformed kernel rows from state 0 (last column = absorbing):")
     for a in range(2):

@@ -16,7 +16,6 @@ correlated strategies.
 import numpy as np
 
 from csgames import (
-    SearchConfig,
     StationaryProfile,
     correlated_limit_sequence,
     evaluate_profile,
@@ -33,7 +32,7 @@ def main():
     print("two decoupled trap copies: 4 states, 2 x 2 actions, budgets 0.6")
     print()
 
-    result = search_equilibrium(game, SearchConfig(seed=0))
+    result = search_equilibrium(game, seed=0)
     print(f"search: certified epsilon {result.certificate.epsilon:.3e} after "
           f"{result.iterations} iterations "
           f"({result.restarts_used} restart(s)) and {result.newton_attempts} Newton "
@@ -66,7 +65,7 @@ def main():
 
     print()
     print("halving-target correlated sequence (eps0 = 0.2, 3 halvings):")
-    seq = correlated_limit_sequence(game, 0.2, 3, SearchConfig(seed=0))
+    seq = correlated_limit_sequence(game, 0.2, 3, seed=0)
     for level in seq.levels:
         print(f"  n = {level.index}: target {level.epsilon_target:.4f}, "
               f"certified {level.certificate.epsilon:.2e}, partition "

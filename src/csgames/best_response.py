@@ -37,7 +37,7 @@ import numpy as np
 
 from ._compiled import load
 from .evaluation import _discounted_solve, evaluate_policy
-from .game import _frozen_array
+from .game import _frozen_array, _require_distributions
 
 _h = load("scipy.optimize._highspy._core")
 
@@ -118,12 +118,12 @@ def _solver():
 
 @dataclass(frozen=True)
 class BestResponseResult:
-    """A constrained best response.  multipliers holds the budget rows'
-    Lagrange multipliers lambda >= 0, read from the LP's duals (NaN when no
-    strategy meets the budgets)."""
+    """A constrained best response: `value` is the objective layer's entry of
+    layer_values.  multipliers holds the budget rows' Lagrange multipliers
+    lambda >= 0, read from the LP's duals.  All are NaN when no strategy
+    meets the budgets."""
 
     status: str
-    value: float
     layer_values: np.ndarray
     strategy: np.ndarray
     multipliers: np.ndarray
@@ -132,6 +132,10 @@ class BestResponseResult:
     @property
     def feasible(self):
         return self.status == "optimal"
+
+    @property
+    def value(self):
+        return float(self.layer_values[0])
 
 
 @dataclass(frozen=True)
@@ -155,9 +159,14 @@ def _dims(mdp):
 
 def occupation_measure(mdp, policy):
     """Occupation measure of a stationary policy, by the transposed
-    discounted solve, as a read-only (S, A) array."""
-    _dims(mdp)
+    discounted solve, as a read-only (S, A) array.  The policy must be
+    (S, A), with rows that are probability vectors up to ROW_SUM_TOL, as
+    evaluate_policy requires; ValueError otherwise."""
+    dims = _dims(mdp)
     policy = np.asarray(policy, dtype=float)
+    if policy.shape != dims:
+        raise ValueError(f"policy must be (S, A) = {dims}; got {policy.shape}")
+    _require_distributions(policy, "policy")
     kernel = np.einsum("sa,sat->st", policy, mdp.transitions)
     masses = _discounted_solve(kernel.T, mdp.discount, (1.0 - mdp.discount) * mdp.initial)
     return _frozen_array(masses[:, None] * policy)
@@ -281,13 +290,12 @@ def constrained_best_response(mdp):
     costs = mdp.costs[0].reshape(layers, s * a)
     lp = _occupation_lp(mdp, costs[0])
     if lp is None:
-        return BestResponseResult("infeasible", math.nan, np.full(layers, math.nan),
+        return BestResponseResult("infeasible", np.full(layers, math.nan),
                                   np.full((s, a), math.nan), np.full(layers - 1, math.nan))
     x, theta, residuals, multipliers = lp
     layer_values = costs @ x
     return BestResponseResult(
         status="optimal",
-        value=float(layer_values[0]),
         layer_values=layer_values,
         strategy=recover_strategy(theta),
         multipliers=multipliers,

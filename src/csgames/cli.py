@@ -39,16 +39,22 @@ from . import __version__
 from .best_response import constrained_best_response
 from .discretization import build_partition, resolution_for, surrogate_game
 from .equilibrium import (
-    SearchConfig,
-    _induced_mdp,
+    RESTARTS,
+    TARGET_EPSILON,
     correlated_limit_sequence,
     search_equilibrium,
     verify_approx_equilibrium,
     verify_statewise_equilibrium,
     verify_weak_correlated,
 )
-from .evaluation import _check_psi, evaluate_correlated, evaluate_markov, evaluate_profile, simulate
-from .evaluation import induced_mdp  # noqa: F401  (only for perfbench's tracer hook)
+from .evaluation import (
+    _check_psi,
+    evaluate_correlated,
+    evaluate_markov,
+    evaluate_profile,
+    induced_mdp,
+    simulate,
+)
 from .game import (
     ContinuousGameSpec,
     CorrelatedStrategy,
@@ -248,9 +254,9 @@ def _load(path, schema, tag, classes):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _require_valid(report, path):
-    if not report.ok:
-        raise ValidationFailure(f"{path}:\n{report}")
+def _require_valid(issues, path):
+    if issues:
+        raise ValidationFailure(f"{path}:\n" + "\n".join(issues))
 
 
 def load_game(path):
@@ -394,7 +400,8 @@ def cmd_best_respond(args):
     game, _ = load_game(args.game)
     profile = _require_class(load_strategy(args.strategy), args.strategy, "stationary")
     _check_psi(game, profile)
-    result = constrained_best_response(_induced_mdp(game, profile, args.player))
+    others = profile.rows[:args.player] + profile.rows[args.player + 1:]
+    result = constrained_best_response(induced_mdp(game, args.player, others))
     if not result.feasible:
         print("no strategy meets the budgets against this profile")
         return {"status": result.status}, {}, EXIT_CERTIFIED_FAIL
@@ -430,9 +437,8 @@ def cmd_verify(args):
 
 def cmd_solve(args):
     game, _ = load_game(args.game)
-    config = SearchConfig(restarts=args.restarts, target_epsilon=args.target_eps,
-                          seed=args.seed)
-    result = search_equilibrium(game, config)
+    result = search_equilibrium(game, target_epsilon=args.target_eps, restarts=args.restarts,
+                                seed=args.seed)
     verdict = "reached" if result.converged else "missed"
     print(f"certified epsilon {result.certificate.epsilon:.6g}; target "
           f"{args.target_eps:.6g} {verdict} after {result.iterations} iterations and "
@@ -483,11 +489,11 @@ def cmd_transform(args):
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{args.game}: malformed transform block: {exc}") from exc
     wg = wessels_transform(game, omega, beta)
-    print(f"bounded game with discount {wg.game.discount:.6g}, cost bound {wg.c0:.6g}, "
-          f"value scale {wg.value_scale:.6g}")
+    print(f"bounded game with discount {wg.game.discount:.6g}, cost bound "
+          f"{wg.game.cost_bound:.6g}, value scale {wg.value_scale:.6g}")
     return {
         "eta_omega": wg.eta_omega,
-        "c0": wg.c0,
+        "c0": wg.game.cost_bound,
         "beta": beta,
         "discount": wg.game.discount,
         "value_scale": wg.value_scale,
@@ -495,7 +501,7 @@ def cmd_transform(args):
         "game": game_to_payload(wg.game, extra={
             "transform_of": str(args.game),
             "eta_omega": wg.eta_omega,
-            "c0": wg.c0,
+            "c0": wg.game.cost_bound,
             "value_scale": wg.value_scale,
         }),
     }, EXIT_OK
@@ -503,7 +509,7 @@ def cmd_transform(args):
 
 def cmd_correlated_sequence(args):
     game, _ = load_game(args.game)
-    seq = correlated_limit_sequence(game, args.eps0, args.n, SearchConfig(seed=args.seed))
+    seq = correlated_limit_sequence(game, args.eps0, args.n, seed=args.seed)
     levels = [{
         "n": level.index,
         "epsilon_target": level.epsilon_target,
@@ -548,7 +554,7 @@ def build_parser():
         p.set_defaults(func=func)
         return p
 
-    seed = {"type": _number("--seed", int, low=0), "default": SearchConfig.seed}
+    seed = {"type": _number("--seed", int, low=0), "default": 0}
     command(cmd_evaluate, "exact discounted costs of a strategy", "game", "strategy")
 
     p = command(cmd_simulate, "Monte Carlo estimate of discounted costs", "game", "strategy")
@@ -567,10 +573,8 @@ def build_parser():
                    help="accuracy to certify")
 
     p = command(cmd_solve, "search for an approximate equilibrium", "game")
-    p.add_argument("--target-eps", type=_number("--target-eps"),
-                   default=SearchConfig.target_epsilon)
-    p.add_argument("--restarts", type=_number("--restarts", int, low=1),
-                   default=SearchConfig.restarts)
+    p.add_argument("--target-eps", type=_number("--target-eps"), default=TARGET_EPSILON)
+    p.add_argument("--restarts", type=_number("--restarts", int, low=1), default=RESTARTS)
     p.add_argument("--seed", **seed)
 
     p = command(cmd_discretize, "partition a gridded game and emit the surrogate", "spec")

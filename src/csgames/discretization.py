@@ -208,7 +208,7 @@ def surrogate_game(spec, partition):
     members; the initial distribution aggregates over cells.  The partition
     is checked first (check_partition), the one check per discretization,
     which also guards partitions built by hand.  Raises ValueError with the
-    validate_game report unless the surrogate passes it, as every game that
+    validate_game issues unless the surrogate passes it, as every game that
     load_game reads must (a density not integrating to 1 fails).
     """
     check_partition(spec, partition)
@@ -219,9 +219,9 @@ def surrogate_game(spec, partition):
     surrogate = replace(game, costs=game.costs[:, :, reps, :],
                         transitions=game.transitions[reps] @ membership,
                         initial=membership.T @ game.initial)
-    report = validate_game(surrogate)
-    if not report.ok:
-        raise ValueError(f"surrogate game:\n{report}")
+    issues = validate_game(surrogate)
+    if issues:
+        raise ValueError("surrogate game:\n" + "\n".join(issues))
     return DiscretizedGame(
         game=surrogate,
         certified_error=error_bound(partition.resolution, game.discount, game.cost_bound),

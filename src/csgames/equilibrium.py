@@ -20,7 +20,7 @@ may finish with a semismooth Newton solve of the equilibrium conditions
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "PlayerCertificate",
     "EquilibriumCertificate",
     "StatewiseCertificate",
-    "SearchConfig",
     "SearchResult",
     "SequenceLevel",
     "CorrelatedSequenceResult",
@@ -61,6 +60,9 @@ __all__ = [
 FEASIBILITY_TOL = 1e-9
 GAP_TOL = 1e-8
 REGRET_TOL = 1e-9
+# search_equilibrium's defaults, which are also the CLI solve flags'.
+RESTARTS = 4
+TARGET_EPSILON = 1e-8
 # Fraction of the way to the best responses that search_equilibrium's damped
 # iterate moves, and the most iterations a restart runs.
 DAMPING = 0.5
@@ -244,21 +246,6 @@ def verify_weak_correlated(game, psi, epsilon=0.0):
     return _certify("weak-correlated", game, cv,
                     lambda i: induced_mdp_from_marginal(game, i, marginal_excluding(psi, i)),
                     epsilon)[0]
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Restarts, target epsilon and seed of search_equilibrium; its damped
-    step and iterations per restart are the module constants DAMPING and
-    MAX_ITERATIONS."""
-
-    restarts: int = 4
-    target_epsilon: float = 1e-8
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be at least 1; got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -477,7 +464,8 @@ def _newton_proposal(game, profile, responses):
     return StationaryProfile(tuple(row / total for row, total in zip(rows, sums))), residual
 
 
-def search_equilibrium(game, config=SearchConfig(), initial=None):
+def search_equilibrium(game, *, initial=None, target_epsilon=TARGET_EPSILON, restarts=RESTARTS,
+                       seed=0):
     """Damped best-response iteration with seeded random restarts, finished
     by a Newton solve of the equilibrium conditions.
 
@@ -491,8 +479,9 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
     empty skip that player's update and are logged in `skipped`.
 
     Certifying a profile solves each player's best-response LP against it, so
-    each restart first certifies its starting profile (`initial`, the uniform
-    profile or a seeded random one), whose certificate holds the first
+    each of the `restarts` (at least 1) first certifies its starting profile
+    (`initial` or the uniform one, then for restart k one drawn from
+    default_rng([seed, k])), whose certificate holds the first
     iteration's best responses, and each damped iterate's certificate holds
     the next iteration's.  A warm start whose certificate passes thus
     ends the search after its N LPs, with no iteration.  The candidate's best
@@ -514,6 +503,8 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
     finish, up to the iteration where the search stops.  `newton_attempts`
     and `newton_adopted` count the tries and the adopted proposals.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1; got {restarts}")
     best = None  # (profile, certificate, responses) of the best certificate so far
     newton_from = None
     newton_attempts = newton_adopted = 0
@@ -523,7 +514,7 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
     def consider(profile, bounded):
         nonlocal best
         beat = best[1].epsilon if bounded else math.inf
-        cert, responses = _approx_certificate(game, profile, config.target_epsilon, beat=beat)
+        cert, responses = _approx_certificate(game, profile, target_epsilon, beat=beat)
         if cert is not None and (best is None or cert.epsilon < best[1].epsilon):
             best = (profile, cert, responses)
         return responses
@@ -542,12 +533,12 @@ def search_equilibrium(game, config=SearchConfig(), initial=None):
             newton_adopted += best[0] is proposal
         return best[1].passed
 
-    for restart in range(config.restarts):
+    for restart in range(restarts):
         restarts_used = restart + 1
         if restart == 0:
             profile = _uniform_profile(game) if initial is None else initial
         else:
-            rng = np.random.default_rng([config.seed, restart])
+            rng = np.random.default_rng([seed, restart])
             profile = StationaryProfile(tuple(rng.dirichlet(np.ones(a), size=game.n_states)
                                               for a in game.n_actions))
         responses = consider(profile, bounded=False)
@@ -599,7 +590,7 @@ class CorrelatedSequenceResult:
     completed: bool
 
 
-def correlated_limit_sequence(game, epsilon0, n_levels, config=SearchConfig()):
+def correlated_limit_sequence(game, epsilon0, n_levels, seed=0):
     """Build the halving-target sequence of certified approximate equilibria
     whose product strategies approach a weak correlated equilibrium.
 
@@ -607,13 +598,14 @@ def correlated_limit_sequence(game, epsilon0, n_levels, config=SearchConfig()):
     state-space resolution that would certify that accuracy after
     discretization.  Certificates are re-thresholded, which solves no LP.
     The one in hand, of the last level's profile, is checked at the level's
-    search target min(epsilon0 / 2^n, config.target_epsilon); the level is
-    searched from that profile only if it fails, since such a search would
-    certify the profile first and stop there.  The level's certificate is
-    the profile's at epsilon0 / 2^n.  The last product is re-verified as a
-    weak correlated equilibrium and its residual reported.  The sequence
-    stops early (completed=False) if some level's target cannot be
-    certified, and raises ValueError up front if the last target is 0.0.
+    search target min(epsilon0 / 2^n, TARGET_EPSILON); the level is searched
+    from that profile, with RESTARTS restarts and `seed`, only if it fails,
+    since such a search would certify the profile first and stop there.
+    The level's certificate is the profile's at epsilon0 / 2^n.  The last
+    product is re-verified as a weak correlated equilibrium and its residual
+    reported.  The sequence stops early (completed=False) if some level's
+    target cannot be certified, and raises ValueError up front if the last
+    target is 0.0.
     """
     if not epsilon0 > 0.0:
         raise ValueError(f"epsilon0 must be positive; got {epsilon0}")
@@ -628,10 +620,10 @@ def correlated_limit_sequence(game, epsilon0, n_levels, config=SearchConfig()):
     levels, found = [], None
     for n in range(n_levels + 1):
         eps_n = math.ldexp(epsilon0, -n)
-        target = min(eps_n, config.target_epsilon)
+        target = min(eps_n, TARGET_EPSILON)
         if found is None or not at(target).passed:
-            found = search_equilibrium(game, replace(config, target_epsilon=target),
-                                       initial=None if found is None else found.profile)
+            found = search_equilibrium(game, initial=None if found is None else found.profile,
+                                       target_epsilon=target, restarts=RESTARTS, seed=seed)
         cert = at(eps_n)
         if not cert.passed:
             break

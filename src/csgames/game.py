@@ -22,7 +22,7 @@ derived from validated ones (induced MDPs, search iterates) use `_derived`.
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "StationaryProfile",
     "MarkovStrategy",
     "CorrelatedStrategy",
-    "ValidationReport",
     "validate_game",
     "validate_spec",
     "product_strategy",
@@ -339,30 +338,15 @@ class CorrelatedStrategy:
         return self.table.shape[0]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of a structural validation pass; empty issues means valid."""
-
-    issues: tuple = field(default_factory=tuple)
-
-    @property
-    def ok(self):
-        return not self.issues
-
-    def __str__(self):
-        if self.ok:
-            return "valid"
-        return "\n".join(self.issues)
-
-
 def validate_game(game):
     """Check stochasticity, bounds, and discount of a FiniteCSG.
 
     Transition rows and the initial distribution are held to ROW_SUM_TOL, as
     strategy rows are, and so is |c| against the declared cost bound.
-    Returns a ValidationReport listing every violated invariant with the
-    offending location.  Every check is written so that a NaN or infinite
-    entry fails it.  Inputs are never modified or renormalized here.
+    Returns the tuple of issues, one string per violated invariant naming
+    the offending location; it is empty exactly when the game is valid.
+    Every check is written so that a NaN or infinite entry fails it.  Inputs
+    are never modified or renormalized here.
     """
     issues = []
     if not (0.0 < game.discount < 1.0):
@@ -382,23 +366,24 @@ def validate_game(game):
             f"cost (player {i}, layer {l}, state {s}, profile {game.profile_tuple(j)}) "
             f"= {game.costs[i, l, s, j]:.17g} is outside the declared bound {game.cost_bound:.17g}"
         )
-    return ValidationReport(tuple(issues))
+    return tuple(issues)
 
 
 def validate_spec(spec):
     """Check a ContinuousGameSpec up to ROW_SUM_TOL: its quadrature weights,
     the sign of its density, then validate_game on its grid game, whose row
     sums are the density integrals.  Bad weights are reported alone, since
-    every kernel row is then off too.  A NaN or infinite entry fails."""
+    every kernel row is then off too.  A NaN or infinite entry fails.
+    Returns the tuple of issues, as validate_game does."""
     issues = []
     if not np.all(spec.weights > 0.0):
         issues.append("quadrature weights must be strictly positive")
     issues += [f"quadrature weight row {fault}" for _, fault in _row_faults(spec.weights[None])]
     if issues:
-        return ValidationReport(tuple(issues))
+        return tuple(issues)
     if np.any(spec.density < -ROW_SUM_TOL):
         issues.append("density has a negative entry")
-    return ValidationReport(tuple(issues) + validate_game(spec.game).issues)
+    return tuple(issues) + validate_game(spec.game)
 
 
 def _row_product(rows, n_states):

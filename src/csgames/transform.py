@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluation import evaluate_policy, evaluate_profile, induced_mdp
-from .game import FiniteCSG, MarkovStrategy, StationaryProfile, _frozen_array
+from .game import FiniteCSG, MarkovStrategy, StationaryProfile, _frozen_array, _row_faults
 
 __all__ = [
     "CaratheodoryCertificate",
@@ -57,7 +57,10 @@ class CaratheodoryCertificate:
 def caratheodory_reduce(values, weights):
     """Reduce a probability vector to a basic solution with the same mean.
 
-    values is (K, d); weights a distribution over the K rows.  Pivots along
+    values is (K, d); weights a distribution over the K rows, held to
+    ROW_SUM_TOL as every probability input is.  Negative entries get no mass
+    and the rest is normalized, so the target is the mean of a distribution
+    summing to 1, and so is the reduction's.  Pivots along
     null-space directions of the moment system [values^T; 1], eliminating the
     lowest-index blocking coordinate first, until the support is affinely
     independent; that leaves at most d+1 points, fewer when the values are
@@ -70,11 +73,12 @@ def caratheodory_reduce(values, weights):
     weights = np.asarray(weights, dtype=float)
     if values.ndim != 2 or weights.shape != (values.shape[0],):
         raise ValueError("values must be (K, d) with one weight per row")
-    if not (np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-9):
+    if _row_faults(weights[None]):
         raise ValueError("weights must be a probability vector")
     d = values.shape[1]
-    target = weights @ values
-    beta = weights.copy()
+    beta = np.maximum(weights, 0.0)
+    beta /= beta.sum()
+    target = beta @ values
     while True:
         support = np.nonzero(beta > 0.0)[0]
         if support.size <= 1:
@@ -227,7 +231,6 @@ class WesselsGame:
 
     game: FiniteCSG
     eta_omega: float
-    c0: float
     value_scale: float
 
 
@@ -238,8 +241,8 @@ def wessels_transform(game, omega, beta):
     Requires finite omega >= 1, beta > 1, alpha * beta < 1 (each check fails
     on NaN), and the growth condition sum_y omega(y) p(y | s, a) <= beta *
     omega(s) for every (s, a); the mass deficit goes to a zero-cost absorbing
-    state appended as the last state.  The cost bound c0 of the bounded game
-    is the smallest with |c| <= c0 * omega, or 1 when every cost is 0.
+    state appended as the last state.  The bounded game's cost_bound c0 is
+    the smallest with |c| <= c0 * omega, or 1 when every cost is 0.
     Budgets are rescaled by value_scale so the two games have identical
     feasible strategy sets.
     """
@@ -294,7 +297,6 @@ def wessels_transform(game, omega, beta):
     return WesselsGame(
         game=transformed,
         eta_omega=eta_omega,
-        c0=c0,
         value_scale=value_scale,
     )
 

@@ -15,7 +15,6 @@ import time
 import numpy as np
 
 from csgames import (
-    SearchConfig,
     StationaryProfile,
     caratheodory_reduce,
     constrained_best_response,
@@ -260,7 +259,7 @@ def test_correlated_sequence_and_mixing():
     certificate; occupation mixing is exactly linear in the weight."""
     game = sample_games.decoupled_pair()
     targets = np.array([0.2, 0.1, 0.05, 0.025, 0.0125])
-    seq = correlated_limit_sequence(game, 0.2, 4, SearchConfig(seed=0))
+    seq = correlated_limit_sequence(game, 0.2, 4, seed=0)
     certified = np.array([lvl.certificate.epsilon for lvl in seq.levels])
     schedule_ok = (len(seq.levels) == 5
                    and np.all(certified <= targets)

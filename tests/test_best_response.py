@@ -267,6 +267,24 @@ def test_multi_player_game_is_refused(pair):
             call(pair)
 
 
+@pytest.mark.parametrize("policy, message", [
+    ([[0.7, 0.7], [0.5, 0.5]], r"policy row \(state 0\) sums to 1.3999"),
+    ([[2, 0], [0, 1]], r"policy row \(state 0\) sums to 2"),
+    ([[1], [1]], r"policy must be \(S, A\) = \(2, 2\); got \(2, 1\)"),
+    ([[0.5, 0.5]], r"policy must be \(S, A\) = \(2, 2\); got \(1, 2\)"),
+    ([[np.nan, 1.0], [0.5, 0.5]], r"policy row \(state 0\) sums to nan"),
+], ids=["mass-1.4", "entry-2", "one-action", "one-state", "nan"])
+def test_occupation_measure_refuses_what_evaluate_policy_refuses(ctrap, policy, message):
+    # Unchecked, the first returned a measure of mass 1.615, and the next two
+    # raised the numerical-failure RuntimeError of a NaN residual.
+    mdp = induced_mdp(ctrap, 0, [])
+    with pytest.raises(ValueError, match=message):
+        occupation_measure(mdp, policy)
+    if np.shape(policy) == (2, 2):
+        with pytest.raises(ValueError, match="row"):
+            evaluate_policy(mdp, policy)
+
+
 def test_direct_highs_matches_linprog(monkeypatch):
     # Each LP goes to HiGHS as one model; scipy's linprog, given the
     # occupation LP's matrices built here from the MDP, the same bounds and

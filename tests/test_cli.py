@@ -655,7 +655,7 @@ def test_bad_weight_is_reported_once_not_per_row(tmp_path, capsys):
     weights = spec.weights.copy()
     weights[5] = math.nan
     bad = replace(spec, weights=weights)
-    assert 0 < len(validate_spec(bad).issues) <= 3
+    assert 0 < len(validate_spec(bad)) <= 3
     path = write(tmp_path / "spec.json", spec_to_payload(bad))
     assert main(["discretize", path, "--gamma", "0.02",
                  "--out-dir", str(tmp_path)]) == EXIT_VALIDATION

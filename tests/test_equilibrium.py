@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from csgames import (
     FiniteCSG,
-    SearchConfig,
     StationaryProfile,
     constrained_best_response,
     correlated_limit_sequence,
@@ -328,23 +327,23 @@ def test_statewise_regrets_bracket_gaps():
 
 
 def test_search_single_player_one_iteration(ctrap):
-    result = search_equilibrium(ctrap, SearchConfig(target_epsilon=1e-8))
+    result = search_equilibrium(ctrap, target_epsilon=1e-8)
     assert result.converged
     assert result.certificate.epsilon <= 1e-8
     assert result.iterations == 1
 
 
 def test_search_decoupled_pair(pair):
-    result = search_equilibrium(pair, SearchConfig(target_epsilon=1e-8))
+    result = search_equilibrium(pair, target_epsilon=1e-8)
     assert result.converged
     assert result.certificate.epsilon <= 1e-8
 
 
 @pytest.mark.parametrize("restarts", [0, -5])
-def test_search_config_needs_a_restart(restarts):
+def test_search_needs_a_restart(restarts):
     # A search with no restart would have no certificate to return.
     with pytest.raises(ValueError, match="restarts must be at least 1"):
-        SearchConfig(restarts=restarts)
+        search_equilibrium(sample_games.decoupled_pair(), restarts=restarts)
 
 
 def test_search_keeps_a_warm_start_that_meets_the_target(pair):
@@ -353,14 +352,14 @@ def test_search_keeps_a_warm_start_that_meets_the_target(pair):
     # iteration, where the iterations used to replace it by their own.
     rows = sample_games.trap_profile(0.75, n_states=4).rows[0]
     nash = StationaryProfile((rows, rows))
-    result = search_equilibrium(pair, SearchConfig(target_epsilon=1e-8), initial=nash)
+    result = search_equilibrium(pair, initial=nash, target_epsilon=1e-8)
     assert result.converged and result.iterations == 0
     assert result.profile is nash
 
 
 def test_search_zero_costs(rng):
     game = zero_cost_game(rng)
-    result = search_equilibrium(game, SearchConfig(target_epsilon=0.0))
+    result = search_equilibrium(game, target_epsilon=0.0)
     assert result.converged
     assert result.certificate.epsilon <= 1e-12
 
@@ -415,13 +414,14 @@ def test_sequence_searches_only_levels_its_profile_misses(monkeypatch):
     assert counts[3] == counts[0]
 
 
-def test_sequence_level_searches_when_its_target_fails(pair):
+def test_sequence_level_searches_when_its_target_fails(pair, monkeypatch):
     # A level whose target the profile in hand misses is searched again,
     # warm-started from that profile: a search target above its epsilon
     # makes level 1's re-threshold fail.
-    seq = correlated_limit_sequence(pair, 0.2, 1, SearchConfig(target_epsilon=0.15))
-    first = search_equilibrium(pair, SearchConfig(target_epsilon=0.15))
-    second = search_equilibrium(pair, SearchConfig(target_epsilon=0.1), initial=first.profile)
+    monkeypatch.setattr(equilibrium, "TARGET_EPSILON", 0.15)
+    seq = correlated_limit_sequence(pair, 0.2, 1)
+    first = search_equilibrium(pair, target_epsilon=0.15)
+    second = search_equilibrium(pair, initial=first.profile, target_epsilon=0.1)
     assert seq.completed and first.certificate.epsilon > 0.1 + equilibrium.GAP_TOL
     for level, found in zip(seq.levels, (first, second)):
         assert all(np.array_equal(x, y) for x, y in zip(level.profile.rows, found.profile.rows))
@@ -515,7 +515,8 @@ def reference_search(game, config, initial=None, newton=True):
     each restart and when a restart ends short of its target, never twice
     from the same best profile nor when a player's best response against it
     is infeasible, and certifies the proposal as a candidate.  Each restart
-    first certifies its starting profile.  Returns the result fields, the
+    first certifies its starting profile.  `config` holds search_equilibrium's
+    target_epsilon, restarts and seed.  Returns the result fields, the
     number of LPs the search needs (for each certified profile, what
     lps_needed gives with the best epsilon so far as the bound for a
     candidate or a proposal, and none for a starting profile or a damped
@@ -525,7 +526,7 @@ def reference_search(game, config, initial=None, newton=True):
     skipped, iterations, restarts_used, damped = [], 0, 0, []
 
     def consider(profile, bounded):
-        cert = verify_approx_equilibrium(game, profile, config.target_epsilon)
+        cert = verify_approx_equilibrium(game, profile, config["target_epsilon"])
         beat = best["cert"].epsilon if bounded and best["cert"] is not None else np.inf
         best["lps"] += lps_needed(cert, beat)
         if best["cert"] is None or cert.epsilon < best["cert"].epsilon:
@@ -551,7 +552,7 @@ def reference_search(game, config, initial=None, newton=True):
             consider(proposal, bounded=True)
             best["adopted"] += best["profile"] is proposal
 
-    for restart in range(config.restarts):
+    for restart in range(config["restarts"]):
         restarts_used = restart + 1
         if restart == 0 and initial is not None:
             profile = initial
@@ -559,7 +560,7 @@ def reference_search(game, config, initial=None, newton=True):
             profile = StationaryProfile(tuple(
                 np.full((game.n_states, a), 1.0 / a) for a in game.n_actions))
         else:
-            rng = np.random.default_rng([config.seed, restart])
+            rng = np.random.default_rng([config["seed"], restart])
             profile = StationaryProfile(tuple(
                 rng.dirichlet(np.ones(a), size=game.n_states) for a in game.n_actions))
         consider(profile, bounded=False)
@@ -625,7 +626,7 @@ def test_search_matches_reference_with_2n_lps(monkeypatch):
         game = sample_games.random_constrained_game(
             rng, n_players=n_players, n_states=2 + k % 3, n_actions=(2,) * n_players,
             slack=-0.1 if k % 4 == 3 else 0.02)
-        config = SearchConfig(restarts=2, seed=k, target_epsilon=1e-2 if k % 2 else 1e-8)
+        config = dict(restarts=2, seed=k, target_epsilon=1e-2 if k % 2 else 1e-8)
         expected, lps, damped = reference_search(game, config)
         # The Newton finish leaves the damped iterates as they were, up to
         # where the search stops.
@@ -635,7 +636,7 @@ def test_search_matches_reference_with_2n_lps(monkeypatch):
             assert all(np.array_equal(x, y) for x, y in zip(new.rows, old.rows)), k
         calls.clear()
         built.clear()
-        result = search_equilibrium(game, config)
+        result = search_equilibrium(game, **config)
         profile, cert, iterations, restarts_used, converged, skipped, attempts, adopted = expected
         assert len(result.profile.rows) == len(profile.rows)
         for new, old in zip(result.profile.rows, profile.rows):
@@ -680,7 +681,7 @@ def solved_mdps(game, config, eager=False):
         patch.setattr(equilibrium, "constrained_best_response", recorded)
         if eager:
             patch.setattr(equilibrium, "_certify", lambda *args, beat=math.inf: certify(*args))
-        result = search_equilibrium(game, config)
+        result = search_equilibrium(game, **config)
     return result, solved
 
 
@@ -715,7 +716,7 @@ def test_lazy_search_matches_eager_search(seed, n_players, n_states, n_layers, s
         rng, n_players=n_players, n_states=n_states,
         n_actions=tuple(int(a) for a in rng.integers(1, 4, size=n_players)),
         n_layers=n_layers, slack=slack)
-    config = SearchConfig(restarts=2, seed=seed % 1000, target_epsilon=target)
+    config = dict(restarts=2, seed=seed % 1000, target_epsilon=target)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(equilibrium, "MAX_ITERATIONS", max_iterations)
         lazy, lazy_lps = solved_mdps(game, config)
@@ -736,7 +737,7 @@ def test_lazy_search_matches_eager_search(seed, n_players, n_states, n_layers, s
             return cert, responses
 
         patch.setattr(equilibrium, "_approx_certificate", checked)
-        assert_same_search(search_equilibrium(game, config), lazy)
+        assert_same_search(search_equilibrium(game, **config), lazy)
 
 
 def test_certify_prunes_only_below_a_finite_bound(pair):
@@ -776,11 +777,11 @@ def coupled_game():
 
 def pruning_search_game(tmp_path):
     """coupled_game written to disk, read back as the CLI reads it, and the
-    search's config."""
+    search's keywords."""
     game = coupled_game()
     path = tmp_path / "game.json"
     path.write_text(json.dumps(game_to_payload(game)))
-    return str(path), load_game(str(path))[0], SearchConfig(restarts=1)
+    return str(path), load_game(str(path))[0], {"restarts": 1}
 
 
 def test_pruned_lp_failure_is_never_seen(tmp_path, monkeypatch):
@@ -794,14 +795,14 @@ def test_pruned_lp_failure_is_never_seen(tmp_path, monkeypatch):
     assert pruned
     assert main(["solve", path, "--restarts", "1", "--out-dir", str(tmp_path / "a")]) == EXIT_OK
     monkeypatch.setattr(equilibrium, "constrained_best_response", failing_on(pruned))
-    assert_same_search(search_equilibrium(game, config), lazy)
+    assert_same_search(search_equilibrium(game, **config), lazy)
     assert main(["solve", path, "--restarts", "1", "--out-dir", str(tmp_path / "b")]) == EXIT_OK
     for name in ("solve.certificate.json", "solve.strategy.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     certify = equilibrium._certify
     monkeypatch.setattr(equilibrium, "_certify", lambda *args, beat=math.inf: certify(*args))
     with pytest.raises(RuntimeError, match="doctored"):
-        search_equilibrium(game, config)
+        search_equilibrium(game, **config)
 
 
 def test_needed_lp_failure_exits_4(tmp_path, monkeypatch, capsys):
@@ -811,7 +812,7 @@ def test_needed_lp_failure_exits_4(tmp_path, monkeypatch, capsys):
     needed = {solved_mdps(game, config)[1][-1]}
     monkeypatch.setattr(equilibrium, "constrained_best_response", failing_on(needed))
     with pytest.raises(RuntimeError, match="doctored"):
-        search_equilibrium(game, config)
+        search_equilibrium(game, **config)
     assert main(["solve", path, "--restarts", "1", "--out-dir", str(tmp_path)]) == EXIT_SOLVER
     assert "solver error: LP solver failure: doctored" in capsys.readouterr().err
 
@@ -864,7 +865,7 @@ def test_converged_newton_profile_certifies(monkeypatch):
             patch.setattr(equilibrium, "NEWTON_CHECKPOINTS", ())
             patch.setattr(equilibrium, "_newton_proposal", lambda *args: (None, math.inf))
             patch.setattr(equilibrium, "MAX_ITERATIONS", 8)
-            start = search_equilibrium(game, SearchConfig(restarts=1)).profile
+            start = search_equilibrium(game, restarts=1).profile
         cert, responses = equilibrium._approx_certificate(game, start, 1e-8)
         if not all(br.feasible for br in responses):
             continue
@@ -875,9 +876,10 @@ def test_converged_newton_profile_certifies(monkeypatch):
     assert converged >= 4
 
 
-def assert_certificate_of_profile(game, result, config):
-    """The search's certificate is its profile's own, as certified afresh."""
-    cert, _ = equilibrium._approx_certificate(game, result.profile, config.target_epsilon)
+def assert_certificate_of_profile(game, result):
+    """The search's certificate is its profile's own, as certified afresh at
+    the default target."""
+    cert, _ = equilibrium._approx_certificate(game, result.profile, equilibrium.TARGET_EPSILON)
     assert_same_certificate(result.certificate, cert)
 
 
@@ -885,7 +887,7 @@ def assert_certificate_of_profile(game, result, config):
 def test_singular_newton_system_falls_back_to_least_squares(monkeypatch):
     # When the Newton system cannot be solved, the step is its least-squares
     # solution, and the search goes on to the same converged certificate.
-    game, config = coupled_game(), SearchConfig(restarts=1)
+    game, config = coupled_game(), {"restarts": 1}
     lstsq, least_squares = np.linalg.lstsq, []
 
     def singular(*args):
@@ -897,10 +899,10 @@ def test_singular_newton_system_falls_back_to_least_squares(monkeypatch):
 
     monkeypatch.setattr(equilibrium.np.linalg, "solve", singular)
     monkeypatch.setattr(equilibrium.np.linalg, "lstsq", recorded)
-    result = search_equilibrium(game, config)
+    result = search_equilibrium(game, **config)
     assert least_squares
     assert (result.newton_attempts, result.newton_adopted, result.converged) == (1, 1, True)
-    assert_certificate_of_profile(game, result, config)
+    assert_certificate_of_profile(game, result)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
@@ -955,7 +957,7 @@ def test_search_survives_failed_newton_evaluations(monkeypatch):
     # Every Newton try fails after its first evaluation, so none proposes a
     # profile; the search still counts each try and returns the certificate
     # of its best damped or candidate profile.
-    game, config = coupled_game(), SearchConfig(restarts=1)
+    game, config = coupled_game(), {"restarts": 1}
     solve, propose, calls = equilibrium._discounted_solve, equilibrium._newton_proposal, []
 
     def doctored(*args):
@@ -970,7 +972,7 @@ def test_search_survives_failed_newton_evaluations(monkeypatch):
 
     monkeypatch.setattr(equilibrium, "_discounted_solve", doctored)
     monkeypatch.setattr(equilibrium, "_newton_proposal", proposal)
-    result = search_equilibrium(game, config)
+    result = search_equilibrium(game, **config)
     assert result.newton_attempts >= 1
     assert result.newton_adopted == 0
-    assert_certificate_of_profile(game, result, config)
+    assert_certificate_of_profile(game, result)

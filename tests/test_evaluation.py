@@ -601,7 +601,7 @@ def test_induced_mdp_is_a_one_player_game(n_players, seed):
         others = [r for j, r in enumerate(profile.rows) if j != i]
         mdp = induced_mdp(game, i, others)
         assert mdp.n_actions == (game.n_actions[i],)
-        assert validate_game(mdp).ok
+        assert validate_game(mdp) == ()
         j, jx = evaluate_policy(mdp, profile.rows[i])
         np.testing.assert_allclose(j, cv.J[i], rtol=0, atol=1e-12)
         np.testing.assert_allclose(jx, cv.Jx[i], rtol=0, atol=1e-12)

@@ -10,7 +10,6 @@ from csgames import (
     CorrelatedStrategy,
     FiniteCSG,
     MarkovStrategy,
-    SearchConfig,
     StationaryProfile,
     induced_mdp,
     marginal_excluding,
@@ -45,19 +44,16 @@ def _with_entry(obj, field, index, value):
 
 
 def test_validate_clean_fixture(ctrap):
-    report = validate_game(ctrap)
-    assert report.ok
-    assert report.issues == ()
-    assert str(report) == "valid"
+    assert validate_game(ctrap) == ()
 
 
 def test_validate_names_bad_transition_row(ctrap):
     for value in (0.9, np.nan, np.inf):
         trans = ctrap.transitions.copy()
         trans[0, 0, 0] = value
-        report = validate_game(_with_transitions(ctrap, trans))
-        assert not report.ok, value
-        assert any("state 0" in issue and "(0,)" in issue for issue in report.issues), value
+        issues = validate_game(_with_transitions(ctrap, trans))
+        assert issues, value
+        assert any("state 0" in issue and "(0,)" in issue for issue in issues), value
 
 
 def test_validate_names_cost_bound_violation(ctrap):
@@ -73,9 +69,9 @@ def test_validate_names_cost_bound_violation(ctrap):
             constraint_bounds=ctrap.constraint_bounds,
             cost_bound=ctrap.cost_bound,
         )
-        report = validate_game(bad)
-        assert not report.ok, value
-        assert any("bound" in issue for issue in report.issues), value
+        issues = validate_game(bad)
+        assert issues, value
+        assert any("bound" in issue for issue in issues), value
 
 
 @pytest.mark.parametrize("field, index", [
@@ -85,19 +81,19 @@ def test_validate_names_cost_bound_violation(ctrap):
 ])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_validate_rejects_non_finite(ctrap, field, index, value):
-    assert not validate_game(_with_entry(ctrap, field, index, value)).ok
+    assert validate_game(_with_entry(ctrap, field, index, value))
 
 
 def test_validate_random_games_clean(rng):
     for _ in range(10):
         game = sample_games.random_game(rng, n_players=2, n_states=3)
-        assert validate_game(game).ok
+        assert validate_game(game) == ()
 
 
 def test_validate_spec_clean(rng):
     spec = sample_games.random_continuous_spec(rng, n_points=9, n_players=2,
                                                n_actions=(2, 2))
-    assert validate_spec(spec).ok
+    assert validate_spec(spec) == ()
 
 
 @pytest.mark.parametrize("field, index", [
@@ -112,7 +108,7 @@ def test_validate_spec_clean(rng):
 def test_validate_spec_rejects_non_finite(rng, field, index, value):
     spec = sample_games.random_continuous_spec(rng, n_points=9, n_players=2,
                                                n_actions=(2, 2), n_layers=1)
-    assert not validate_spec(_with_entry(spec, field, index, value)).ok
+    assert validate_spec(_with_entry(spec, field, index, value))
 
 
 def test_game_arrays_frozen(ctrap):
@@ -297,7 +293,7 @@ def test_derived_objects_are_what_the_public_constructors_build(seed, n_players,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(equilibrium, "_approx_certificate", recorded)
         patch.setattr(equilibrium, "MAX_ITERATIONS", 3)
-        found = search_equilibrium(game, SearchConfig(restarts=1)).profile
+        found = search_equilibrium(game, restarts=1).profile
     mdps = [induced_mdp(game, i, profile.rows[:i] + profile.rows[i + 1:])
             for i in range(n_players)]
     assert any(found is p for p in considered)
@@ -313,4 +309,4 @@ def test_derived_objects_are_what_the_public_constructors_build(seed, n_players,
             else:
                 assert new == old
     for mdp in mdps:
-        assert validate_game(mdp).ok, validate_game(mdp)
+        assert validate_game(mdp) == ()

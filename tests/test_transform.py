@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from csgames import (
     mixing_weight,
     occupation_measure,
     recover_strategy,
+    validate_game,
     wessels_cost_relation,
     wessels_transform,
 )
@@ -62,6 +64,19 @@ def test_caratheodory_constant_values():
     cert = caratheodory_reduce(values, weights)
     assert cert.support_size == 1
     np.testing.assert_allclose(cert.target, [0.4, 0.2], atol=1e-15)
+
+
+def test_caratheodory_gives_negative_weights_no_mass():
+    # Weights are held to ROW_SUM_TOL, as every probability input is; a
+    # negative entry that passes gets no mass, and the target is the mean of
+    # the rest.  The weights were refused unless every entry was >= 0.
+    values = np.array([[0.0, 1.0], [1.0, 0.0], [5.0, 5.0]])
+    cert = caratheodory_reduce(values, np.array([0.25 + 1e-10, 0.75, -1e-10]))
+    assert 2 not in cert.indices and abs(cert.weights.sum() - 1.0) <= 1e-15
+    np.testing.assert_allclose(cert.target, [0.75, 0.25], atol=1e-9)
+    np.testing.assert_allclose(cert.weights @ values[cert.indices], cert.target, atol=1e-15)
+    with pytest.raises(ValueError, match="weights must be a probability vector"):
+        caratheodory_reduce(values, np.array([0.25 + 1e-8, 0.75, -1e-8]))
 
 
 def test_caratheodory_random_instances(rng):
@@ -191,6 +206,23 @@ def test_replacement_matches_all_layers(rng):
         got = evaluate_markov(game, [], rep).J
         want = evaluate_profile(game, StationaryProfile((strategy,))).J
         np.testing.assert_allclose(got, want, atol=horizon * 1e-9)
+
+
+def test_replacement_takes_every_game_validation_accepts():
+    # An initial distribution with an entry of -1e-10 passes validate_game;
+    # the head's cell weights inherit it, and caratheodory_reduce refused them.
+    game, partition = sample_games.random_cell_constant_game(
+        np.random.default_rng(5), n_cells=3, n_players=1, n_actions=(2,))
+    initial = game.initial.copy()
+    initial[0] += initial[1] + 1e-10
+    initial[1] = -1e-10
+    game = replace(game, initial=initial)
+    assert validate_game(game) == ()
+    strategy = np.full((game.n_states, 2), 0.5)
+    rep = markov_replacement(game, partition, 0, [], strategy, 3)
+    np.testing.assert_allclose(evaluate_markov(game, [], rep).J,
+                               evaluate_profile(game, StationaryProfile((strategy,))).J,
+                               atol=3e-9)
 
 
 def test_replacement_head_is_piecewise_constant(rng):
