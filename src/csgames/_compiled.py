@@ -1,13 +1,13 @@
 """How csgames reaches scipy's compiled code.
 
-csgames calls two of scipy's extension modules and nothing else of scipy on
-its hot paths: HiGHS (`scipy.optimize._highspy._core`) and LAPACK
-(`scipy.linalg._flapack`).  Importing either through its package runs the
-package's `__init__`, and those of scipy.optimize and scipy.linalg pull in
-scipy.sparse, scipy.fft, scipy.special, numpy.f2py and numpy.testing.  On a
-2-core x86-64 VM (medians of 9 fresh processes), a fresh `import csgames.cli`
-took 0.56 s that way and takes 0.19 s with `load`.  `load` finds and runs
-the one file as the import system would, minus the parents' `__init__`s.
+This is csgames' one door to scipy.  `load` runs the files of HiGHS
+(`scipy.optimize._highspy._core`) and LAPACK (`scipy.linalg._flapack`) as
+the import system would, minus the parents' `__init__`s, which pull in
+scipy.sparse, scipy.fft, scipy.special, numpy.f2py and numpy.testing; no
+module imports scipy.optimize or scipy.linalg (`best_response.linprog`
+aside, imported when first read).  On a 2-core x86-64 VM (medians of 9
+fresh processes), a fresh `import csgames.cli` took 0.56 s through the
+packages and takes 0.19 s with `load`.
 The module it registers in sys.modules is the one scipy itself binds when it
 is imported later, so both sides share one HiGHS and one LAPACK.  As after a
 plain import, it is an attribute of its package once that package is

@@ -15,14 +15,12 @@ and checks this program for the best response and the Slater margin.  It
 hands each LP to HiGHS directly, through scipy's bundled `_highspy._core`
 module, which `_compiled.load` loads by file without importing
 scipy.optimize (see `_compiled` for what that saves).  Each thread keeps one
-solver (`_solver`), set up once with the options built at import from
-LP_OPTIONS and with every presolve rule on except the dependent-equations
-search (DEPENDENT_EQUATIONS), which cannot remove a row of an occupation LP;
-`_occupation_lp` gives the proof.  Each LP goes to that solver as plain
-arrays in compressed-column form, and passing a model drops the previous
-basis, so every LP is solved from scratch as on a new solver.  A solver holds
-its last model, so one that solved an LP above _LARGE_LP_ENTRIES matrix
-entries is dropped, whatever the outcome.
+solver (`_solver`), set up once from the one table HIGHS_OPTIONS: scipy's
+linprog settings, this module's tolerances, and every presolve rule on
+except the dependent-equations search, which cannot remove a row of an
+occupation LP; `_occupation_lp` gives the proof.  Each LP goes to that
+solver as plain arrays in compressed-column form, and passing a model drops
+the previous basis, so every LP is solved from scratch as on a new solver.
 
 Every function here takes the MDP as a one-player FiniteCSG, such as
 `induced_mdp` returns; to solve under other budgets, pass
@@ -53,12 +51,19 @@ __all__ = [
 
 FLOW_TOL = 1e-9
 SOLUTION_TOL = 1e-9
-LP_OPTIONS = {
+# Set on each new solver, in order: scipy's linprog(method="highs") settings,
+# the feasibility tolerances, and presolve_rule_off's bit for HiGHS's rule 10,
+# kPresolveRuleDependentEquations.
+HIGHS_OPTIONS = {
+    "output_flag": False,
+    "log_to_console": False,
+    "presolve": "on",
+    "simplex_strategy": int(_h.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+    "highs_debug_level": int(_h.HighsDebugLevel.kHighsDebugLevelNone),
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
+    "presolve_rule_off": 1 << 10,
 }
-# HiGHS's presolve_rule_off bit for rule 10, kPresolveRuleDependentEquations.
-DEPENDENT_EQUATIONS = 1 << 10
 # Above this many matrix entries an LP's solver is not kept: it would hold
 # the model and factorization, about 6 MB after an S=120, A=6 LP, while a new
 # solver costs about 0.1 ms and an LP of 10,080 entries about 9 ms.
@@ -77,42 +82,21 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _highs_options():
-    """LP_OPTIONS plus the settings scipy's linprog(method="highs") passes:
-    presolve on, no output, dual simplex, no debugging."""
-    options = _h.HighsOptions()
-    options.presolve = "on"
-    options.output_flag = False
-    options.log_to_console = False
-    options.simplex_strategy = _h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.highs_debug_level = _h.HighsDebugLevel.kHighsDebugLevelNone
-    for key, value in LP_OPTIONS.items():
-        setattr(options, key, value)
-    return options
-
-
-_HIGHS_OPTIONS = _highs_options()
 _local = threading.local()
 
 
-def _failure(highs):
-    return RuntimeError("LP solver failure: HiGHS reported an error "
-                        f"({highs.modelStatusToString(highs.getModelStatus())})")
-
-
-def _solver():
-    """This thread's HiGHS solver.  The thread's first LP, and the first after
-    an LP above _LARGE_LP_ENTRIES, makes it and sets _HIGHS_OPTIONS and
-    presolve_rule_off on it; if HiGHS refuses either, it raises RuntimeError
-    and keeps nothing."""
+def _solver(entries):
+    """This thread's HiGHS solver for an LP of `entries` matrix entries,
+    kept for the thread's next LP unless `entries` exceeds _LARGE_LP_ENTRIES.
+    A new solver gets each HIGHS_OPTIONS entry in turn; if HiGHS refuses one,
+    this raises RuntimeError and keeps nothing."""
     highs = getattr(_local, "highs", None)
     if highs is None:
         highs = _h._Highs()
-        error = _h.HighsStatus.kError
-        if (highs.passOptions(_HIGHS_OPTIONS) == error
-                or highs.setOptionValue("presolve_rule_off", DEPENDENT_EQUATIONS) == error):
-            raise _failure(highs)
-        _local.highs = highs
+        for name, value in HIGHS_OPTIONS.items():
+            if highs.setOptionValue(name, value) == _h.HighsStatus.kError:
+                raise RuntimeError(f"LP solver failure: HiGHS refused option {name}={value!r}")
+    _local.highs = highs if entries <= _LARGE_LP_ENTRIES else None
     return highs
 
 
@@ -245,16 +229,15 @@ def _occupation_lp(mdp, objective):
     row_upper = np.concatenate([mdp.constraint_bounds[0], b_eq])
     row_lower = row_upper.copy()
     row_lower[:n_layers] = -np.inf
-    highs = _solver()
-    if value.size > _LARGE_LP_ENTRIES:
-        _local.highs = None  # the solver, and this LP's model, die with `highs`
+    highs = _solver(value.size)
     # The integrality array must hold one kContinuous per column: HiGHS reads
     # num_col entries from it, however short it is.
     if (highs.passModel(n_cols, n_rows, value.size, _COLWISE, _MINIMIZE, 0.0, objective, lower,
                         np.full(n_cols, np.inf), row_lower, row_upper, start, index, value,
                         np.zeros(n_cols, dtype=np.int32)) == _h.HighsStatus.kError
             or highs.run() == _h.HighsStatus.kError):
-        raise _failure(highs)
+        raise RuntimeError("LP solver failure: HiGHS reported an error "
+                           f"({highs.modelStatusToString(highs.getModelStatus())})")
     status = highs.getModelStatus()
     if status == _h.HighsModelStatus.kInfeasible:
         return None

@@ -30,12 +30,12 @@ from .evaluation import (
     _discounted_solve,
     _joint_kernel_costs,
     evaluate_correlated,
+    evaluate_policy,
     evaluate_profile,
     induced_mdp,
     induced_mdp_from_marginal,
 )
 from .game import (
-    CorrelatedStrategy,
     StationaryProfile,
     _derived,
     _row_product,
@@ -364,7 +364,8 @@ class _EquilibriumSystem:
 
     def __call__(self, z, jacobian=False):
         """F(z), and with `jacobian` also its Jacobian (else None).  Raises
-        RuntimeError when the profile's evaluation fails its residual check."""
+        RuntimeError when the profile's evaluation meets a singular matrix or
+        fails its residual check."""
         game, alpha, n_layers = self.game, self.game.discount, self.n_layers
         s, n = game.n_states, game.n_players
         rows = self.rows(z)
@@ -429,11 +430,8 @@ def _newton_proposal(game, profile, responses):
     """
     system = _EquilibriumSystem(game)
     values = []
-    # Through this module's induced_mdp and evaluate_correlated, as every
-    # evaluation of the search, so perfbench's tracer counts them.
     for i, br in enumerate(responses):
-        mdp = _induced_mdp(game, profile, i)
-        jx = evaluate_correlated(mdp, CorrelatedStrategy(mdp.n_actions, br.strategy)).Jx[0]
+        jx = evaluate_policy(_induced_mdp(game, profile, i), br.strategy)[1]
         values.append(jx[0] + br.multipliers @ jx[1:])
     z = system.point(profile.rows, values, [br.multipliers for br in responses])
     F = system(z)[0]

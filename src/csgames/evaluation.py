@@ -5,12 +5,12 @@ Every exact evaluation, and the occupation measure of best_response, goes
 through one LU solve of (I - alpha * K) x = b in `_discounted_solve`, checked
 against RESIDUAL_TOL times max(1, |x|_inf).  The solve calls LAPACK's getrf
 and getrs directly, the routines scipy.linalg.lu_factor and lu_solve wrap,
-so it gives their answers bit for bit without their per-call checks; an inf
-or NaN in the system reaches the residual, so non-finite input raises
-RuntimeError.  They come from scipy.linalg._flapack, which `_compiled.load`
-loads by file without importing scipy.linalg (see `_compiled` for what that
-saves).  One factorization serves all players and cost layers, since the
-kernel under a fixed joint strategy does not depend on them.
+so it gives their answers bit for bit without their per-call checks.  A
+singular matrix raises RuntimeError, as does an inf or NaN, which reaches
+the residual.  They come from scipy.linalg._flapack, which `_compiled.load`
+loads by file without importing scipy.linalg (see `_compiled`).  One
+factorization serves all players and cost layers, since the kernel under a
+fixed joint strategy does not depend on them.
 
 `simulate` samples every step by inverse transform over row CDFs with one
 exact sampler, `_advance`: a branchless binary search for the first CDF
@@ -26,7 +26,6 @@ are overridden with dataclasses.replace(mdp, constraint_bounds=[[...]]).
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,20 +119,17 @@ def _discounted_solve(kernel, discount, rhs):
     """Solve (I - discount * kernel) x = rhs by one LU factorization.
 
     LAPACK's getrf and getrs, the routines scipy.linalg.lu_factor and
-    lu_solve call, do the work, so x is theirs bit for bit; an exactly zero
-    pivot warns LinAlgWarning as lu_factor does.  rhs may hold several
-    right-hand sides as columns.  Raises RuntimeError if x is not finite or
-    the residual is NaN or exceeds RESIDUAL_TOL * max(1, |x|_inf), a sign of
-    a malformed kernel.  An inf or NaN in the system or in rhs makes x or the
-    residual so, and raises it too, unless rhs has no entry to check.
+    lu_solve call, do the work, so x is theirs bit for bit.  rhs may hold
+    several right-hand sides as columns.  Raises RuntimeError at once if
+    getrf finds an exactly zero pivot, and if x is not finite or the residual
+    is NaN or exceeds RESIDUAL_TOL * max(1, |x|_inf), a sign of a malformed
+    kernel.  An inf or NaN in the system or in rhs makes x or the residual
+    so, and raises it too, unless rhs has no entry to check.
     """
     a_mat = np.eye(kernel.shape[0]) - discount * kernel
     lu, piv, info = _GETRF(a_mat)
     if info > 0:
-        from scipy.linalg import LinAlgWarning
-
-        warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
-                      LinAlgWarning, stacklevel=2)
+        raise RuntimeError(f"policy evaluation matrix is singular: pivot {info} is exactly zero")
     x = _GETRS(lu, piv, rhs)[0]
     residual, size = (np.abs(a_mat @ x - rhs).max(), np.abs(x).max()) if x.size else (0.0, 0.0)
     bound = RESIDUAL_TOL * max(1.0, size)  # relative for large x; a non-finite x fails
@@ -163,11 +159,13 @@ def evaluate_markov_profile(game, heads, tail):
 
     heads is a sequence of StationaryProfile objects (the joint behavior at
     steps 1..T); tail is the StationaryProfile played from step T+1 on.
+    Raises ValueError unless each of them has the game's states and actions.
     """
-    tail_values = evaluate_profile(game, tail).Jx
-    v = tail_values
+    v = evaluate_profile(game, tail).Jx
     for prof in reversed(list(heads)):
-        kernel, costs = _joint_kernel_costs(game, product_strategy(prof).table)
+        psi = product_strategy(prof)
+        _check_psi(game, psi)
+        kernel, costs = _joint_kernel_costs(game, psi.table)
         v = (1.0 - game.discount) * costs + game.discount * np.einsum("st,ilt->ils", kernel, v)
     return CostVector(J=v @ game.initial, Jx=v)
 

@@ -54,21 +54,28 @@ class CaratheodoryCertificate:
         return int(self.indices.shape[0])
 
 
+def _null_space(matrix):
+    """matrix's null space as orthonormal columns: the right singular vectors,
+    by numpy's SVD (LAPACK's gesdd, as in scipy.linalg.null_space), past the
+    singular values above eps * max(M, N) times the largest, scipy's rule."""
+    _, singular, vh = np.linalg.svd(matrix)
+    tol = singular.max(initial=0.0) * (np.finfo(float).eps * max(matrix.shape))
+    return vh[np.sum(singular > tol):].T
+
+
 def caratheodory_reduce(values, weights):
     """Reduce a probability vector to a basic solution with the same mean.
 
     values is (K, d); weights a distribution over the K rows, held to
     ROW_SUM_TOL as every probability input is.  Negative entries get no mass
     and the rest is normalized, so the target is the mean of a distribution
-    summing to 1, and so is the reduction's.  Pivots along
-    null-space directions of the moment system [values^T; 1], eliminating the
-    lowest-index blocking coordinate first, until the support is affinely
-    independent; that leaves at most d+1 points, fewer when the values are
-    degenerate.  Deterministic; raises RuntimeError if the reduced mean drifts
-    beyond CARATHEODORY_TOL or the drift is NaN.
+    summing to 1, and so is the reduction's.  Pivots along null-space
+    directions (`_null_space`) of the moment system [values^T; 1],
+    eliminating the lowest-index blocking coordinate first, until the
+    support is affinely independent; that leaves at most d+1 points, fewer
+    when the values are degenerate.  Deterministic; raises RuntimeError if
+    the reduced mean drifts beyond CARATHEODORY_TOL or the drift is NaN.
     """
-    from scipy.linalg import null_space  # deferred: see _compiled for its cost
-
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if values.ndim != 2 or weights.shape != (values.shape[0],):
@@ -84,7 +91,7 @@ def caratheodory_reduce(values, weights):
         if support.size <= 1:
             break
         moment = np.vstack([values[support].T, np.ones(support.size)])
-        null = null_space(moment)
+        null = _null_space(moment)
         if null.shape[1] == 0:
             # Affinely independent support: already a basic solution.  This is
             # guaranteed once support <= d + 1, often earlier.

@@ -25,7 +25,7 @@ from csgames import (
     slater_margin,
 )
 from csgames import best_response, sample_games
-from csgames.best_response import LP_OPTIONS
+from csgames.best_response import HIGHS_OPTIONS
 from csgames.cli import EXIT_SOLVER, _dump, game_to_payload, main, strategy_to_payload
 
 
@@ -288,10 +288,12 @@ def test_occupation_measure_refuses_what_evaluate_policy_refuses(ctrap, policy, 
 def test_direct_highs_matches_linprog(monkeypatch):
     # Each LP goes to HiGHS as one model; scipy's linprog, given the
     # occupation LP's matrices built here from the MDP, the same bounds and
-    # LP_OPTIONS, must report the same status and the same x to the last
-    # bit.  Budgets uniform in [-1, 1] are often unreachable, so infeasible
-    # LPs are among them.
+    # HIGHS_OPTIONS' two tolerances, must report the same status and the
+    # same x to the last bit.  Budgets uniform in [-1, 1] are often
+    # unreachable, so infeasible LPs are among them.
     lps = []
+    tolerances = {key: HIGHS_OPTIONS[key]
+                  for key in ("primal_feasibility_tolerance", "dual_feasibility_tolerance")}
 
     def recording(mdp, objective):
         solved = occupation_lp(mdp, objective)
@@ -329,7 +331,7 @@ def test_direct_highs_matches_linprog(monkeypatch):
         budgets = {"A_ub": a_ub, "b_ub": mdp.constraint_bounds[0]} if n_layers else {}
         bounds = [(0.0, None)] * (s * a) + [(None, None)] * epigraph
         res = linprog(objective, A_eq=a_eq, b_eq=(1.0 - mdp.discount) * mdp.initial,
-                      bounds=bounds, method="highs", options=LP_OPTIONS, **budgets)
+                      bounds=bounds, method="highs", options=tolerances, **budgets)
         assert res.status in (0, 2)
         assert (solved is None) == (res.status == 2)
         if solved is not None:
@@ -376,24 +378,25 @@ def test_private_highs_surface_is_pinned():
     # The LPs use scipy's private HiGHS binding; a scipy that moves or
     # renames any of this fails here, not in a certificate.
     assert best_response._h is _core
-    for name in ("_Highs", "HighsOptions", "MatrixFormat", "ObjSense", "HighsModelStatus",
-                 "HighsStatus", "HighsDebugLevel", "simplex_constants"):
+    for name in ("_Highs", "MatrixFormat", "ObjSense", "HighsModelStatus", "HighsStatus",
+                 "HighsDebugLevel", "simplex_constants"):
         assert hasattr(_core, name), name
     for enum, member in ((_core.MatrixFormat, "kColwise"), (_core.ObjSense, "kMinimize"),
                          (_core.HighsModelStatus, "kOptimal"),
                          (_core.HighsModelStatus, "kInfeasible"), (_core.HighsStatus, "kError")):
         assert hasattr(enum, member), member
+    # Each option is set, and reads back, as _solver sets it; the table
+    # holds scipy's linprog settings, the tolerances and the presolve bit.
     highs = _core._Highs()
-    assert highs.passOptions(best_response._HIGHS_OPTIONS) == _core.HighsStatus.kOk
-    assert (highs.setOptionValue("presolve_rule_off", best_response.DEPENDENT_EQUATIONS)
-            == _core.HighsStatus.kOk)
-    expected = {**LP_OPTIONS, "presolve": "on", "output_flag": False, "log_to_console": False,
-                "simplex_strategy": int(_core.simplex_constants.SimplexStrategy
-                                        .kSimplexStrategyDual),
-                "highs_debug_level": int(_core.HighsDebugLevel.kHighsDebugLevelNone),
-                "presolve_rule_off": 1024}
-    for key, value in expected.items():
+    for key, value in HIGHS_OPTIONS.items():
+        assert highs.setOptionValue(key, value) == _core.HighsStatus.kOk, key
         assert highs.getOptionValue(key) == (_core.HighsStatus.kOk, value), key
+    assert HIGHS_OPTIONS == {
+        "output_flag": False, "log_to_console": False, "presolve": "on",
+        "simplex_strategy": int(_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+        "highs_debug_level": int(_core.HighsDebugLevel.kHighsDebugLevelNone),
+        "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
+        "presolve_rule_off": 1024}
     # The array overload of passModel, as _occupation_lp calls it: minimize x0 + 2 x1
     # subject to x0 + x1 == 1 and x >= 0.
     assert highs.passModel(2, 1, 2, best_response._COLWISE, best_response._MINIMIZE, 0.0,
@@ -410,21 +413,28 @@ def test_private_highs_surface_is_pinned():
 
 def _fresh_solver(monkeypatch):
     """Make the next LP build its solver anew, from the current `_h` and
-    `_HIGHS_OPTIONS`, and drop it when the test ends."""
+    `HIGHS_OPTIONS`, and drop it when the test ends."""
     monkeypatch.setattr(best_response, "_local", threading.local())
 
 
 def test_presolve_skips_only_dependent_equations(ctrap, monkeypatch, capfd):
     # HiGHS numbers its presolve rules; if it renumbers them, bit 1024 would
     # switch off another rule without a word, so read the name from its log.
-    options = best_response._highs_options()
-    options.output_flag = options.log_to_console = True
-    monkeypatch.setattr(best_response, "_HIGHS_OPTIONS", options)
+    monkeypatch.setitem(HIGHS_OPTIONS, "output_flag", True)
+    monkeypatch.setitem(HIGHS_OPTIONS, "log_to_console", True)
     _fresh_solver(monkeypatch)
     assert constrained_best_response(induced_mdp(ctrap, 0, [])).feasible
     log = capfd.readouterr().out
     block = log.split("Presolve rules not allowed:\n", 1)[1].split("Presolving model", 1)[0]
     assert block.splitlines() == ["   Rule 10 (bit 1024): Dependent equations"]
+
+
+def test_refused_option_is_named_and_no_solver_kept(ctrap, monkeypatch):
+    monkeypatch.setitem(HIGHS_OPTIONS, "presolve", "sometimes")
+    _fresh_solver(monkeypatch)
+    with pytest.raises(RuntimeError, match="HiGHS refused option presolve='sometimes'"):
+        constrained_best_response(induced_mdp(ctrap, 0, []))
+    assert getattr(best_response._local, "highs", None) is None
 
 
 def _doctor(field, index, change):
@@ -633,7 +643,7 @@ def test_threads_keep_their_own_solvers():
             start.wait()
             for index in range(k, len(mdps), 2):
                 got[index] = solve(mdps[index])
-            solvers[k] = best_response._solver()
+            solvers[k] = best_response._solver(0)
         except BaseException as error:  # reported by the main thread
             errors.append(error)
 
@@ -654,4 +664,4 @@ def test_threads_keep_their_own_solvers():
         if x is not None:
             assert x.tobytes() == y.tobytes()
     assert solvers[0] is not solvers[1]
-    assert best_response._solver() not in solvers
+    assert best_response._solver(0) not in solvers

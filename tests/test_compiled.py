@@ -1,7 +1,7 @@
-"""csgames loads scipy's HiGHS and LAPACK modules by file, so importing it
-leaves scipy.optimize and scipy.linalg unimported; whichever side imports
-first, both use the same compiled objects, and each is an attribute of its
-package."""
+"""csgames loads scipy's HiGHS and LAPACK modules by file, so importing and
+using it leaves scipy.optimize and scipy.linalg unimported; whichever side
+imports first, both use the same compiled objects, and each is an attribute
+of its package."""
 
 import json
 import os
@@ -35,6 +35,30 @@ def test_cold_import_leaves_scipy_optimize_and_linalg_out():
         "import csgames, csgames.cli\n"
         f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))\n")
     assert loaded == []
+
+
+def test_caratheodory_and_singular_solve_leave_scipy_optimize_and_linalg_out():
+    # The two paths that once imported scipy.linalg: the Caratheodory
+    # reduction behind markov_replacement, and a solve that meets an exactly
+    # zero pivot.
+    checks = run_fresh(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from csgames import evaluation, sample_games, transform\n"
+        "reduce, calls = transform.caratheodory_reduce, []\n"
+        "transform.caratheodory_reduce = lambda *a: calls.append(a) or reduce(*a)\n"
+        "game, partition = sample_games.random_cell_constant_game(\n"
+        "    np.random.default_rng(5), n_cells=3, n_players=1, n_actions=(2,))\n"
+        "rows = np.random.default_rng(6).dirichlet(np.ones(2), size=game.n_states)\n"
+        "transform.markov_replacement(game, partition, 0, [], rows, 3)\n"
+        "try:\n"
+        "    evaluation._discounted_solve(2.0 * np.eye(3), 0.5, np.ones(3))\n"
+        "    error = None\n"
+        "except RuntimeError as exc:\n"
+        "    error = str(exc)\n"
+        f"loaded = [m for m in {HEAVY!r} if m in sys.modules]\n"
+        "print(json.dumps([len(calls) > 0, error, loaded]))\n")
+    assert checks == [True, "policy evaluation matrix is singular: pivot 1 is exactly zero", []]
 
 
 @pytest.mark.parametrize("first", ["csgames", "scipy"])

@@ -273,6 +273,18 @@ def test_random_specs_within_bound(rng):
         assert report.within_bound
 
 
+def test_approximation_bound_refuses_a_head_of_the_wrong_shape(rng):
+    # One player with four actions has the joint table of a (2, 2) game; a
+    # Markov entry's head is refused as its tail is.
+    spec = sample_games.random_continuous_spec(rng, n_points=12, n_players=2, n_actions=(2, 2))
+    partition = build_partition(spec, 0.5)
+    good = StationaryProfile(tuple(random_rows(rng, (12, 2)) for _ in range(2)))
+    bad = StationaryProfile((random_rows(rng, (12, 4)),))
+    for entry in (([good], bad), ([bad], good)):
+        with pytest.raises(ValueError, match=r"actions \(4,\) do not match game \(2, 2\)"):
+            verify_approximation_bound(spec, partition, [entry])
+
+
 def test_grid_of_surrogate_data_matches_surrogate():
     spec = sample_games.linear_cost_grid_spec(n_points=21)
     partition = build_partition(spec, 0.3)

@@ -883,7 +883,6 @@ def assert_certificate_of_profile(game, result):
     assert_same_certificate(result.certificate, cert)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_singular_newton_system_falls_back_to_least_squares(monkeypatch):
     # When the Newton system cannot be solved, the step is its least-squares
     # solution, and the search goes on to the same converged certificate.
@@ -905,7 +904,6 @@ def test_singular_newton_system_falls_back_to_least_squares(monkeypatch):
     assert_certificate_of_profile(game, result)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_failed_newton_evaluation_keeps_the_last_step(monkeypatch):
     # An iterate whose evaluation fails ends the Newton try, which proposes
     # its last accepted iterate: here, the one-step proposal, bit for bit.
@@ -952,7 +950,6 @@ def test_overflowing_newton_trial_point_keeps_the_last_step(monkeypatch):
     assert proposal is None and math.isfinite(residual)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_search_survives_failed_newton_evaluations(monkeypatch):
     # Every Newton try fails after its first evaluation, so none proposes a
     # profile; the search still counts each try and returns the certificate

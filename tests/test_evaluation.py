@@ -1,6 +1,7 @@
 import re
 import threading
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -126,12 +127,15 @@ def test_discounted_solve_matches_scipy_lu_bit_for_bit(s):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_discounted_solve_refuses_singular_and_non_finite_systems():
     # discount * kernel = I makes every pivot exactly zero: LAPACK reports
-    # it, the solve warns as lu_factor does, and the residual check refuses
-    # the answer.  An inf or NaN in the kernel or the right-hand side raises
-    # the same RuntimeError, not scipy's ValueError for non-finite input.
-    with pytest.warns(scipy.linalg.LinAlgWarning, match="exactly zero"):
-        with pytest.raises(RuntimeError, match="residual"):
-            evaluation._discounted_solve(2.0 * np.eye(3), 0.5, np.ones(3))
+    # it, and the solve raises at once, with no warning, even when there is
+    # no right-hand side to check.  An inf or NaN in the kernel or the
+    # right-hand side makes the residual check raise RuntimeError, not
+    # scipy's ValueError for non-finite input.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rhs in (np.ones(3), np.ones((3, 0))):
+            with pytest.raises(RuntimeError, match="singular: pivot 1 is exactly zero"):
+                evaluation._discounted_solve(2.0 * np.eye(3), 0.5, rhs)
     kernel = np.full((3, 3), 1.0 / 3.0)
     for bad in (np.nan, np.inf, -np.inf):
         broken = kernel.copy()
@@ -572,6 +576,20 @@ def test_evaluate_policy_matches_profile(rng):
 def test_mismatched_strategy_rejected(ctrap):
     with pytest.raises(ValueError):
         evaluate_profile(ctrap, StationaryProfile((np.full((3, 2), 0.5),)))
+
+
+def test_markov_profile_checks_its_heads_as_its_tail():
+    # One player with four actions has the joint table of a (2, 2) game;
+    # as a head it must be refused as it is as the tail, not evaluated.
+    game = sample_games.random_game(np.random.default_rng(1), 2, 3, (2, 2), 1)
+    good = StationaryProfile((np.full((3, 2), 0.5),) * 2)
+    wrong_actions = StationaryProfile((np.full((3, 4), 0.25),))
+    wrong_states = StationaryProfile((np.full((2, 2), 0.5),) * 2)
+    for bad, message in ((wrong_actions, r"actions \(4,\) do not match game \(2, 2\)"),
+                         (wrong_states, "strategy has 2 states, game has 3")):
+        for heads, tail in (([good], bad), ([bad], good), ([good, bad, good], good)):
+            with pytest.raises(ValueError, match=message):
+                evaluate_markov_profile(game, heads, tail)
 
 
 def test_induced_mdp_rejects_bad_player_and_row_shapes(rng):

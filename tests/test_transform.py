@@ -22,7 +22,7 @@ from csgames import (
     wessels_cost_relation,
     wessels_transform,
 )
-from csgames import sample_games
+from csgames import sample_games, transform
 
 
 def random_rows(rng, shape):
@@ -92,6 +92,39 @@ def test_caratheodory_random_instances(rng):
         direct = weights @ values
         reduced = cert.weights @ values[cert.indices]
         np.testing.assert_allclose(reduced, direct, atol=1e-10)
+
+
+def test_caratheodory_null_space_is_scipys_bit_for_bit(monkeypatch):
+    # Every moment system caratheodory_reduce meets, on random, repeated and
+    # rounded values, gets from _null_space the same bits as from
+    # scipy.linalg.null_space.  The test imports scipy.linalg; csgames does
+    # not.
+    import scipy.linalg
+
+    systems, null_space = [], transform._null_space
+
+    def recording(matrix):
+        systems.append(matrix)
+        return null_space(matrix)
+
+    monkeypatch.setattr(transform, "_null_space", recording)
+    for seed in range(120):
+        rng = np.random.default_rng([33, seed])
+        k, d = int(rng.integers(2, 16)), int(rng.integers(0, 6))
+        values = rng.normal(size=(k, d))
+        if seed % 3 == 1 and d > 1:
+            values[:, -1] = values[:, 0]
+        if seed % 3 == 2:
+            values = np.round(values)
+        caratheodory_reduce(values, rng.dirichlet(np.ones(k)))
+    assert len(systems) >= 200
+    deficient = set()
+    for matrix in systems:
+        want = scipy.linalg.null_space(matrix)
+        got = null_space(matrix)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        deficient.add(matrix.shape[1] - want.shape[1] < min(matrix.shape))
+    assert deficient == {False, True}  # full-rank and rank-deficient systems both
 
 
 # -------------------------------------------------------------- cellwise match
