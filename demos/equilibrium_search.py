@@ -19,11 +19,10 @@ from csgames import (
     StationaryProfile,
     correlated_limit_sequence,
     evaluate_profile,
-    product_strategy,
+    resolution_for,
     sample_games,
     search_equilibrium,
     verify_approx_equilibrium,
-    verify_weak_correlated,
 )
 
 
@@ -66,11 +65,12 @@ def main():
     print()
     print("halving-target correlated sequence (eps0 = 0.2, 3 halvings):")
     seq = correlated_limit_sequence(game, 0.2, 3, seed=0)
-    for level in seq.levels:
-        print(f"  n = {level.index}: target {level.epsilon_target:.4f}, "
+    for n, level in enumerate(seq.levels):
+        target = level.certificate.threshold
+        print(f"  n = {n}: target {target:.4f}, "
               f"certified {level.certificate.epsilon:.2e}, partition "
-              f"resolution {level.resolution:.4f}")
-    final = verify_weak_correlated(game, product_strategy(seq.levels[-1].profile))
+              f"resolution {resolution_for(target, game.discount, game.cost_bound):.4f}")
+    final = seq.final_certificate
     print(f"  final product strategy is weak correlated: passed = "
           f"{final.passed}, epsilon = {final.epsilon:.2e}")
 

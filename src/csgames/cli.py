@@ -462,6 +462,9 @@ def cmd_discretize(args):
     spec, _ = load_spec(args.spec)
     resolution = (args.gamma if args.gamma is not None
                   else resolution_for(args.epsilon, spec.discount, spec.cost_bound))
+    if resolution == 0.0:  # --gamma is positive, so --epsilon set it
+        raise ValueError(f"--epsilon {args.epsilon!r} is too small: its resolution "
+                         "underflows to 0")
     partition = build_partition(spec, resolution)
     disc = surrogate_game(spec, partition)
     print(f"{partition.n_cells} cells at resolution {resolution:.6g}; "
@@ -486,7 +489,7 @@ def cmd_transform(args):
     try:
         omega = _frozen_array(block["omega"])
         beta = _real(block["beta"], "beta")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
         raise ParseError(f"{args.game}: malformed transform block: {exc}") from exc
     wg = wessels_transform(game, omega, beta)
     print(f"bounded game with discount {wg.game.discount:.6g}, cost bound "
@@ -511,12 +514,12 @@ def cmd_correlated_sequence(args):
     game, _ = load_game(args.game)
     seq = correlated_limit_sequence(game, args.eps0, args.n, seed=args.seed)
     levels = [{
-        "n": level.index,
-        "epsilon_target": level.epsilon_target,
-        "resolution": level.resolution,
-        "certified_epsilon": level.certificate.epsilon,
-        "passed": level.certificate.passed,
-    } for level in seq.levels]
+        "n": n,
+        "epsilon_target": cert.threshold,
+        "resolution": resolution_for(cert.threshold, game.discount, game.cost_bound),
+        "certified_epsilon": cert.epsilon,
+        "passed": cert.passed,
+    } for n, cert in enumerate(level.certificate for level in seq.levels)]
     for row in levels:
         print(f"n={row['n']}: target {row['epsilon_target']:.6g}, certified "
               f"{row['certified_epsilon']:.6g}, resolution {row['resolution']:.6g}")

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .best_response import constrained_best_response, optimal_policy_values
-from .discretization import resolution_for
 from .evaluation import (
     _discounted_solve,
     _joint_kernel_costs,
@@ -572,11 +571,9 @@ def search_equilibrium(game, *, initial=None, target_epsilon=TARGET_EPSILON, res
 
 @dataclass(frozen=True)
 class SequenceLevel:
-    """A certified level of correlated_limit_sequence; it plays product_strategy(profile)."""
+    """A certified level of correlated_limit_sequence; it plays
+    product_strategy(profile), and its target is certificate.threshold."""
 
-    index: int
-    epsilon_target: float
-    resolution: float
     profile: StationaryProfile
     certificate: EquilibriumCertificate
 
@@ -592,9 +589,9 @@ def correlated_limit_sequence(game, epsilon0, n_levels, seed=0):
     """Build the halving-target sequence of certified approximate equilibria
     whose product strategies approach a weak correlated equilibrium.
 
-    Level n targets epsilon0 / 2^n for n = 0..n_levels and also reports the
-    state-space resolution that would certify that accuracy after
-    discretization.  Certificates are re-thresholded, which solves no LP.
+    Level n targets epsilon0 / 2^n for n = 0..n_levels, and is levels[n]:
+    its certificate's threshold is that target.  Certificates are
+    re-thresholded, which solves no LP.
     The one in hand, of the last level's profile, is checked at the level's
     search target min(epsilon0 / 2^n, TARGET_EPSILON); the level is searched
     from that profile, with RESTARTS restarts and `seed`, only if it fails,
@@ -621,17 +618,11 @@ def correlated_limit_sequence(game, epsilon0, n_levels, seed=0):
         target = min(eps_n, TARGET_EPSILON)
         if found is None or not at(target).passed:
             found = search_equilibrium(game, initial=None if found is None else found.profile,
-                                       target_epsilon=target, restarts=RESTARTS, seed=seed)
+                                       target_epsilon=target, seed=seed)
         cert = at(eps_n)
         if not cert.passed:
             break
-        levels.append(SequenceLevel(
-            index=n,
-            epsilon_target=eps_n,
-            resolution=resolution_for(eps_n, game.discount, game.cost_bound),
-            profile=found.profile,
-            certificate=cert,
-        ))
+        levels.append(SequenceLevel(found.profile, cert))
     final = verify_weak_correlated(game, product_strategy(levels[-1].profile)) if levels else None
     return CorrelatedSequenceResult(levels=tuple(levels), final_certificate=final,
                                     completed=len(levels) == n_levels + 1)

@@ -250,6 +250,9 @@ def simulation_horizon(tol, discount, cost_bound):
     if cost_bound <= 0.0:
         return 1
     target = tol * (1.0 - discount) / cost_bound
+    if target == 0.0:
+        raise ValueError(f"tol {tol!r} is too small: tol * (1 - discount) / cost_bound "
+                         "underflows to 0")
     if target >= 1.0:
         return 1
     return max(1, math.ceil(math.log(target) / math.log(discount)))

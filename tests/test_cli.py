@@ -745,6 +745,21 @@ def test_transform_block_numbers_written_as_strings_exit_2(tmp_path, capsys, ome
     assert not (tmp_path / "transform.game.json").exists()
 
 
+@pytest.mark.parametrize("omega, beta", [
+    ([2.0, 2.0], 10**400),
+    ([10**400, 2.0], 1.2),
+], ids=["beta", "omega"])
+def test_transform_block_integers_too_large_for_a_float_exit_2(tmp_path, capsys, omega, beta):
+    # float() of a 401-digit JSON integer raises OverflowError, which escaped
+    # as a traceback and exit 1, the code for a certificate that was not met.
+    game = write_game(tmp_path, sample_games.constrained_trap_game(),
+                      extra={"transform": {"omega": omega, "beta": beta}})
+    assert main(["transform", game, "--out-dir", str(tmp_path)]) == EXIT_PARSE
+    assert "malformed transform block: int too large to convert to float" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "transform.game.json").exists()
+
+
 def test_transform_missing_block_exits_3(tmp_path):
     game = write_game(tmp_path, sample_games.constrained_trap_game())
     assert main(["transform", game,
@@ -800,6 +815,20 @@ def test_simulate_rejects_non_positive_tol(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_simulate_tol_whose_target_underflows_exits_3(tmp_path, capsys):
+    # The horizon's target tol * (1 - alpha) / b is 0 for --tol 5e-324 on
+    # this game (alpha 0.5, b 1), and its log failed with "math domain error".
+    game = write_game(tmp_path, sample_games.constrained_trap_game())
+    strat = write_profile(tmp_path, sample_games.trap_profile(0.75))
+    out = tmp_path / "out"
+    assert main(["simulate", game, strat, "--tol=5e-324", "--trajectories", "2",
+                 "--out-dir", str(out)]) == EXIT_VALIDATION
+    assert "validation error: tol 5e-324 is too small" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["simulate", game, strat, "--tol=1e-320", "--trajectories", "2",
+                 "--out-dir", str(out)]) == EXIT_OK
+
+
 def test_simulate_too_many_trajectories_exits_3(tmp_path, capsys):
     # 10^13 trajectories need 291 TiB of totals, more than any address space
     # holds, so the allocation is refused at once and touches no memory.
@@ -825,6 +854,19 @@ def test_discretize_rejects_non_positive_threshold(tmp_path, capsys, flag, value
     assert main(["discretize", spec, f"{flag}={value}", "--out-dir", str(out)]) == EXIT_VALIDATION
     assert f"{flag} must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_discretize_epsilon_whose_resolution_underflows_exits_3(tmp_path, capsys):
+    # --epsilon 5e-324 gives resolution 0.0 on this spec (alpha 0.5, b 1),
+    # which build_partition refused as "resolution must be positive".
+    spec = write(tmp_path / "spec.json", spec_to_payload(sample_games.linear_cost_grid_spec(11)))
+    out = tmp_path / "out"
+    assert main(["discretize", spec, "--epsilon=5e-324", "--out-dir", str(out)]) \
+        == EXIT_VALIDATION
+    assert "--epsilon 5e-324 is too small: its resolution underflows to 0" \
+        in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["discretize", spec, "--epsilon=1e-320", "--out-dir", str(out)]) == EXIT_OK
 
 
 @pytest.mark.parametrize("flag, value, command, message", [
@@ -974,8 +1016,13 @@ def test_sequence_monotone_targets(tmp_path):
     assert main(["correlated-sequence", game, "--eps0", "0.2", "--n", "3",
                  "--out-dir", str(tmp_path)]) == EXIT_OK
     report = read_json(tmp_path, "correlated-sequence.report.json")
-    targets = [lvl["epsilon_target"] for lvl in report["results"]["levels"]]
-    np.testing.assert_allclose(targets, [0.2, 0.1, 0.05, 0.025], atol=1e-15)
+    levels = report["results"]["levels"]
+    assert [lvl["n"] for lvl in levels] == [0, 1, 2, 3]
+    np.testing.assert_allclose([lvl["epsilon_target"] for lvl in levels],
+                               [0.2, 0.1, 0.05, 0.025], atol=1e-15)
+    # The pair's discount and cost bound make each resolution half its target.
+    np.testing.assert_allclose([lvl["resolution"] for lvl in levels],
+                               [0.1, 0.05, 0.025, 0.0125])
     assert report["results"]["final_passed"]
 
 

@@ -19,7 +19,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo):
-    env = {**os.environ, "PYTHONPATH": "src"}
+    # The warnings that fail tier-1 fail a demo too, and every process it starts.
+    env = {**os.environ, "PYTHONPATH": "src",
+           "PYTHONWARNINGS": "error::RuntimeWarning,error::DeprecationWarning,"
+                             "error::PendingDeprecationWarning,error::FutureWarning"}
     proc = subprocess.run([sys.executable, str(demo.relative_to(ROOT))], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     output = proc.stdout + proc.stderr

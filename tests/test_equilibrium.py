@@ -368,12 +368,10 @@ def test_sequence_schedule_and_final_certificate(pair):
     seq = correlated_limit_sequence(pair, 0.2, 2)
     assert len(seq.levels) == 3
     np.testing.assert_allclose(
-        [lvl.epsilon_target for lvl in seq.levels], [0.2, 0.1, 0.05])
-    np.testing.assert_allclose(
-        [lvl.resolution for lvl in seq.levels], [0.1, 0.05, 0.025])
+        [lvl.certificate.threshold for lvl in seq.levels], [0.2, 0.1, 0.05])
     assert seq.completed
     for lvl in seq.levels:
-        assert lvl.certificate.epsilon <= lvl.epsilon_target
+        assert lvl.certificate.epsilon <= lvl.certificate.threshold
     assert seq.final_certificate.passed
     assert seq.final_certificate.epsilon <= 1e-6
 
@@ -381,7 +379,7 @@ def test_sequence_schedule_and_final_certificate(pair):
 def test_sequence_single_level(pair):
     seq = correlated_limit_sequence(pair, 0.2, 0)
     assert len(seq.levels) == 1
-    assert seq.levels[0].epsilon_target == 0.2
+    assert seq.levels[0].certificate.threshold == 0.2
 
 
 def test_sequence_targets_below_2_to_the_minus_1024(pair):
@@ -389,8 +387,8 @@ def test_sequence_targets_below_2_to_the_minus_1024(pair):
     # and past n = 1023 it is a subnormal.
     seq = correlated_limit_sequence(pair, 0.1, 1030)
     assert seq.completed and len(seq.levels) == 1031
-    assert seq.levels[1023].epsilon_target == 0.1 / 2.0 ** 1023
-    assert seq.levels[-1].epsilon_target == math.ldexp(0.1, -1030) > 0.0
+    assert seq.levels[1023].certificate.threshold == 0.1 / 2.0 ** 1023
+    assert seq.levels[-1].certificate.threshold == math.ldexp(0.1, -1030) > 0.0
 
 
 def test_sequence_searches_only_levels_its_profile_misses(monkeypatch):
@@ -663,7 +661,7 @@ def test_sequence_levels_are_fresh_certificates(game):
     for level in seq.levels:
         assert_same_certificate(
             level.certificate,
-            verify_approx_equilibrium(game, level.profile, level.epsilon_target))
+            verify_approx_equilibrium(game, level.profile, level.certificate.threshold))
 
 
 def solved_mdps(game, config, eager=False):

@@ -222,7 +222,8 @@ def test_inputs_are_what_write_inputs_writes(tmp_path):
 FUZZED = sorted(name for name, argv in CASES.items()
                 if argv[0] in ("evaluate", "verify", "best-respond", "simulate", "discretize",
                                "transform"))
-REPLACEMENTS = (True, False, None, "1", [], {}, math.nan, math.inf, -math.inf, 1e308, 2**70)
+REPLACEMENTS = (True, False, None, "1", [], {}, math.nan, math.inf, -math.inf, 1e308, 2**70,
+                10**400)
 
 
 def json_type(value):
